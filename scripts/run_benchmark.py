@@ -102,34 +102,34 @@ def summarize(rows):
             "if": mean([e["if"] for e in entries]),
             "gd": mean([e["gd"] for e in entries]),
         }
+    comparison = {}
     if "vanilla" in out and "full" in out:
         v, f = out["vanilla"], out["full"]
-        out["comparison"] = {
-            "if_reduction": 1.0 - f["if"] / v["if"],
-            "gd_gap_reduction": 1.0 - abs(f["gd"] - 1.0) / max(abs(v["gd"] - 1.0), 1e-12),
-            "auc_drop": v["auc"] - f["auc"],
-        }
-    if "full" in rows and "fixed" in rows:
-        wins = sum(
-            1
-            for a, b in zip(rows["full"], rows["fixed"])
-            if a["if"] <= b["if"]
+        comparison["if_reduction"] = 1.0 - f["if"] / v["if"]
+        comparison["gd_gap_reduction"] = 1.0 - abs(f["gd"] - 1.0) / max(
+            abs(v["gd"] - 1.0), 1e-12
         )
-        out.setdefault("comparison", {})["gradnorm_win_seeds"] = wins
+        comparison["auc_drop"] = v["auc"] - f["auc"]
+    if "full" in rows and "fixed" in rows:
+        comparison["gradnorm_win_seeds"] = sum(
+            1 for a, b in zip(rows["full"], rows["fixed"]) if a["if"] <= b["if"]
+        )
     if "full" in rows and "no_attention" in rows:
-        out["comparison"]["attention_win_seeds"] = sum(
+        comparison["attention_win_seeds"] = sum(
             1 for a, b in zip(rows["full"], rows["no_attention"]) if a["if"] <= b["if"]
         )
     if "full" in rows and "no_l3" in rows:
-        out["comparison"]["no_l3_gd_worse_seeds"] = sum(
+        comparison["no_l3_gd_worse_seeds"] = sum(
             1
             for a, b in zip(rows["full"], rows["no_l3"])
             if abs(b["gd"] - 1.0) > abs(a["gd"] - 1.0)
         )
     if "full" in rows and "no_l2" in rows:
-        out["comparison"]["no_l2_if_worse_seeds"] = sum(
+        comparison["no_l2_if_worse_seeds"] = sum(
             1 for a, b in zip(rows["full"], rows["no_l2"]) if b["if"] > a["if"]
         )
+    if comparison:
+        out["comparison"] = comparison
     return out
 
 

@@ -58,6 +58,17 @@ class Tape:
         if self.tracing:
             self._nodes.append(t)
 
+    def release(self) -> None:
+        """Drop the operation record once no further sweep is needed.
+
+        Every recorded tensor points back at its tape, so the record forms a
+        reference cycle that only the cyclic collector would free; dropping it
+        lets each tensor go as soon as the caller lets go of it. The tape
+        records nothing afterwards and refuses backward.
+        """
+        self._nodes = []
+        self.tracing = False
+
     def backward(self, root: "Tensor") -> None:
         """Accumulate d(root)/d(node) into node.grad for every reachable node.
 
@@ -282,20 +293,6 @@ def broadcast_add(x: Tensor, s: Tensor) -> Tensor:
     return Tensor(out, x.tape, op="broadcast-add", parents=(x, s), backward=backward)
 
 
-def colwise_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale row r of x by s[r, 0]; s must be a column vector of matching height."""
-    _same_tape(x, s)
-    if s.shape != (x.shape[0], 1):
-        raise DimensionError(f"colwise_scale needs ({x.shape[0]},1) factors, got {s.shape}")
-    out = _ensure_finite(x.values * s.values, "colwise-scale")
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * s.values)
-        _accumulate(s, np.sum(g * x.values, axis=1, keepdims=True))
-
-    return Tensor(out, x.tape, op="colwise-scale", parents=(x, s), backward=backward)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ContractError("concat_rows needs at least one tensor")
@@ -327,6 +324,18 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _unary(x, out, "slice-rows", back)
 
 
+def _scatter_rows(index: Array, values: Array, num_rows: int) -> Array:
+    """out[index[e]] += values[e] for e in order, as one flattened bincount.
+
+    bincount adds its weights in input order starting from zero, the order of
+    an unbuffered ufunc add.at, so the result is bitwise equal to one.
+    """
+    k = values.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=num_rows * k)
+    return out.reshape(num_rows, k)
+
+
 def gather_rows(x: Tensor, index: Array) -> Tensor:
     """Select rows by integer index (repeats allowed); backward scatter-adds."""
     index = np.asarray(index, dtype=np.int64)
@@ -336,12 +345,7 @@ def gather_rows(x: Tensor, index: Array) -> Tensor:
         raise DimensionError("gather index out of range")
     out = x.values[index].copy()
 
-    def back(g: Array) -> Array:
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, index, g)
-        return gx
-
-    return _unary(x, out, "gather-rows", back)
+    return _unary(x, out, "gather-rows", lambda g: _scatter_rows(index, g, x.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +476,73 @@ def segment_softmax(x: Tensor, segments: Array, num_segments: int) -> Tensor:
     return _unary(x, _ensure_finite(out, "segment-softmax"), "segment-softmax", back)
 
 
-def segment_sum(x: Tensor, segments: Array, num_segments: int) -> Tensor:
-    """Sum rows that share a segment id: (m,k) -> (num_segments,k)."""
-    segments = _check_segments(segments, num_segments, x.shape[0])
-    out = np.zeros((num_segments, x.shape[1]))
-    np.add.at(out, segments, x.values)
-    return _unary(x, out, "segment-sum", lambda g: g[segments])
+# ---------------------------------------------------------------------------
+# Edge-weighted sparse product (message passing with per-edge weights)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EdgePattern:
+    """Fixed sparsity pattern of an operator A with A[rows[e], cols[e]] = w[e].
+
+    indptr and indices are the CSR arrays of the pattern, entries sorted by
+    (row, col); order[p] is the edge stored at CSR position p. Built once with
+    edge_pattern and reused by every edge_spmm over the same edges.
+    """
+
+    rows: Array
+    cols: Array
+    shape: tuple[int, int]
+    indptr: Array
+    indices: Array
+    order: Array
+
+
+def edge_pattern(rows: Array, cols: Array, shape: tuple[int, int]) -> EdgePattern:
+    """Validate directed edges (no duplicates) and lay them out as CSR."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n_rows, n_cols = shape
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise DimensionError("edge arrays must be 1-D and equal length")
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0 or rows.max() >= n_rows or cols.max() >= n_cols
+    ):
+        raise DimensionError("edge index out of range")
+    order = np.lexsort((cols, rows))
+    sorted_rows, sorted_cols = rows[order], cols[order]
+    if np.any((sorted_rows[1:] == sorted_rows[:-1]) & (sorted_cols[1:] == sorted_cols[:-1])):
+        raise ContractError("duplicate directed edge in the pattern")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(sorted_rows, minlength=n_rows))])
+    return EdgePattern(
+        rows=rows, cols=cols, shape=(n_rows, n_cols),
+        indptr=indptr, indices=sorted_cols, order=order,
+    )
+
+
+def edge_spmm(weights: Tensor, x: Tensor, pattern: EdgePattern) -> Tensor:
+    """out = A(w) @ x, where A has the fixed pattern and the edge weights w (E,1).
+
+    The backward gives dx = A(w)^T g and dw_e = g[rows[e]] . x[cols[e]].
+    """
+    _same_tape(weights, x)
+    if weights.shape != (pattern.rows.size, 1):
+        raise DimensionError(
+            f"edge weights must be ({pattern.rows.size},1), got {weights.shape}"
+        )
+    if x.shape[0] != pattern.shape[1]:
+        raise DimensionError(f"edge_spmm mismatch: {pattern.shape} @ {x.shape}")
+    mat = sp.csr_matrix(
+        (weights.values[pattern.order, 0], pattern.indices, pattern.indptr), shape=pattern.shape
+    )
+    out = _ensure_finite(mat @ x.values, "edge-spmm")
+
+    def backward(g: Array) -> None:
+        dw = np.einsum("ij,ij->i", g[pattern.rows], x.values[pattern.cols])
+        _accumulate(weights, dw[:, None])
+        _accumulate(x, mat.T @ g)
+
+    return Tensor(out, x.tape, op="edge-spmm", parents=(weights, x), backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +569,10 @@ def quadratic_pair_form(z: Tensor, rows: Array, cols: Array, weights: Array) -> 
     out = np.array([[float(np.sum(weights * np.sum(diff * diff, axis=1)))]])
 
     def back(g: Array) -> Array:
-        gz = np.zeros_like(z.values)
         contrib = (2.0 * g[0, 0]) * weights[:, None] * diff
-        np.add.at(gz, rows, contrib)
-        np.add.at(gz, cols, -contrib)
-        return gz
+        return _scatter_rows(
+            np.concatenate([rows, cols]), np.concatenate([contrib, -contrib]), n
+        )
 
     return _unary(z, _ensure_finite(out, "quadratic-pair-form"), "quadratic-pair-form", back)
 

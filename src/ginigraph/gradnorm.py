@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 
 Array = np.ndarray
 
@@ -59,6 +59,8 @@ class GradNormController:
         rates = np.asarray(rates, dtype=np.float64)
         if grad_norms.shape != self.betas.shape or rates.shape != self.betas.shape:
             raise ContractError("grad_norms and rates must match the weight count")
+        if not (np.all(np.isfinite(grad_norms)) and np.all(np.isfinite(rates))):
+            raise NumericalError("gradient norms and rates must be finite")
         if np.any(grad_norms < 0) or np.any(rates < 0):
             raise ContractError("gradient norms and rates must be nonnegative")
         scaled = self.betas * grad_norms
@@ -76,6 +78,8 @@ class GradNormController:
         losses = np.asarray(losses, dtype=np.float64)
         if losses.shape != self.betas.shape:
             raise ContractError("losses must match the weight count")
+        if not np.all(np.isfinite(losses)):
+            raise NumericalError("losses must be finite")
         if self.initial_losses is None:
             if np.any(np.abs(losses) <= 0.0):
                 warnings.warn("nonpositive initial loss; rate denominator floored")

@@ -10,9 +10,13 @@ Three interchangeable two-round encoders produce node embeddings of width c:
 
 On top of any encoder sits a fairness head: a linear transform T = Z W, an
 attention score LeakyReLU(a^T [T_i || T_j]) multiplied by the pairwise
-similarity inside the softmax, and similarity-weighted aggregation. The
-similarity diagonal is treated as 1.0 for the self-loop term only; it is never
-stored in the SimilaritySet itself.
+similarity inside the softmax, and aggregation of the neighbors' T rows
+weighted by those softmax coefficients alpha. The score is computed in GAT's
+decomposed form (T a_c)_i + (T a_n)_j, with a = [a_c; a_n], so only one number
+per node is gathered onto each edge; the aggregation is one sparse product
+A(alpha) T over the fixed (center, neighbor) pattern. The similarity diagonal
+is treated as 1.0 for the self-loop term only; it is never stored in the
+SimilaritySet itself.
 
 Parameters live in plain dicts of float64 arrays; each training epoch wraps
 them as tape leaves.
@@ -139,23 +143,36 @@ class AttentionEdges:
     """Directed message edges derived from a similarity set, self-loops included.
 
     centers[e] receives a message from neighbors[e]; sim_values[e] is the pair
-    similarity, with 1.0 on the self-loop entries.
+    similarity, with 1.0 on the self-loop entries. The edges are stored as an
+    EdgePattern, laid out once as CSR for the aggregation product.
     """
 
-    centers: Array
-    neighbors: Array
+    pattern: ad.EdgePattern
     sim_values: Array
-    n: int
+
+    @property
+    def centers(self) -> Array:
+        return self.pattern.rows
+
+    @property
+    def neighbors(self) -> Array:
+        return self.pattern.cols
+
+    @property
+    def n(self) -> int:
+        return self.pattern.shape[0]
 
 
 def attention_edges(similarity: SimilaritySet) -> AttentionEdges:
     rows, cols, w = similarity.pair_arrays()
     loops = np.arange(similarity.n, dtype=np.int64)
     return AttentionEdges(
-        centers=np.concatenate([rows, cols, loops]),
-        neighbors=np.concatenate([cols, rows, loops]),
+        pattern=ad.edge_pattern(
+            np.concatenate([rows, cols, loops]),
+            np.concatenate([cols, rows, loops]),
+            (similarity.n, similarity.n),
+        ),
         sim_values=np.concatenate([w, w, np.ones(similarity.n)]),
-        n=similarity.n,
     )
 
 
@@ -166,29 +183,35 @@ def fair_head_embed(
     tape: Tape,
     attention: bool = True,
 ) -> Tensor:
-    """Similarity-weighted attention round on top of base embeddings.
+    """Similarity-gated attention round on top of base embeddings.
 
     With attention on, the score for edge (i <- j) is
-    LeakyReLU(a^T [T_i || T_j]) * S_ij, softmax-normalized over i's neighborhood.
-    With attention off, every neighbor of i receives equal weight.
+    LeakyReLU(a^T [T_i || T_j]) * S_ij, softmax-normalized over i's
+    neighborhood into alpha_ij. a^T [T_i || T_j] is evaluated as
+    (T a_c)_i + (T a_n)_j: two per-node scores gathered onto the edges.
+    With attention off, every neighbor of i receives equal weight alpha_ij.
+    The output is elu(sum_j alpha_ij T_j), one sparse product A(alpha) T.
     """
     t = z0 @ leaves["W"]
     hidden = t.shape[1]
     if leaves["a"].shape != (2 * hidden, 1):
         raise DimensionError("score vector must have shape (2*hidden, 1)")
-    src = ad.gather_rows(t, edges.neighbors)
     if attention:
-        a_center = ad.slice_rows(leaves["a"], 0, hidden)
-        a_neighbor = ad.slice_rows(leaves["a"], hidden, 2 * hidden)
-        dst = ad.gather_rows(t, edges.centers)
-        raw = ad.leaky_relu(ad.add(dst @ a_center, src @ a_neighbor), LEAKY_SLOPE)
+        center_score = t @ ad.slice_rows(leaves["a"], 0, hidden)
+        neighbor_score = t @ ad.slice_rows(leaves["a"], hidden, 2 * hidden)
+        raw = ad.leaky_relu(
+            ad.add(
+                ad.gather_rows(center_score, edges.centers),
+                ad.gather_rows(neighbor_score, edges.neighbors),
+            ),
+            LEAKY_SLOPE,
+        )
         gated = ad.hadamard(raw, tape.leaf(edges.sim_values[:, None], "sim"))
         alpha = ad.segment_softmax(gated, edges.centers, edges.n)
     else:
         counts = np.bincount(edges.centers, minlength=edges.n).astype(np.float64)
         alpha = tape.leaf((1.0 / counts[edges.centers])[:, None], "uniform-alpha")
-    messages = ad.colwise_scale(src, alpha)
-    return ad.elu(ad.segment_sum(messages, edges.centers, edges.n))
+    return ad.elu(ad.edge_spmm(alpha, t, edges.pattern))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ validation AUC with a patience window; the parameters returned are those of
 the final epoch (fairness terms keep improving after utility plateaus, so no
 rewind to the best-utility checkpoint).
 
+The controller needs each term's gradient norm, so under GradNorm an epoch
+runs one backward sweep per term and steps on sum_i beta_i g_i from those
+sweeps, which by linearity is the gradient of the total; with fixed betas one
+sweep of the total suffices.
+
 Every run is deterministic given (config, graph, similarity): randomness only
 enters through seeded weight initialization.
 """
@@ -26,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DomainError
 from .gradnorm import GradNormController
 from .graph import Graph, GroupPartition, SimilaritySet, split_nodes
 from .losses import (
@@ -223,15 +228,6 @@ class AdamState:
             weights[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def optimizer_step(
-    weights: dict[str, Array],
-    grads: dict[str, Array | None],
-    state: AdamState,
-    config: TrainConfig,
-) -> None:
-    state.step(weights, grads, config.learning_rate, config.weight_decay)
-
-
 # ---------------------------------------------------------------------------
 # Stage 1: utility pretraining
 # ---------------------------------------------------------------------------
@@ -277,6 +273,7 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
             config.learning_rate,
             config.weight_decay,
         )
+        tape.release()
     quiet = Tape(tracing=False)
     z = backbone_embed(
         config.backbone, as_leaves(quiet, weights), quiet.leaf(graph.features), operators
@@ -301,6 +298,37 @@ def _grad_norm(leaves, scope: str) -> float:
     return float(np.sqrt(total))
 
 
+def _probe_sweeps(
+    tape: Tape, terms: list, leaves: dict, scope: str
+) -> tuple[list[dict[str, Array | None]], Array]:
+    """One backward sweep per loss term: each sweep's leaf gradients and norm."""
+    grads, norms = [], []
+    for term in terms:
+        tape.backward(term)
+        grads.append({name: leaf.grad for name, leaf in leaves.items()})
+        norms.append(_grad_norm(leaves, scope))
+    return grads, np.array(norms)
+
+
+def _weighted_gradient(
+    grads: list[dict[str, Array | None]], betas
+) -> dict[str, Array | None]:
+    """sum_i beta_i g_i per parameter, the gradient of the weighted total.
+
+    A None gradient (the term does not reach that parameter) counts as 0; a
+    parameter no term reaches stays None.
+    """
+    total: dict[str, Array | None] = {}
+    for name in grads[0]:
+        acc = None
+        for term_grads, beta in zip(grads, betas):
+            g = term_grads[name]
+            if g is not None:
+                acc = float(beta) * g if acc is None else acc + float(beta) * g
+        total[name] = acc
+    return total
+
+
 def _sigmoid(values: Array) -> Array:
     out = np.empty_like(values)
     pos = values >= 0
@@ -318,7 +346,7 @@ def _val_auc(scores: Array, labels: Array, index: Array) -> float:
         return float("nan")
     try:
         return rank_auc(scores[labeled], labels[labeled])
-    except Exception:
+    except DomainError:
         return float("nan")
 
 
@@ -394,20 +422,14 @@ def train(
 
         loss_values = np.array([float(t.values[0, 0]) for t in terms])
         if controller is not None:
-            norms = []
-            for term in terms:
-                tape.backward(term)
-                norms.append(_grad_norm(leaves, config.gradnorm_scope))
-            betas_active = controller.step(loss_values, np.array(norms))
-
-        total = combine_losses(terms, betas_active)
-        tape.backward(total)
-        adam.step(
-            fair_weights,
-            {k: leaves[k].grad for k in fair_weights},
-            config.learning_rate,
-            config.weight_decay,
-        )
+            # by linearity the probe sweeps already hold the total's gradient
+            term_grads, norms = _probe_sweeps(tape, terms, leaves, config.gradnorm_scope)
+            betas_active = controller.step(loss_values, norms)
+            grads = _weighted_gradient(term_grads, betas_active)
+        else:
+            tape.backward(combine_losses(terms, betas_active))
+            grads = {k: leaves[k].grad for k in fair_weights}
+        adam.step(fair_weights, grads, config.learning_rate, config.weight_decay)
 
         scores = _sigmoid(logits.values[:, 0])
         val_auc = _val_auc(scores, graph.labels, graph.val_mask)
@@ -422,6 +444,7 @@ def train(
             )
         else:
             gd = float("nan")
+        tape.release()
         full_betas = {i: 0.0 for i in (0, 1, 2)}
         for i, b in zip(active, betas_active):
             full_betas[i] = float(b)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -155,11 +158,6 @@ def test_broadcast_ops_gradients(rng):
 
     checked(build_add, np.array([[0.3]]))
 
-    def build_col(x):
-        return ad.sum_all(ad.colwise_scale(x, x.tape.leaf(np.arange(1.0, 4.0)[:, None])))
-
-    checked(build_col, rng.normal(size=(3, 4)))
-
 
 def test_gather_and_slice_gradients(rng):
     index = np.array([0, 2, 2, 1, 0])
@@ -196,11 +194,59 @@ def test_segment_ops_gradients(rng):
 
     checked(build_softmax, rng.normal(size=(6, 1)))
 
-    def build_sum(x):
-        pooled = ad.segment_sum(x, segments, 3)
-        return ad.sum_all(ad.hadamard(pooled, pooled))
 
-    checked(build_sum, rng.normal(size=(6, 2)))
+# Node 3 has only its self-loop; node 0 is the center of three edges. The
+# edges are listed out of CSR order so the edge-to-CSR permutation matters.
+EDGE_ROWS = np.array([1, 0, 2, 0, 3, 1, 0, 2])
+EDGE_COLS = np.array([0, 2, 2, 1, 3, 1, 0, 0])
+
+
+def test_edge_spmm_matches_dense_product(rng):
+    pattern = ad.edge_pattern(EDGE_ROWS, EDGE_COLS, (4, 4))
+    w = rng.normal(size=(EDGE_ROWS.size, 1))
+    x = rng.normal(size=(4, 3))
+    dense = np.zeros((4, 4))
+    dense[EDGE_ROWS, EDGE_COLS] = w[:, 0]
+    tape = Tape()
+    out = ad.edge_spmm(tape.leaf(w), tape.leaf(x), pattern)
+    np.testing.assert_allclose(out.values, dense @ x, rtol=1e-12, atol=1e-15)
+
+
+def test_edge_spmm_gradients(rng):
+    pattern = ad.edge_pattern(EDGE_ROWS, EDGE_COLS, (4, 4))
+    x = rng.normal(size=(4, 3))
+    w = rng.normal(size=(EDGE_ROWS.size, 1))
+
+    def build_weights(v):
+        out = ad.edge_spmm(v, v.tape.leaf(x), pattern)
+        return ad.sum_all(ad.hadamard(out, out))
+
+    checked(build_weights, w)
+
+    def build_x(v):
+        out = ad.edge_spmm(v.tape.leaf(w), v, pattern)
+        return ad.sum_all(ad.hadamard(out, out))
+
+    checked(build_x, x)
+
+
+def test_edge_pattern_rejects_bad_edges():
+    with pytest.raises(ContractError):
+        ad.edge_pattern(np.array([0, 1, 0]), np.array([1, 1, 1]), (2, 2))
+    with pytest.raises(DimensionError):
+        ad.edge_pattern(np.array([0, 2]), np.array([1, 1]), (2, 2))
+    pattern = ad.edge_pattern(EDGE_ROWS, EDGE_COLS, (4, 4))
+    tape = Tape()
+    with pytest.raises(DimensionError):
+        ad.edge_spmm(tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((4, 2))), pattern)
+
+
+def test_scatter_rows_is_bitwise_equal_to_add_at(rng):
+    index = rng.integers(0, 5, size=200)
+    values = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+    expected = np.zeros((7, 3))
+    np.add.at(expected, index, values)
+    assert np.array_equal(ad._scatter_rows(index, values, 7), expected)
 
 
 def test_spmm_gradient(rng):
@@ -316,6 +362,32 @@ def test_repeated_backward_sweeps_are_independent(rng):
     np.testing.assert_allclose(x.grad, np.ones_like(x.values))
     tape.backward(a)
     np.testing.assert_allclose(x.grad, first)
+
+
+def test_released_tape_frees_its_tensors_without_gc(rng):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = {}
+        for release in (False, True):
+            tape = Tape()
+            x = tape.leaf(rng.normal(size=(3, 2)))
+            y = ad.hadamard(x, x)
+            tape.backward(ad.sum_all(y))
+            refs[release] = weakref.ref(y.values)
+            if release:
+                tape.release()
+            del tape, x, y
+        # unreleased, the tape <-> tensor cycle keeps the arrays alive
+        assert refs[False]() is not None
+        assert refs[True]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    released = Tape()
+    released.release()
+    with pytest.raises(ContractError):
+        released.backward(released.leaf(np.ones((1, 1))))
 
 
 def test_mixed_tapes_are_rejected(rng):

@@ -3,7 +3,9 @@ sweeps, config files, and the command-line surface."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,3 +658,32 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "--features", str(tmp_path / "feat.csv"), "--k-max", "2",
     )
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# Benchmark script
+# ---------------------------------------------------------------------------
+
+
+def load_benchmark_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_benchmark", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_row(seed, if_value, gd):
+    return {"seed": seed, "auc": 0.8, "if": if_value, "gd": gd}
+
+
+def test_benchmark_summary_without_vanilla_or_fixed():
+    summarize = load_benchmark_script().summarize
+    rows = {
+        "full": [bench_row(0, 1.0, 1.2), bench_row(1, 3.0, 1.1)],
+        "no_attention": [bench_row(0, 2.0, 1.3), bench_row(1, 2.0, 1.4)],
+    }
+    summary = summarize(rows)
+    assert summary["comparison"] == {"attention_win_seeds": 1}
+    assert summary["full"]["if"] == 2.0
+    assert "comparison" not in summarize({"full": rows["full"]})

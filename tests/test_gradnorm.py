@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginigraph.errors import ContractError
+from ginigraph.errors import ContractError, NumericalError
 from ginigraph.gradnorm import BETA_TOTAL, GradNormController
 
 
@@ -75,6 +75,20 @@ def test_shape_and_sign_guards():
         c.gradnorm_step([1.0, -0.5], [1.0, 1.0])
     with pytest.raises(ContractError):
         c.step([1.0, 2.0, 3.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_losses_and_norms_raise(bad):
+    c = GradNormController([1.0, 1.0])
+    before = c.betas.copy()
+    with pytest.raises(NumericalError):
+        c.step([1.0, bad], [1.0, 1.0])
+    assert c.initial_losses is None
+    with pytest.raises(NumericalError):
+        c.step([1.0, 1.0], [bad, 1.0])
+    with pytest.raises(NumericalError):
+        c.gradnorm_step([1.0, 1.0], [1.0, bad])
+    np.testing.assert_array_equal(c.betas, before)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

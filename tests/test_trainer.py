@@ -5,14 +5,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ginigraph import trainer as trainer_module
+from ginigraph.autodiff import Tape
 from ginigraph.errors import ConfigError, ContractError
+from ginigraph.gradnorm import GradNormController
 from ginigraph.graph import Graph, GroupPartition, attr_similarity
+from ginigraph.losses import (
+    combine_losses,
+    group_context,
+    group_welfare_loss,
+    smoothness_loss,
+    utility_loss,
+)
 from ginigraph.metrics import compute_report, rank_auc, trace_form
-from ginigraph.models import ModelParams, init_backbone
+from ginigraph.models import (
+    ModelParams,
+    as_leaves,
+    attention_edges,
+    fair_head_embed,
+    init_backbone,
+    init_fair_head,
+    readout_logits,
+)
 from ginigraph.trainer import (
     LOG_COLUMNS,
     AdamState,
     TrainConfig,
+    _probe_sweeps,
+    _val_auc,
+    _weighted_gradient,
     embed,
     evaluate,
     pretrain,
@@ -263,6 +284,57 @@ def test_surrogate_modes_train_and_log_trace_if(fixture_data, surrogate):
     last = result.history[-1]
     assert last.if_value != last.l2
     assert last.if_value >= 0.0
+
+
+@pytest.mark.parametrize("scope", ["shared", "all"])
+def test_probe_sweeps_give_the_weighted_total_gradient(fixture_data, scope):
+    graph, similarity, partition = fixture_data
+    config = quick_config(pretrain_epochs=10, gradnorm_scope=scope)
+    graph = train_masked(graph, config)
+    _, z0 = pretrain(graph, config)
+    weights = init_fair_head(config.hidden, np.random.default_rng(3), scale=0.5)
+    tape = Tape()
+    leaves = as_leaves(tape, weights)
+    h = fair_head_embed(tape.leaf(z0), leaves, attention_edges(similarity), tape)
+    terms = [
+        utility_loss(readout_logits(h, leaves), graph.labels, graph.train_mask, tape),
+        smoothness_loss(h, similarity),
+        group_welfare_loss(h, group_context(similarity, partition)),
+    ]
+    controller = GradNormController([1.0, 1.0, 1.0])
+    term_grads, norms = _probe_sweeps(tape, terms, leaves, scope)
+    controller.step([float(t.values[0, 0]) for t in terms], norms)
+    betas = controller.step([float(t.values[0, 0]) for t in terms], 2.0 * norms)
+    combined = _weighted_gradient(term_grads, betas)
+    tape.backward(combine_losses(terms, betas))
+    for name, leaf in leaves.items():
+        scale = np.abs(leaf.grad).max()
+        np.testing.assert_allclose(combined[name], leaf.grad, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_weighted_gradient_counts_none_as_zero():
+    grads = [
+        {"a": np.ones((2, 1)), "b": None, "c": None},
+        {"a": None, "b": np.ones((1, 1)), "c": None},
+    ]
+    total = _weighted_gradient(grads, [2.0, 3.0])
+    np.testing.assert_array_equal(total["a"], [[2.0], [2.0]])
+    np.testing.assert_array_equal(total["b"], [[3.0]])
+    assert total["c"] is None
+
+
+def test_val_auc_is_nan_only_for_domain_errors(monkeypatch):
+    scores = np.linspace(0.1, 0.9, 6)
+    labels = np.array([1, 1, 1, 0, 0, 0])
+    assert np.isnan(_val_auc(scores, labels, np.array([0, 1, 2])))
+    assert _val_auc(scores, labels, np.arange(6)) == 0.0
+
+    def broken(scores, labels):
+        raise ContractError("scores and labels must align")
+
+    monkeypatch.setattr(trainer_module, "rank_auc", broken)
+    with pytest.raises(ContractError):
+        _val_auc(scores, labels, np.arange(6))
 
 
 def test_gradnorm_scope_all_runs(fixture_data):
