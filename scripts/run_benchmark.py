@@ -13,7 +13,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -21,72 +20,35 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ginigraph.graph import GroupPartition, topo_similarity
-from ginigraph.synthetic import SbmSpec, sbm_generate
-from ginigraph.trainer import TrainConfig, train
-
-BASE_CONFIG = dict(
-    hidden=16,
-    pretrain_epochs=200,
-    max_epochs=600,
-    patience=600,
-    top_k=10,
-    learning_rate=1e-3,
-    surrogate="none",
-    beta_lr=0.025,
-    head_scale=0.1,
-)
-
-BENCHMARK_SBM = dict(p_within=0.2, p_between=0.01)
-
-VARIANTS = {
-    "vanilla": dict(beta2=0.0, beta3=0.0),
-    "full": dict(),
-    "fixed": dict(gradnorm=False, beta2=1.0, beta3=1.0),
-    "no_attention": dict(attention=False),
-    "no_l3": dict(beta3=0.0),
-    "no_l2": dict(beta2=0.0),
-}
+from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 
 
-def run_matrix(seeds, base_overrides, sbm_overrides=None, variants=None):
-    names = variants or list(VARIANTS)
-    spec = SbmSpec(**(BENCHMARK_SBM if sbm_overrides is None else sbm_overrides))
-    rows = {name: [] for name in names}
-    for seed in seeds:
-        graph = sbm_generate(spec, seed)
-        config_kwargs = dict(BASE_CONFIG)
-        config_kwargs.update(base_overrides)
-        similarity = topo_similarity(graph, config_kwargs["top_k"])
-        partition = GroupPartition.from_values(graph.sensitive)
-        for name in names:
-            config = TrainConfig(seed=seed, **{**config_kwargs, **VARIANTS[name]})
-            started = time.monotonic()
-            result = train(graph, similarity, partition, config)
-            report = result.report
-            final = result.history[-1]
-            rows[name].append(
-                {
-                    "seed": seed,
-                    "auc": report.auc,
-                    # graph-wide trace metrics (test-restricted ones are a
-                    # high-variance subsample, especially for the small group)
-                    "if": final.if_value,
-                    "gd": final.gd,
-                    "test_if": report.individual_unfairness,
-                    "test_gd": report.gd_trace,
-                    "gini": report.gini,
-                    "epochs": result.epochs_run,
-                    "seconds": round(time.monotonic() - started, 2),
-                    "final_betas": [final.beta1, final.beta2, final.beta3],
-                }
-            )
-            r = rows[name][-1]
-            print(
-                f"seed {seed} {name:12s} auc {r['auc']:.4f} if {r['if']:10.4f} "
-                f"gd {r['gd']:.4f} ({r['seconds']}s, {r['epochs']} epochs)",
-                flush=True,
-            )
+def collect(seeds, overrides=None, variants=None):
+    """Per-variant lists of per-seed rows, printing one line per run."""
+    rows = {}
+    for seed, name, result in run_matrix(seeds, overrides, variants):
+        report = result.report
+        final = result.history[-1]
+        r = {
+            "seed": seed,
+            "auc": report.auc,
+            # graph-wide trace metrics (test-restricted ones are a
+            # high-variance subsample, especially for the small group)
+            "if": final.if_value,
+            "gd": final.gd,
+            "test_if": report.individual_unfairness,
+            "test_gd": report.gd_trace,
+            "gini": report.gini,
+            "epochs": result.epochs_run,
+            "seconds": round(result.wall_seconds, 2),
+            "final_betas": [final.beta1, final.beta2, final.beta3],
+        }
+        rows.setdefault(name, []).append(r)
+        print(
+            f"seed {seed} {name:12s} auc {r['auc']:.4f} if {r['if']:10.4f} "
+            f"gd {r['gd']:.4f} ({r['seconds']}s, {r['epochs']} epochs)",
+            flush=True,
+        )
     return rows
 
 
@@ -137,29 +99,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5, help="number of seeds (0..n-1)")
     parser.add_argument("--out", help="write the raw per-run rows as JSON")
-    parser.add_argument("--variants", nargs="*", help="subset of variants to run")
-    parser.add_argument("--max-epochs", type=int)
-    parser.add_argument("--pretrain-epochs", type=int)
-    parser.add_argument("--top-k", type=int)
-    parser.add_argument("--beta-lr", type=float)
-    parser.add_argument("--head-scale", type=float)
+    parser.add_argument(
+        "--variants", nargs="*", choices=list(BENCHMARK_VARIANTS),
+        help="subset of variants to run (default: all)",
+    )
+    parser.add_argument("--max-epochs", type=int, help="fair epochs (and patience) per run")
     args = parser.parse_args(argv)
 
     overrides = {}
     if args.max_epochs is not None:
-        overrides["max_epochs"] = args.max_epochs
-        overrides["patience"] = args.max_epochs
-    if args.pretrain_epochs is not None:
-        overrides["pretrain_epochs"] = args.pretrain_epochs
-    if args.top_k is not None:
-        overrides["top_k"] = args.top_k
-    if args.beta_lr is not None:
-        overrides["beta_lr"] = args.beta_lr
-    if args.head_scale is not None:
-        overrides["head_scale"] = args.head_scale
+        overrides = {"max_epochs": args.max_epochs, "patience": args.max_epochs}
 
     started = time.monotonic()
-    rows = run_matrix(range(args.seeds), overrides, variants=args.variants)
+    rows = collect(range(args.seeds), overrides, args.variants)
     summary = summarize(rows)
     print(json.dumps(summary, indent=2))
     print(f"total wall time: {time.monotonic() - started:.1f}s")

@@ -41,7 +41,6 @@ from .metrics import (
     gdif,
     group_ginis,
     group_traces,
-    individual_unfairness,
     lipschitz_constant,
     rank_auc,
     tail_bound,
@@ -91,7 +90,6 @@ __all__ = [
     "group_ginis",
     "group_traces",
     "group_welfare_loss",
-    "individual_unfairness",
     "kmeans",
     "kmeans_elbow",
     "laplacian_apply",

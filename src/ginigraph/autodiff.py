@@ -15,7 +15,7 @@ the first non-finite entry, which is how training detects divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -199,10 +199,6 @@ def spmm(mat: sp.spmatrix, x: Tensor) -> Tensor:
     return Tensor(out, x.tape, op="spmm", parents=(x,), backward=backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    return _unary(x, x.values.T.copy(), "transpose", lambda g: g.T)
-
-
 def _binary_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     _same_tape(a, b)
     if a.shape != b.shape:
@@ -293,24 +289,6 @@ def broadcast_add(x: Tensor, s: Tensor) -> Tensor:
     return Tensor(out, x.tape, op="broadcast-add", parents=(x, s), backward=backward)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
-    tape = _same_tape(*parts)
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.shape[1] != cols:
-            raise DimensionError("concat_rows needs equal column counts")
-    out = np.concatenate([p.values for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
-
-    return Tensor(out, tape, op="concat-rows", parents=tuple(parts), backward=backward)
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for {x.shape}")
@@ -375,6 +353,16 @@ def row_sum(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def sigmoid_values(v: Array) -> Array:
+    """Elementwise logistic 1 / (1 + e^-v) on a plain array, without overflow."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ez = np.exp(v[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     v = x.values
     out = np.where(v > 0, v, slope * v)
@@ -387,43 +375,12 @@ def elu(x: Tensor) -> Tensor:
     return _unary(x, out, "elu", lambda g: g * np.where(v > 0, 1.0, out + 1.0))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = x.values
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ez = np.exp(v[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return _unary(x, out, "sigmoid", lambda g: g * out * (1.0 - out))
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(x.values)
-    return _unary(x, out, "exp", lambda g: g * out)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.values <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    out = np.log(x.values)
-    return _unary(x, out, "log", lambda g: g / x.values)
-
-
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x) computed without overflow: max(x,0) + log1p(e^-|x|)."""
     v = x.values
     out = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
-    def back(g: Array) -> Array:
-        s = np.empty_like(v)
-        pos = v >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ez = np.exp(v[~pos])
-        s[~pos] = ez / (1.0 + ez)
-        return g * s
-
-    return _unary(x, out, "softplus", back)
+    return _unary(x, out, "softplus", lambda g: g * sigmoid_values(v))
 
 
 def sqrt(x: Tensor) -> Tensor:

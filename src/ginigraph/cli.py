@@ -26,18 +26,19 @@ from .errors import (
 )
 from .graph import (
     GroupPartition,
-    attr_similarity,
+    build_similarity,
     graph_summary,
     load_graph,
     read_embedding_csv,
+    read_feature_table,
     read_partition_csv,
     read_scores_csv,
     read_similarity_csv,
-    topo_similarity,
     write_edge_list,
     write_embedding_csv,
     write_feature_table,
     write_partition_csv,
+    write_scores_csv,
     write_similarity_csv,
 )
 from .metrics import MetricsReport, compute_report
@@ -53,18 +54,13 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _load_graph_args(args):
-    graph, dropped = load_graph(args.edges, args.features)
-    return graph, dropped
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
-    graph, dropped = _load_graph_args(args)
+    graph, dropped = load_graph(args.edges, args.features)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -74,18 +70,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _build_similarity(graph, mode: str, top_k: int, mask_cols=()):
-    if mode == "topo":
-        return topo_similarity(graph, top_k)
-    if mode == "attr":
-        return attr_similarity(graph.features, top_k, tuple(mask_cols))
-    raise ConfigError(f"unknown similarity mode {mode!r}")
-
-
 def cmd_similarity(args) -> int:
-    graph, _ = _load_graph_args(args)
+    graph, _ = load_graph(args.edges, args.features)
     mask_cols = tuple(int(c) for c in args.mask_cols.split(",")) if args.mask_cols else ()
-    similarity = _build_similarity(graph, args.mode, args.top_k, mask_cols)
+    similarity = build_similarity(graph, args.mode, args.top_k, mask_cols)
     write_similarity_csv(args.out, similarity)
     _emit({"nodes": similarity.n, "pairs": similarity.num_pairs, "out": str(args.out)})
     return 0
@@ -118,7 +106,7 @@ def cmd_generate_sbm(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    graph, _ = _load_graph_args(args)
+    graph, _ = load_graph(args.edges, args.features)
     k, wcss = kmeans_elbow(graph.features, args.k_max, args.seed)
     if args.out:
         assign, _, _ = kmeans(graph.features, k, args.seed)
@@ -127,40 +115,22 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _bool_flag(raw: str, name: str) -> bool:
-    if raw == "on":
-        return True
-    if raw == "off":
-        return False
-    raise ConfigError(f"--{name} must be 'on' or 'off'")
+# train flags that, when given, override the config field of the same name;
+# the on/off flags become booleans
+TRAIN_OVERRIDES = (
+    "backbone", "gradnorm", "attention", "beta2", "beta3", "surrogate",
+    "seed", "hidden", "max_epochs", "pretrain_epochs", "top_k",
+)
 
 
 def cmd_train(args) -> int:
-    graph, _ = _load_graph_args(args)
+    graph, _ = load_graph(args.edges, args.features)
     config = load_config(args.config) if args.config else TrainConfig()
     overrides = {}
-    if args.backbone:
-        overrides["backbone"] = args.backbone
-    if args.gradnorm:
-        overrides["gradnorm"] = _bool_flag(args.gradnorm, "gradnorm")
-    if args.attention:
-        overrides["attention"] = _bool_flag(args.attention, "attention")
-    if args.beta2 is not None:
-        overrides["beta2"] = args.beta2
-    if args.beta3 is not None:
-        overrides["beta3"] = args.beta3
-    if args.surrogate:
-        overrides["surrogate"] = args.surrogate
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.hidden is not None:
-        overrides["hidden"] = args.hidden
-    if args.max_epochs is not None:
-        overrides["max_epochs"] = args.max_epochs
-    if args.pretrain_epochs is not None:
-        overrides["pretrain_epochs"] = args.pretrain_epochs
-    if args.top_k is not None:
-        overrides["top_k"] = args.top_k
+    for name in TRAIN_OVERRIDES:
+        value = getattr(args, name)
+        if value is not None:
+            overrides[name] = value == "on" if value in ("on", "off") else value
     config = dataclasses.replace(config, **overrides)
     config = apply_env_seed(config)
     config.validate()
@@ -168,7 +138,7 @@ def cmd_train(args) -> int:
     if args.similarity:
         similarity = read_similarity_csv(args.similarity, graph.n)
     else:
-        similarity = _build_similarity(graph, args.sim_mode, config.top_k)
+        similarity = build_similarity(graph, args.sim_mode, config.top_k)
     partition = (
         read_partition_csv(args.partition)
         if args.partition
@@ -187,10 +157,7 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "checkpoint.txt", result.params)
     h, scores = embed(result.params, graph, similarity, attention=config.attention)
     write_embedding_csv(out / "embeddings.csv", h)
-    with open(out / "scores.csv", "w", encoding="utf-8") as fh:
-        fh.write("id,score\n")
-        for i, v in enumerate(scores):
-            fh.write(f"{i},{v:.17g}\n")
+    write_scores_csv(out / "scores.csv", scores)
     _emit(result.to_json_dict())
     return 0
 
@@ -203,8 +170,6 @@ def cmd_audit(args) -> int:
     if args.partition:
         partition = read_partition_csv(args.partition)
     if args.features:
-        from .graph import read_feature_table
-
         _, labels, sensitive = read_feature_table(args.features)
         if labels.shape[0] != z.shape[0]:
             raise ContractError("feature table does not match the embeddings")
@@ -233,7 +198,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    graph, _ = _load_graph_args(args)
+    graph, _ = load_graph(args.edges, args.features)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.homophily is not None:

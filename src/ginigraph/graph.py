@@ -8,13 +8,12 @@ matrix and degree vector cached for Laplacian work.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, DataFormatError, DimensionError, DomainError
+from .errors import ConfigError, ContractError, DataFormatError, DimensionError, DomainError
 
 Array = np.ndarray
 
@@ -51,6 +50,8 @@ class Graph:
         n = self.n
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise DimensionError("features must be (n, d)")
+        if not np.all(np.isfinite(self.features)):
+            raise DomainError("features must be finite")
         if self.labels.shape != (n,) or self.sensitive.shape != (n,):
             raise DimensionError("labels and sensitive must be length n")
         if self.edges.size:
@@ -203,7 +204,7 @@ class SimilaritySet:
                 raise ContractError("similarity index out of range")
             if np.any(lo == hi):
                 raise ContractError("diagonal similarities are not stored")
-        if weights.size and (weights.min() <= 0.0 or weights.max() > 1.0):
+        if not np.all((weights > 0.0) & (weights <= 1.0)):
             raise DomainError("similarity weights must lie in (0, 1]")
         order = np.lexsort((hi, lo))
         lo, hi, weights = lo[order], hi[order], weights[order]
@@ -351,6 +352,17 @@ def attr_similarity(
     return _topk_union(rows @ rows.T, top_k)
 
 
+def build_similarity(
+    graph: Graph, mode: str, top_k: int, masked_columns: tuple[int, ...] = ()
+) -> SimilaritySet:
+    """Similarity set by mode: 'topo' (adjacency rows) or 'attr' (feature rows)."""
+    if mode == "topo":
+        return topo_similarity(graph, top_k)
+    if mode == "attr":
+        return attr_similarity(graph.features, top_k, tuple(masked_columns))
+    raise ConfigError(f"unknown similarity mode {mode!r}")
+
+
 def edges_from_features(
     features: Array, threshold: float, metric: str = "euclidean"
 ) -> Array:
@@ -379,6 +391,80 @@ def edges_from_features(
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
+
+
+def _read_table(
+    path, columns: str, n_int: int, open_ended: bool = False
+) -> tuple[Array, Array, Array]:
+    """Read a CSV of n_int integer columns followed by float columns.
+
+    The header names the comma-separated columns (whitespace ignored); an
+    open-ended table adds at least one float column of any name after them.
+    Blank lines are skipped; every other line must carry all fields, and every
+    float must be finite. Returns (integers (rows, n_int), floats, line numbers).
+    """
+    leading = columns.split(",")
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        names = ["".join(name.split()) for name in header.split(",")]
+        if names[: len(leading)] != leading or (len(names) > len(leading)) != open_ended:
+            want = columns + (",..." if open_ended else "")
+            raise DataFormatError(f"{path}:1: header must be {want}, got {header.strip()!r}")
+        width = len(names)
+        rows: list[str] = []
+        lines: list[int] = []
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.count(",") != width - 1:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {width} fields, got {line.count(',') + 1}"
+                )
+            rows.append(line)
+            lines.append(lineno)
+    # one split over all rows, then one conversion per column
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        ints = np.array(
+            [list(map(int, fields[k::width])) for k in range(n_int)], dtype=np.int64
+        ).T
+        floats = np.column_stack(
+            [list(map(float, fields[k::width])) for k in range(n_int, width)]
+        )
+    except ValueError as exc:
+        bad = next(r for r, line in enumerate(rows) if not _parses(line, n_int))
+        raise DataFormatError(f"{path}:{lines[bad]}: malformed field") from exc
+    except OverflowError as exc:
+        raise DataFormatError(f"{path}: integer field out of range") from exc
+    finite = np.isfinite(floats).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}:{lines[np.argmin(finite)]}: non-finite value")
+    return ints, floats, np.array(lines, dtype=np.int64)
+
+
+def _parses(line: str, n_int: int) -> bool:
+    parts = line.split(",")
+    try:
+        list(map(int, parts[:n_int]))
+        list(map(float, parts[n_int:]))
+    except ValueError:
+        return False
+    return True
+
+
+def _id_order(path, ids: Array, lines: Array) -> Array:
+    """Row order that sorts a table by id; the ids must be 0..n-1, each once."""
+    if ids.size == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    order = np.argsort(ids, kind="stable")
+    repeated = np.flatnonzero(ids[order[1:]] == ids[order[:-1]])
+    if repeated.size:
+        row = order[repeated[0] + 1]
+        raise DataFormatError(f"{path}:{lines[row]}: duplicate id {ids[row]}")
+    if ids[order[0]] != 0 or ids[order[-1]] != ids.size - 1:
+        raise DataFormatError(f"{path}: ids must cover 0..{ids.size - 1} exactly once")
+    return order
 
 
 def read_edge_list(path) -> tuple[Array, int]:
@@ -427,47 +513,16 @@ def read_feature_table(path) -> tuple[Array, Array, Array]:
     Rows must cover ids 0..n-1 exactly once; label is 0/1/-1 (-1 = unlabeled).
     Returns (features, labels, sensitive).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = [c.strip() for c in header.split(",")]
-        if cols[:3] != ["id", "label", "sensitive"]:
-            raise DataFormatError(
-                f"{path}:1: header must start with id,label,sensitive got {header!r}"
-            )
-        d = len(cols) - 3
-        if d < 1:
-            raise DataFormatError(f"{path}:1: no feature columns")
-        rows: dict[int, tuple[int, int, list[float]]] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + d:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {3 + d} fields, got {len(parts)}"
-                )
-            try:
-                nid = int(parts[0])
-                label = int(parts[1])
-                sens = int(parts[2])
-                feats = [float(v) for v in parts[3:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed field") from exc
-            if label not in (-1, 0, 1):
-                raise DataFormatError(f"{path}:{lineno}: label must be -1, 0 or 1")
-            if sens < 0:
-                raise DataFormatError(f"{path}:{lineno}: sensitive code must be >= 0")
-            if nid in rows:
-                raise DataFormatError(f"{path}:{lineno}: duplicate id {nid}")
-            rows[nid] = (label, sens, feats)
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise DataFormatError(f"{path}: ids must cover 0..{n - 1} exactly once")
-    features = np.array([rows[i][2] for i in range(n)], dtype=np.float64)
-    labels = np.array([rows[i][0] for i in range(n)], dtype=np.int64)
-    sensitive = np.array([rows[i][1] for i in range(n)], dtype=np.int64)
-    return features, labels, sensitive
+    codes, features, lines = _read_table(path, "id,label,sensitive", 3, open_ended=True)
+    labels, sensitive = codes[:, 1], codes[:, 2]
+    for bad, message in (
+        (~np.isin(labels, (-1, 0, 1)), "label must be -1, 0 or 1"),
+        (sensitive < 0, "sensitive code must be >= 0"),
+    ):
+        if bad.any():
+            raise DataFormatError(f"{path}:{lines[np.argmax(bad)]}: {message}")
+    order = _id_order(path, codes[:, 0], lines)
+    return features[order], labels[order], sensitive[order]
 
 
 def write_feature_table(path, features: Array, labels: Array, sensitive: Array) -> None:
@@ -501,26 +556,9 @@ def write_similarity_csv(path, similarity: SimilaritySet) -> None:
 
 
 def read_similarity_csv(path, n: int) -> SimilaritySet:
-    rows, cols, weights = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "i,j,weight":
-            raise DataFormatError(f"{path}:1: header must be i,j,weight")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected i,j,weight")
-            try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                weights.append(float(parts[2]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed field") from exc
+    pairs, weights, _ = _read_table(path, "i,j,weight", 2)
     try:
-        return SimilaritySet(n, np.array(rows, np.int64), np.array(cols, np.int64), np.array(weights))
+        return SimilaritySet(n, pairs[:, 0], pairs[:, 1], weights[:, 0])
     except (ContractError, DomainError, DimensionError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -536,52 +574,13 @@ def write_embedding_csv(path, values: Array) -> None:
 
 
 def read_embedding_csv(path) -> Array:
-    rows: dict[int, list[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "id":
-            raise DataFormatError(f"{path}:1: header must start with 'id'")
-        width = len(header) - 1
-        if width < 1:
-            raise DataFormatError(f"{path}:1: no embedding columns")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width + 1:
-                raise DataFormatError(f"{path}:{lineno}: wrong field count")
-            try:
-                rows[int(parts[0])] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed field") from exc
-    n = len(rows)
-    if sorted(rows) != list(range(n)) or n == 0:
-        raise DataFormatError(f"{path}: ids must cover 0..n-1 exactly once")
-    return np.array([rows[i] for i in range(n)], dtype=np.float64)
+    ids, values, lines = _read_table(path, "id", 1, open_ended=True)
+    return values[_id_order(path, ids[:, 0], lines)]
 
 
 def _read_id_value_csv(path, column: str) -> Array:
-    rows: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != f"id,{column}":
-            raise DataFormatError(f"{path}:1: header must be id,{column}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected id,{column}")
-            try:
-                rows[int(parts[0])] = float(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed field") from exc
-    n = len(rows)
-    if sorted(rows) != list(range(n)) or n == 0:
-        raise DataFormatError(f"{path}: ids must cover 0..n-1 exactly once")
-    return np.array([rows[i] for i in range(n)], dtype=np.float64)
+    ids, values, lines = _read_table(path, f"id,{column}", 1)
+    return values[_id_order(path, ids[:, 0], lines), 0]
 
 
 def read_scores_csv(path) -> Array:

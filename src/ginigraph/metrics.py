@@ -46,11 +46,6 @@ def trace_form(similarity: SimilaritySet, z: Array) -> float:
     return float(np.sum(w * gaps * gaps))
 
 
-def individual_unfairness(similarity: SimilaritySet, z: Array) -> float:
-    """Alias for the Laplacian quadratic form, reported as "IF"."""
-    return trace_form(similarity, z)
-
-
 def embedding_gini(similarity: SimilaritySet, z: Array) -> float:
     """Similarity-weighted Gini coefficient of pairwise embedding gaps.
 
@@ -82,9 +77,9 @@ def lipschitz_constant(
 
 
 def gdif(a: float, b: float) -> float:
-    """Disparity ratio max(a/b, b/a) of two nonnegative statistics (floored)."""
-    if a < 0 or b < 0:
-        raise DomainError("gdif expects nonnegative statistics")
+    """Disparity ratio max(a/b, b/a) of two finite nonnegative statistics (floored)."""
+    if not (0.0 <= a < np.inf and 0.0 <= b < np.inf):
+        raise DomainError("gdif expects finite nonnegative statistics")
     a = max(float(a), RATIO_FLOOR)
     b = max(float(b), RATIO_FLOOR)
     return max(a / b, b / a)
@@ -221,7 +216,6 @@ REPORT_FIELDS = (
     "gini",
     "gd_trace",
     "gd_gini",
-    "a_gdif",
     "lipschitz",
 )
 
@@ -241,7 +235,6 @@ class MetricsReport:
     gini: float | None
     gd_trace: float | None
     gd_gini: float | None
-    a_gdif: float | None
     lipschitz: float
     group_sizes: tuple[int, ...] = ()
     group_traces: tuple[float, ...] = ()
@@ -298,7 +291,7 @@ def compute_report(
                     s, y, partition.group_ids[labeled], threshold
                 )
             notes.extend(str(c.message) for c in caught)
-    if_value = individual_unfairness(similarity, z)
+    if_value = trace_form(similarity, z)
     zero_mass = float(np.sum(np.abs(z))) == 0.0
     if zero_mass:
         gini = None
@@ -306,7 +299,7 @@ def compute_report(
     else:
         gini = embedding_gini(similarity, z)
     lip = lipschitz_constant(similarity, z, delta)
-    gd_trace = gd_gini = a_gdif = None
+    gd_trace = gd_gini = None
     sizes: tuple[int, ...] = ()
     traces: tuple[float, ...] = ()
     ginis: tuple[float, ...] = ()
@@ -318,7 +311,6 @@ def compute_report(
             try:
                 ginis = tuple(group_ginis(similarity, z, partition))
                 gd_gini = average_gdif(ginis)
-                a_gdif = gd_gini
             except DomainError as exc:
                 notes.append(f"group Gini skipped: {exc}")
     elif partition is not None:
@@ -331,7 +323,6 @@ def compute_report(
         gini=gini,
         gd_trace=gd_trace,
         gd_gini=gd_gini,
-        a_gdif=a_gdif,
         lipschitz=lip,
         group_sizes=sizes,
         group_traces=traces,

@@ -208,10 +208,15 @@ def fair_head_embed(
         )
         gated = ad.hadamard(raw, tape.leaf(edges.sim_values[:, None], "sim"))
         alpha = ad.segment_softmax(gated, edges.centers, edges.n)
-    else:
-        counts = np.bincount(edges.centers, minlength=edges.n).astype(np.float64)
-        alpha = tape.leaf((1.0 / counts[edges.centers])[:, None], "uniform-alpha")
-    return ad.elu(ad.edge_spmm(alpha, t, edges.pattern))
+        return ad.elu(ad.edge_spmm(alpha, t, edges.pattern))
+    # constant weights: a plain sparse product, with no edge-weight gradient
+    pattern = edges.pattern
+    counts = np.bincount(edges.centers, minlength=edges.n).astype(np.float64)
+    uniform = sp.csr_matrix(
+        ((1.0 / counts[edges.centers])[pattern.order], pattern.indices, pattern.indptr),
+        shape=pattern.shape,
+    )
+    return ad.elu(ad.spmm(uniform, t))
 
 
 # ---------------------------------------------------------------------------

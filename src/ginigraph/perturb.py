@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
     m = edges.shape[0]
     budget = math.floor(rho * m)
     if budget == 0:
-        return RewireResult(graph=_with_edges(graph, edges), rewired=0, kept=0)
+        return RewireResult(graph=replace(graph, edges=edges), rewired=0, kept=0)
     rng = np.random.default_rng(seed)
     selected = rng.choice(m, size=budget, replace=False)
     edge_set = {(int(i), int(j)) for i, j in edges}
@@ -68,19 +68,7 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
             rewired += 1
         else:
             kept += 1
-    return RewireResult(graph=_with_edges(graph, edges), rewired=rewired, kept=kept)
-
-
-def _with_edges(graph: Graph, edges: Array) -> Graph:
-    return Graph(
-        edges=edges,
-        features=graph.features,
-        labels=graph.labels,
-        sensitive=graph.sensitive,
-        train_mask=graph.train_mask,
-        val_mask=graph.val_mask,
-        test_mask=graph.test_mask,
-    )
+    return RewireResult(graph=replace(graph, edges=edges), rewired=rewired, kept=kept)
 
 
 def perturb_noise(features: Array, sigma: float, seed: int = 0) -> Array:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GiniGraphError
-from .graph import Graph, GroupPartition, attr_similarity, topo_similarity
+from .graph import GroupPartition, build_similarity
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import perturb_noise, rewire_homophily
 from .synthetic import SbmSpec, sbm_generate
@@ -101,19 +101,9 @@ def _build_run_data(spec: SweepSpec, point: dict, seed: int):
     if "rho" in point:
         graph = rewire_homophily(graph, float(point["rho"]), seed).graph
     if "sigma" in point:
-        graph = Graph(
-            edges=graph.edges,
-            features=perturb_noise(graph.features, float(point["sigma"]), seed),
-            labels=graph.labels,
-            sensitive=graph.sensitive,
-            train_mask=graph.train_mask,
-            val_mask=graph.val_mask,
-            test_mask=graph.test_mask,
-        )
-    if spec.similarity_mode == "topo":
-        similarity = topo_similarity(graph, spec.config.top_k)
-    else:
-        similarity = attr_similarity(graph.features, spec.config.top_k)
+        noised = perturb_noise(graph.features, float(point["sigma"]), seed)
+        graph = dataclasses.replace(graph, features=noised)
+    similarity = build_similarity(graph, spec.similarity_mode, spec.config.top_k)
     partition = GroupPartition.from_values(graph.sensitive)
     return graph, similarity, partition
 

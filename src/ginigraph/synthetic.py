@@ -4,7 +4,7 @@ labels, label/group-correlated features, and an imbalanced sensitive group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,12 +140,4 @@ def sbm_generate(spec: SbmSpec, seed: int = 0) -> Graph:
 
     graph = Graph(edges=edges, features=features, labels=labels, sensitive=sensitive)
     train, val, test = split_nodes(graph, (0.5, 0.25, 0.25), seed)
-    return Graph(
-        edges=edges,
-        features=features,
-        labels=labels,
-        sensitive=sensitive,
-        train_mask=train,
-        val_mask=val,
-        test_mask=test,
-    )
+    return replace(graph, train_mask=train, val_mask=val, test_mask=test)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One training-log row; column names match LOG_COLUMNS."""
+    """One training-log row; the fields, in order, are the log columns."""
 
     epoch: int
     l1: float
@@ -141,18 +141,7 @@ class EpochRecord:
     gd: float
 
 
-LOG_COLUMNS = (
-    "epoch",
-    "l1",
-    "l2",
-    "l3",
-    "beta1",
-    "beta2",
-    "beta3",
-    "val_auc",
-    "if_value",
-    "gd",
-)
+LOG_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 @dataclass
@@ -238,15 +227,7 @@ def _ensure_masks(graph: Graph, seed: int) -> Graph:
     if graph.train_mask.size:
         return graph
     train, val, test = split_nodes(graph, (0.5, 0.25, 0.25), seed)
-    return Graph(
-        edges=graph.edges,
-        features=graph.features,
-        labels=graph.labels,
-        sensitive=graph.sensitive,
-        train_mask=train,
-        val_mask=val,
-        test_mask=test,
-    )
+    return replace(graph, train_mask=train, val_mask=val, test_mask=test)
 
 
 def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array]:
@@ -327,15 +308,6 @@ def _weighted_gradient(
                 acc = float(beta) * g if acc is None else acc + float(beta) * g
         total[name] = acc
     return total
-
-
-def _sigmoid(values: Array) -> Array:
-    out = np.empty_like(values)
-    pos = values >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-values[pos]))
-    ez = np.exp(values[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _val_auc(scores: Array, labels: Array, index: Array) -> float:
@@ -431,7 +403,7 @@ def train(
             grads = {k: leaves[k].grad for k in fair_weights}
         adam.step(fair_weights, grads, config.learning_rate, config.weight_decay)
 
-        scores = _sigmoid(logits.values[:, 0])
+        scores = ad.sigmoid_values(logits.values[:, 0])
         val_auc = _val_auc(scores, graph.labels, graph.val_mask)
         if_value = (
             loss_values[active.index(1)]
@@ -515,7 +487,7 @@ def embed(
     else:
         h = z
         logits = readout_logits(z, leaves)
-    return h.values.copy(), _sigmoid(logits.values[:, 0])
+    return h.values.copy(), ad.sigmoid_values(logits.values[:, 0])
 
 
 def evaluate(

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import build_random_graph, build_random_similarity
 from ginigraph.autodiff import Tape
+from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 from ginigraph.graph import GroupPartition, SimilaritySet, laplacian_apply, topo_similarity
 from ginigraph.gradnorm import GradNormController
 from ginigraph.losses import (
@@ -364,26 +365,6 @@ def test_metric_invariants_and_fixtures(rng):
 # ---------------------------------------------------------------------------
 
 BENCHMARK_SEEDS = 5
-BENCHMARK_BASE = dict(
-    hidden=16,
-    pretrain_epochs=200,
-    max_epochs=600,
-    patience=600,
-    top_k=10,
-    learning_rate=1e-3,
-    surrogate="none",
-    beta_lr=0.025,
-    head_scale=0.1,
-)
-BENCHMARK_SBM = dict(p_within=0.2, p_between=0.01)
-BENCHMARK_VARIANTS = {
-    "vanilla": dict(beta2=0.0, beta3=0.0),
-    "full": dict(),
-    "fixed": dict(gradnorm=False, beta2=1.0, beta3=1.0),
-    "no_attention": dict(attention=False),
-    "no_l3": dict(beta3=0.0),
-    "no_l2": dict(beta2=0.0),
-}
 
 
 @pytest.fixture(scope="session")
@@ -395,28 +376,21 @@ def benchmark_matrix():
     directional comparisons use the graph-wide values the trainer logs.
     """
     rows: dict[str, list[dict]] = {name: [] for name in BENCHMARK_VARIANTS}
-    for seed in range(BENCHMARK_SEEDS):
-        graph = sbm_generate(SbmSpec(**BENCHMARK_SBM), seed)
-        similarity = topo_similarity(graph, BENCHMARK_BASE["top_k"])
-        partition = GroupPartition.from_values(graph.sensitive)
-        for name, overrides in BENCHMARK_VARIANTS.items():
-            config = TrainConfig(seed=seed, **{**BENCHMARK_BASE, **overrides})
-            started = time.monotonic()
-            result = train(graph, similarity, partition, config)
-            final = result.history[-1]
-            rows[name].append(
-                {
-                    "auc": result.report.auc,
-                    "if": final.if_value,
-                    "gd": final.gd,
-                    "seconds": time.monotonic() - started,
-                    "betas_valid_every_epoch": all(
-                        abs(r.beta1 + r.beta2 + r.beta3 - 3.0) <= 1e-9
-                        and min(r.beta1, r.beta2, r.beta3) > 0.0
-                        for r in result.history
-                    ),
-                }
-            )
+    for _, name, result in run_matrix(range(BENCHMARK_SEEDS)):
+        final = result.history[-1]
+        rows[name].append(
+            {
+                "auc": result.report.auc,
+                "if": final.if_value,
+                "gd": final.gd,
+                "seconds": result.wall_seconds,
+                "betas_valid_every_epoch": all(
+                    abs(r.beta1 + r.beta2 + r.beta3 - 3.0) <= 1e-9
+                    and min(r.beta1, r.beta2, r.beta3) > 0.0
+                    for r in result.history
+                ),
+            }
+        )
     return rows
 
 

@@ -41,7 +41,6 @@ def test_forward_matches_numpy_oracles(rng):
     np.testing.assert_allclose((a - b).values, a.values - b.values)
     np.testing.assert_allclose((a * b).values, a.values * b.values)
     np.testing.assert_allclose(ad.scale(a, 2.5).values, 2.5 * a.values)
-    np.testing.assert_allclose(ad.transpose(a).values, a.values.T)
     c = tape.leaf(rng.normal(size=(4, 2)))
     np.testing.assert_allclose((a @ c).values, a.values @ c.values)
     np.testing.assert_allclose(ad.sum_all(a).values, [[a.values.sum()]])
@@ -65,12 +64,9 @@ def test_nonlinearities_forward(rng):
         ad.leaky_relu(x, 0.2).values, np.where(v > 0, v, 0.2 * v)
     )
     np.testing.assert_allclose(ad.elu(x).values, np.where(v > 0, v, np.expm1(v)))
-    np.testing.assert_allclose(ad.sigmoid(x).values, 1.0 / (1.0 + np.exp(-v)))
     np.testing.assert_allclose(ad.softplus(x).values, np.log1p(np.exp(v)))
     pos = tape.leaf(np.array([[0.5, 1.0, 4.0]]))
     np.testing.assert_allclose(ad.sqrt(pos).values, np.sqrt(pos.values))
-    np.testing.assert_allclose(ad.log(pos).values, np.log(pos.values))
-    np.testing.assert_allclose(ad.exp(x).values, np.exp(v))
 
 
 def test_softplus_is_overflow_safe():
@@ -80,6 +76,14 @@ def test_softplus_is_overflow_safe():
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out[0, 0], 800.0)
     np.testing.assert_allclose(out[0, 1], 0.0, atol=1e-300)
+
+
+def test_sigmoid_values_is_overflow_safe():
+    v = np.array([-800.0, -2.0, 0.0, 0.5, 800.0])
+    with np.errstate(over="raise"):
+        out = ad.sigmoid_values(v)
+    np.testing.assert_allclose(out[1:4], 1.0 / (1.0 + np.exp(-v[1:4])))
+    assert out[0] == 0.0 and out[-1] == 1.0
 
 
 def test_tracing_off_gives_identical_values(rng):
@@ -114,7 +118,7 @@ def test_matmul_chain_gradient(rng):
     w = rng.normal(size=(4, 3))
 
     def build(x):
-        return ad.sum_all(ad.sigmoid(x @ x.tape.leaf(w)))
+        return ad.sum_all(ad.softplus(x @ x.tape.leaf(w)))
 
     checked(build, rng.normal(size=(5, 4)))
 
@@ -124,12 +128,9 @@ def test_matmul_chain_gradient(rng):
     [
         lambda x: ad.sum_all(ad.leaky_relu(x, 0.2)),
         lambda x: ad.sum_all(ad.elu(x)),
-        lambda x: ad.sum_all(ad.sigmoid(x)),
         lambda x: ad.sum_all(ad.softplus(x)),
-        lambda x: ad.sum_all(ad.exp(x)),
         lambda x: ad.mean_all(ad.hadamard(x, x)),
         lambda x: ad.sum_all(ad.row_sum(ad.hadamard(x, x))),
-        lambda x: ad.sum_all(ad.transpose(x) @ x),
     ],
 )
 def test_unary_op_gradients(rng, op):
@@ -138,7 +139,6 @@ def test_unary_op_gradients(rng, op):
 
 def test_positive_domain_gradients(rng):
     point = rng.uniform(0.5, 2.0, size=(3, 3))
-    checked(lambda x: ad.sum_all(ad.log(x)), point)
     checked(lambda x: ad.sum_all(ad.sqrt(x)), point)
     divisor = rng.uniform(0.5, 2.0, size=(3, 3))
     checked(lambda x: ad.sum_all(ad.divide(x, x.tape.leaf(divisor))), point)
@@ -154,7 +154,7 @@ def test_broadcast_ops_gradients(rng):
     checked(build_scale, np.array([[0.7]]))
 
     def build_add(x):
-        return ad.sum_all(ad.sigmoid(ad.broadcast_add(x.tape.leaf(mat), x)))
+        return ad.sum_all(ad.softplus(ad.broadcast_add(x.tape.leaf(mat), x)))
 
     checked(build_add, np.array([[0.3]]))
 
@@ -173,16 +173,6 @@ def test_gather_and_slice_gradients(rng):
         return ad.sum_all(ad.hadamard(part, part))
 
     checked(build_slice, rng.normal(size=(4, 2)))
-
-
-def test_concat_rows_gradient(rng):
-    other = rng.normal(size=(2, 3))
-
-    def build(x):
-        joined = ad.concat_rows([x, x.tape.leaf(other)])
-        return ad.sum_all(ad.hadamard(joined, joined))
-
-    checked(build, rng.normal(size=(3, 3)))
 
 
 def test_segment_ops_gradients(rng):
@@ -413,8 +403,6 @@ def test_shape_mismatches_are_rejected(rng):
 def test_domain_errors(rng):
     tape = Tape()
     with pytest.raises(DomainError):
-        ad.log(tape.leaf(np.array([[0.0]])))
-    with pytest.raises(DomainError):
         ad.sqrt(tape.leaf(np.array([[-1.0]])))
     with pytest.raises(DomainError):
         ad.divide(tape.leaf(np.ones((1, 1))), tape.leaf(np.zeros((1, 1))))
@@ -423,8 +411,8 @@ def test_domain_errors(rng):
 def test_nonfinite_forward_raises_numerical_error():
     tape = Tape()
     x = tape.leaf(np.array([[1e300]]))
-    with pytest.raises(NumericalError):
-        ad.hadamard(ad.exp(x), x)  # exp overflows to inf
+    with pytest.raises(NumericalError), np.errstate(over="ignore"):
+        ad.hadamard(x, x)  # 1e600 overflows to inf
 
 
 def test_sqrt_gradient_defined_at_zero():

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from ginigraph import cli
+from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_VARIANTS, run_matrix
 from ginigraph.clustering import kmeans, kmeans_elbow
 from ginigraph.config import SEED_ENV_VAR, load_config, parse_config_text
 from ginigraph.errors import ConfigError, ContractError, DomainError, NumericalError
-from ginigraph.graph import Graph
+from ginigraph.graph import Graph, write_embedding_csv
 from ginigraph.perturb import perturb_noise, rewire_homophily
 from ginigraph.sweep import (
     SweepSpec,
@@ -660,6 +661,51 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_cli_audit_rejects_a_non_finite_embedding(sbm_dir, tmp_path, capsys):
+    sim_path = tmp_path / "sim.csv"
+    run_cli(
+        capsys, "similarity", *graph_args(sbm_dir),
+        "--mode", "attr", "--top-k", "5", "--out", str(sim_path),
+    )
+    z = np.ones((40, 2))
+    z[3, 1] = np.nan
+    emb_path = tmp_path / "emb.csv"
+    write_embedding_csv(emb_path, z)
+    code, out = run_cli(
+        capsys, "audit", "--embeddings", str(emb_path), "--similarity", str(sim_path)
+    )
+    assert code == 4 and out == {}
+
+
+def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    off = dict(
+        backbone="gin", gradnorm="off", attention="off", beta2="0.5", beta3="0.25",
+        surrogate="softmax", seed="9", hidden="3", max_epochs="2", pretrain_epochs="1",
+        top_k="4",
+    )
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("gradnorm = off\nattention = off\nhidden = 3\n")
+    on = dict(config=str(cfg), gradnorm="on", attention="on", max_epochs="1", pretrain_epochs="1")
+    expected = (
+        dict(
+            backbone="gin", gradnorm=False, attention=False, beta2=0.5, beta3=0.25,
+            surrogate="softmax", seed=9, hidden=3, max_epochs=2, pretrain_epochs=1, top_k=4,
+        ),
+        dict(gradnorm=True, attention=True, hidden=3, beta2=1.0, backbone="gcn"),
+    )
+    for k, (flags, want) in enumerate(zip((off, on), expected)):
+        argv = [x for name, value in flags.items() for x in (f"--{name.replace('_', '-')}", value)]
+        run_dir = tmp_path / f"run{k}"
+        code, _ = run_cli(
+            capsys, "train", *graph_args(sbm_dir), "--sim-mode", "attr", *argv,
+            "--out-dir", str(run_dir),
+        )
+        assert code == 0
+        config = json.loads((run_dir / "result.json").read_text())["config"]
+        assert {name: config[name] for name in want} == want
+
+
 # ---------------------------------------------------------------------------
 # Benchmark script
 # ---------------------------------------------------------------------------
@@ -687,3 +733,15 @@ def test_benchmark_summary_without_vanilla_or_fixed():
     assert summary["comparison"] == {"attention_win_seeds": 1}
     assert summary["full"]["if"] == 2.0
     assert "comparison" not in summarize({"full": rows["full"]})
+
+
+def test_run_matrix_is_seed_major_on_the_shared_base():
+    overrides = dict(pretrain_epochs=1, max_epochs=2, patience=2)
+    runs = list(run_matrix((0, 1), overrides, variants=["no_l2", "vanilla"]))
+    assert [(seed, name) for seed, name, _ in runs] == [
+        (0, "no_l2"), (0, "vanilla"), (1, "no_l2"), (1, "vanilla")
+    ]
+    for seed, name, result in runs:
+        want = {**BENCHMARK_BASE, **overrides, **BENCHMARK_VARIANTS[name], "seed": seed}
+        assert {key: getattr(result.config, key) for key in want} == want
+        assert result.epochs_run == 2

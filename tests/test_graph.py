@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginigraph.errors import ContractError, DataFormatError, DomainError
+from ginigraph.errors import ConfigError, ContractError, DataFormatError, DomainError
 from ginigraph.graph import (
     Graph,
     GroupPartition,
     SimilaritySet,
     attr_similarity,
+    build_similarity,
     edges_from_features,
     graph_summary,
     laplacian_apply,
@@ -22,6 +23,8 @@ from ginigraph.graph import (
     read_edge_list,
     read_embedding_csv,
     read_feature_table,
+    read_partition_csv,
+    read_scores_csv,
     read_similarity_csv,
     split_nodes,
     topo_similarity,
@@ -144,6 +147,16 @@ def test_similarity_set_normalizes_and_validates():
         SimilaritySet(3, [0], [1], [1.5])
 
 
+def test_similarity_set_and_graph_reject_non_finite_values():
+    with pytest.raises(DomainError):
+        SimilaritySet(3, [0], [1], [np.nan])
+    for bad in (np.nan, np.inf):
+        features = np.zeros((3, 2))
+        features[1, 0] = bad
+        with pytest.raises(DomainError):
+            Graph(edges=[[0, 1]], features=features, labels=[0, 1, 1], sensitive=[0, 0, 1])
+
+
 def test_similarity_degree_matches_dense(rng):
     s = build_random_similarity(rng, 9)
     dense = s.to_dense()
@@ -230,6 +243,21 @@ def test_zero_feature_rows_produce_no_pairs():
     feats[0] = [1.0, 0.0, 0.0]
     s = attr_similarity(feats, top_k=4)
     assert s.num_pairs == 0
+
+
+def test_build_similarity_dispatches_on_mode(rng, graph_factory):
+    graph = graph_factory(rng, 12)
+    for built, direct in (
+        (build_similarity(graph, "topo", 3), topo_similarity(graph, 3)),
+        (
+            build_similarity(graph, "attr", 3, masked_columns=(0,)),
+            attr_similarity(graph.features, 3, (0,)),
+        ),
+    ):
+        for a, b in zip(built.pair_arrays(), direct.pair_arrays()):
+            np.testing.assert_array_equal(a, b)
+    with pytest.raises(ConfigError):
+        build_similarity(graph, "cosine", 3)
 
 
 def test_edges_from_features_euclidean_and_cosine(rng):
@@ -351,3 +379,50 @@ def test_embedding_csv_round_trip(tmp_path, rng):
     path = tmp_path / "emb.csv"
     write_embedding_csv(path, z)
     np.testing.assert_array_equal(read_embedding_csv(path), z)
+
+
+# Each id-keyed table: its header, a row template, and its reader.
+ID_TABLES = {
+    "features": ("id,label,sensitive,f0", "{i},1,0,{v}", read_feature_table),
+    "embedding": ("id,e0", "{i},{v}", read_embedding_csv),
+    "scores": ("id,score", "{i},{v}", read_scores_csv),
+    "partition": ("id,group", "{i},{v}", read_partition_csv),
+}
+
+
+@pytest.mark.parametrize("table", sorted(ID_TABLES))
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([(0, "1.0"), (1, "2.0"), (1, "5.0")], "duplicate"),
+        ([(0, "1.0"), (1, "nan")], "non-finite"),
+        ([(0, "-inf"), (1, "1.0")], "non-finite"),
+        ([], "no data rows"),
+    ],
+    ids=["repeated-id", "nan", "inf", "header-only"],
+)
+def test_id_tables_reject_repeats_non_finite_values_and_empty_tables(
+    tmp_path, table, rows, reason
+):
+    header, row, reader = ID_TABLES[table]
+    path = tmp_path / f"{table}.csv"
+    path.write_text("\n".join([header] + [row.format(i=i, v=v) for i, v in rows]) + "\n")
+    with pytest.raises(DataFormatError, match=reason):
+        reader(path)
+
+
+def test_tables_sort_rows_by_id_and_name_the_bad_line(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("id,e0,e1\n1,3.0,4.0\n\n0,1.0,2.0\n")
+    np.testing.assert_array_equal(read_embedding_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("id,e0,e1\n0,1.0,2.0\n\n1,3.0\n")
+    with pytest.raises(DataFormatError, match=":4: expected 3 fields, got 2"):
+        read_embedding_csv(path)
+    path.write_text("id , score\n1,0.5\n0,0.25\n")
+    np.testing.assert_array_equal(read_scores_csv(path), [0.25, 0.5])
+    path.write_text("i,j,weight\n0,1,0.5\n0,99999999999999999999,0.5\n")
+    with pytest.raises(DataFormatError, match="out of range"):
+        read_similarity_csv(path, 3)
+    path.write_text("i,j,weight\n0,1,nan\n")
+    with pytest.raises(DataFormatError, match=":2: non-finite"):
+        read_similarity_csv(path, 3)
