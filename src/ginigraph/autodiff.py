@@ -92,7 +92,7 @@ class Tape:
 class Tensor:
     """A node on a tape: a matrix value plus the closure that backpropagates it."""
 
-    __slots__ = ("values", "tape", "name", "op", "parents", "grad", "_backward")
+    __slots__ = ("values", "tape", "name", "op", "grad", "_backward")
 
     def __init__(
         self,
@@ -101,14 +101,12 @@ class Tensor:
         *,
         name: str | None = None,
         op: str = "leaf",
-        parents: tuple["Tensor", ...] = (),
         backward: Callable[[Array], None] | None = None,
     ):
         self.values = values
         self.tape = tape
         self.name = name
         self.op = op
-        self.parents = parents
         self.grad: Array | None = None
         self._backward = backward
         tape._record(self)
@@ -121,30 +119,8 @@ class Tensor:
         label = self.name or self.op
         return f"Tensor({label}, shape={self.values.shape})"
 
-    # Operator sugar; all semantics live in the module-level functions.
-    def __add__(self, other):
-        return add_const(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    def __radd__(self, other):
-        return add_const(self, other)
-
-    def __sub__(self, other):
-        return add_const(self, -other) if isinstance(other, (int, float)) else subtract(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else hadamard(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if isinstance(other, (int, float)) else divide(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
@@ -165,7 +141,7 @@ def _unary(x: Tensor, out: Array, op: str, back: Callable[[Array], Array]) -> Te
     def backward(g: Array) -> None:
         _accumulate(x, back(g))
 
-    return Tensor(_ensure_finite(out, op), x.tape, op=op, parents=(x,), backward=backward)
+    return Tensor(_ensure_finite(out, op), x.tape, op=op, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +159,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g @ b.values.T)
         _accumulate(b, a.values.T @ g)
 
-    return Tensor(out, tape, op="matmul", parents=(a, b), backward=backward)
+    return Tensor(out, tape, op="matmul", backward=backward)
 
 
 def spmm(mat: sp.spmatrix, x: Tensor) -> Tensor:
@@ -196,7 +172,7 @@ def spmm(mat: sp.spmatrix, x: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         _accumulate(x, np.asarray(mat.T @ g))
 
-    return Tensor(out, x.tape, op="spmm", parents=(x,), backward=backward)
+    return Tensor(out, x.tape, op="spmm", backward=backward)
 
 
 def _binary_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -213,7 +189,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return Tensor(out, a.tape, op="add", parents=(a, b), backward=backward)
+    return Tensor(out, a.tape, op="add", backward=backward)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -224,7 +200,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    return Tensor(out, a.tape, op="subtract", parents=(a, b), backward=backward)
+    return Tensor(out, a.tape, op="subtract", backward=backward)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -235,7 +211,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g * b.values)
         _accumulate(b, g * a.values)
 
-    return Tensor(out, a.tape, op="hadamard", parents=(a, b), backward=backward)
+    return Tensor(out, a.tape, op="hadamard", backward=backward)
 
 
 def divide(a: Tensor, b: Tensor) -> Tensor:
@@ -248,7 +224,7 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g / b.values)
         _accumulate(b, -g * a.values / (b.values * b.values))
 
-    return Tensor(out, a.tape, op="divide", parents=(a, b), backward=backward)
+    return Tensor(out, a.tape, op="divide", backward=backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -272,7 +248,7 @@ def broadcast_scale(x: Tensor, s: Tensor) -> Tensor:
         _accumulate(x, g * s.values[0, 0])
         _accumulate(s, np.array([[np.sum(g * x.values)]]))
 
-    return Tensor(out, x.tape, op="broadcast-scale", parents=(x, s), backward=backward)
+    return Tensor(out, x.tape, op="broadcast-scale", backward=backward)
 
 
 def broadcast_add(x: Tensor, s: Tensor) -> Tensor:
@@ -286,7 +262,7 @@ def broadcast_add(x: Tensor, s: Tensor) -> Tensor:
         _accumulate(x, g)
         _accumulate(s, np.array([[np.sum(g)]]))
 
-    return Tensor(out, x.tape, op="broadcast-add", parents=(x, s), backward=backward)
+    return Tensor(out, x.tape, op="broadcast-add", backward=backward)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -499,12 +475,18 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: EdgePattern) -> Tensor:
         _accumulate(weights, dw[:, None])
         _accumulate(x, mat.T @ g)
 
-    return Tensor(out, x.tape, op="edge-spmm", parents=(weights, x), backward=backward)
+    return Tensor(out, x.tape, op="edge-spmm", backward=backward)
 
 
 # ---------------------------------------------------------------------------
 # Fused sparse quadratic form
 # ---------------------------------------------------------------------------
+
+
+def pair_trace_values(z: Array, rows: Array, cols: Array, weights: Array) -> tuple[float, Array]:
+    """sum_p w_p ||z[rows_p] - z[cols_p]||_2^2 on plain arrays, and the pair differences."""
+    diff = z[rows] - z[cols]
+    return float(np.sum(weights * np.sum(diff * diff, axis=1))), diff
 
 
 def quadratic_pair_form(z: Tensor, rows: Array, cols: Array, weights: Array) -> Tensor:
@@ -522,8 +504,8 @@ def quadratic_pair_form(z: Tensor, rows: Array, cols: Array, weights: Array) -> 
     n = z.shape[0]
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
         raise DimensionError("pair index out of range")
-    diff = z.values[rows] - z.values[cols]
-    out = np.array([[float(np.sum(weights * np.sum(diff * diff, axis=1)))]])
+    trace, diff = pair_trace_values(z.values, rows, cols, weights)
+    out = np.array([[trace]])
 
     def back(g: Array) -> Array:
         contrib = (2.0 * g[0, 0]) * weights[:, None] * diff

@@ -45,7 +45,7 @@ from .metrics import MetricsReport, compute_report
 from .perturb import perturb_noise, rewire_homophily
 from .sweep import SweepSpec, aggregate_dir, run_sweep, write_metrics_table, write_sweep_table
 from .synthetic import SbmSpec, sbm_generate
-from .trainer import TrainConfig, embed, train, write_training_log
+from .trainer import TrainConfig, train, write_training_log
 from .models import save_checkpoint
 
 
@@ -155,9 +155,8 @@ def cmd_train(args) -> int:
     with open(out / "result.json", "w", encoding="utf-8") as fh:
         json.dump(result.to_json_dict(), fh, indent=2)
     save_checkpoint(out / "checkpoint.txt", result.params)
-    h, scores = embed(result.params, graph, similarity, attention=config.attention)
-    write_embedding_csv(out / "embeddings.csv", h)
-    write_scores_csv(out / "scores.csv", scores)
+    write_embedding_csv(out / "embeddings.csv", result.embeddings)
+    write_scores_csv(out / "scores.csv", result.scores)
     _emit(result.to_json_dict())
     return 0
 

@@ -6,6 +6,10 @@ failure classes to exit codes in one place.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
+
 
 class GiniGraphError(Exception):
     """Base class for all deliberate failures."""
@@ -33,3 +37,26 @@ class DataFormatError(GiniGraphError):
 
 class NumericalError(GiniGraphError):
     """A computation produced NaN/Inf or otherwise left the finite regime."""
+
+
+_KINDS = {"bool": bool, "str": str, "int": numbers.Integral, "float": numbers.Real}
+
+
+def _fits(value, kind: str) -> bool:
+    if kind == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(_fits(v, "int") for v in value)
+    if isinstance(value, bool) != (kind == "bool"):
+        return False  # a bool is no number, and nothing else is a bool
+    return isinstance(value, _KINDS[kind]) and (kind != "float" or math.isfinite(value))
+
+
+def check_field_types(settings, error: type[GiniGraphError]) -> None:
+    """Raise error unless each field of the dataclass holds its annotated type.
+
+    The annotations are postponed (strings). A float field takes ints and must
+    be finite.
+    """
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        if not _fits(value, f.type):
+            raise error(f"{f.name}: expected {f.type}, got {value!r}")

@@ -35,12 +35,12 @@ class GradNormController:
 
     def __init__(
         self,
-        initial_betas,
+        betas,
         beta_lr: float = 0.025,
         total: float = BETA_TOTAL,
         floor: float = BETA_FLOOR,
     ):
-        betas = np.asarray(initial_betas, dtype=np.float64)
+        betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 2:
             raise ContractError("need at least two loss terms to balance")
         if np.any(betas <= 0):

@@ -8,7 +8,9 @@ matrix and degree vector cached for Laplacian work.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, ContractError, DataFormatError, DimensionError, DomainError
 
 Array = np.ndarray
+GroupPairs = tuple[tuple[Array, Array, Array], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,22 @@ class GroupPartition:
     def sizes(self) -> Array:
         return np.bincount(self.group_ids, minlength=self.m)
 
+    def within_pairs(self, similarity: "SimilaritySet") -> GroupPairs:
+        """Per group, the stored pairs with both ends in it, as GroupPairs.
+
+        Indices stay global; the pairs keep the stored order, which is that of
+        similarity.restrict(members(g)), so sums over them match.
+        """
+        if self.group_ids.size != similarity.n:
+            raise ContractError("partition size must match the similarity set")
+        rows, cols, weights = similarity.pair_arrays()
+        group = self.group_ids[rows]
+        group[group != self.group_ids[cols]] = -1
+        return tuple(
+            (rows[keep], cols[keep], weights[keep])
+            for keep in (group == g for g in range(self.m))
+        )
+
     def restrict(self, index: Array) -> "GroupPartition":
         """Partition of the sub-population index, with empty groups dropped."""
         return GroupPartition(self.group_ids[np.asarray(index, dtype=np.int64)])
@@ -277,8 +296,8 @@ def pair_distance(similarity: SimilaritySet, i: int, j: int, delta: float = 1e-6
     delta may be 0 when the pair has positive stored weight; the combination
     weight + delta == 0 is rejected because the distance would be infinite.
     """
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise DomainError("delta must be finite and nonnegative")
     w = similarity.weight(i, j)
     if w + delta == 0.0:
         raise DomainError(f"pair ({i},{j}) has zero similarity and delta is 0")
@@ -473,8 +492,26 @@ def read_edge_list(path) -> tuple[Array, int]:
     Duplicate edges and self-loops are dropped with a count returned so callers
     can warn. Returns (edges sorted as i < j, dropped_count).
     """
-    pairs: list[tuple[int, int]] = []
-    dropped = 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy deprecates, rather than rejects, reading "1.5" or "1e3" as an int
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+        except (ValueError, DeprecationWarning):
+            _rescan_edge_list(path)
+    if pairs.size == 0:
+        return np.zeros((0, 2), dtype=np.int64), 0
+    if pairs.shape[1] != 2 or pairs.min() < 0:
+        _rescan_edge_list(path)
+    loops = pairs[:, 0] == pairs[:, 1]
+    pairs = np.sort(pairs[~loops], axis=1)
+    edges = np.unique(pairs, axis=0)
+    return edges, int(loops.sum()) + pairs.shape[0] - edges.shape[0]
+
+
+def _rescan_edge_list(path) -> NoReturn:
+    """Find the first malformed line of an edge list that failed to load, and raise."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -489,15 +526,9 @@ def read_edge_list(path) -> tuple[Array, int]:
                 raise DataFormatError(f"{path}:{lineno}: non-integer endpoint") from exc
             if a < 0 or b < 0:
                 raise DataFormatError(f"{path}:{lineno}: negative node id")
-            if a == b:
-                dropped += 1
-                continue
-            pairs.append((min(a, b), max(a, b)))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64), dropped
-    arr = np.array(sorted(set(pairs)), dtype=np.int64)
-    dropped += len(pairs) - arr.shape[0]
-    return arr, dropped
+            if max(a, b) > np.iinfo(np.int64).max:
+                raise DataFormatError(f"{path}:{lineno}: node id exceeds int64")
+    raise DataFormatError(f"{path}: node ids must be plain decimal integers")
 
 
 def write_edge_list(path, edges: Array) -> None:

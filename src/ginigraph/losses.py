@@ -15,14 +15,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DomainError
-from .graph import GroupPartition, SimilaritySet
+from .graph import GroupPairs, GroupPartition, SimilaritySet
 
 Array = np.ndarray
 
@@ -99,51 +98,35 @@ def surrogate_loss(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupContext:
-    """Per-group membership and restricted similarity, precomputed once."""
-
-    members: tuple[Array, ...]
-    sims: tuple[SimilaritySet, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.members)
+def group_context(similarity: SimilaritySet, partition: GroupPartition) -> GroupPairs:
+    """Per-group (rows, cols, weights) of the within-group pairs, built once per run."""
+    return partition.within_pairs(similarity)
 
 
-def group_context(similarity: SimilaritySet, partition: GroupPartition) -> GroupContext:
-    if partition.group_ids.size != similarity.n:
-        raise ContractError("partition size must match the similarity set")
-    members = tuple(partition.members(g) for g in range(partition.m))
-    sims = tuple(similarity.restrict(mem) for mem in members)
-    return GroupContext(members=members, sims=sims)
-
-
-def group_trace_tensors(z: Tensor, ctx: GroupContext) -> list[Tensor]:
+def group_trace_tensors(z: Tensor, ctx: GroupPairs) -> list[Tensor]:
     """Per-group smoothness traces with a small floor, as 1x1 tensors."""
-    traces = []
-    for mem, sim in zip(ctx.members, ctx.sims):
-        zg = ad.gather_rows(z, mem)
-        rows, cols, weights = sim.pair_arrays()
-        traces.append(ad.add_const(ad.quadratic_pair_form(zg, rows, cols, weights), TRACE_FLOOR))
-    return traces
+    return [
+        ad.add_const(ad.quadratic_pair_form(z, rows, cols, weights), TRACE_FLOOR)
+        for rows, cols, weights in ctx
+    ]
 
 
-def group_welfare_loss(z: Tensor, ctx: GroupContext) -> Tensor:
+def group_welfare_loss(z: Tensor, ctx: GroupPairs) -> Tensor:
     """Nash-welfare penalty on trace ratios, averaged over ordered group pairs."""
-    if ctx.m < 2:
+    m = len(ctx)
+    if m < 2:
         raise ContractError("group welfare needs at least two groups")
     traces = group_trace_tensors(z, ctx)
     total: Tensor | None = None
-    for i in range(ctx.m):
-        for j in range(ctx.m):
+    for i in range(m):
+        for j in range(m):
             if i == j:
                 continue
             forward = ad.add_const(ad.divide(traces[i], traces[j]), -1.0)
             backward = ad.add_const(ad.divide(traces[j], traces[i]), -1.0)
             term = ad.hadamard(forward, backward)
             total = term if total is None else ad.add(total, term)
-    return ad.scale(total, -1.0 / (ctx.m * (ctx.m - 1)))
+    return ad.scale(total, -1.0 / (m * (m - 1)))
 
 
 def nswp_value(values) -> float:

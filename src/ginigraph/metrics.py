@@ -20,30 +20,50 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
+from .autodiff import pair_trace_values
 from .errors import ContractError, DomainError
-from .graph import GroupPartition, SimilaritySet
+from .graph import GroupPairs, GroupPartition, SimilaritySet
 
 Array = np.ndarray
 
 RATIO_FLOOR = 1e-12
 
 
-def _pair_gaps(similarity: SimilaritySet, z: Array, order: int) -> tuple[Array, Array]:
+def _embedding(similarity: SimilaritySet, z: Array) -> Array:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != similarity.n:
         raise ContractError("embeddings must be (n, c) matching the similarity set")
+    return z
+
+
+def _pair_gaps(similarity: SimilaritySet, z: Array, order: int) -> Array:
+    z = _embedding(similarity, z)
     diff = z[similarity.rows] - z[similarity.cols]
     if order == 1:
-        gaps = np.sum(np.abs(diff), axis=1)
-    else:
-        gaps = np.sqrt(np.sum(diff * diff, axis=1))
-    return gaps, similarity.weights
+        return np.sum(np.abs(diff), axis=1)
+    return np.sqrt(np.sum(diff * diff, axis=1))
+
+
+def pair_trace(z: Array, rows: Array, cols: Array, w: Array) -> float:
+    """sum_p w_p ||z[rows_p] - z[cols_p]||_2^2, the forward of autodiff.quadratic_pair_form."""
+    return pair_trace_values(z, rows, cols, w)[0]
 
 
 def trace_form(similarity: SimilaritySet, z: Array) -> float:
     """Tr(Z^T L Z) = sum over unordered pairs of w * ||z_i - z_j||_2^2."""
-    gaps, w = _pair_gaps(similarity, z, order=2)
-    return float(np.sum(w * gaps * gaps))
+    return pair_trace(_embedding(similarity, z), *similarity.pair_arrays())
+
+
+def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> float:
+    """sum_p w_p ||z[rows_p] - z[cols_p]||_1 / (n sum_i ||population_i||_1).
+
+    The pairs lie inside the population, whose n rows of z carry the mass.
+    """
+    mass = float(np.sum(np.abs(population)))
+    if mass == 0.0:
+        raise DomainError("Gini undefined for an all-zero embedding")
+    gaps = np.sum(np.abs(z[rows] - z[cols]), axis=1)
+    return float(np.sum(w * gaps) / (population.shape[0] * mass))
 
 
 def embedding_gini(similarity: SimilaritySet, z: Array) -> float:
@@ -53,12 +73,8 @@ def embedding_gini(similarity: SimilaritySet, z: Array) -> float:
     computed from the unordered storage. Scale invariant; 0 iff all connected
     pairs coincide. Raises DomainError when the embedding has no mass.
     """
-    z = np.asarray(z, dtype=np.float64)
-    total_mass = float(np.sum(np.abs(z)))
-    if total_mass == 0.0:
-        raise DomainError("Gini undefined for an all-zero embedding")
-    gaps, w = _pair_gaps(similarity, z, order=1)
-    return float(np.sum(w * gaps) / (similarity.n * total_mass))
+    z = _embedding(similarity, z)
+    return _gini(z, *similarity.pair_arrays(), z)
 
 
 def lipschitz_constant(
@@ -68,12 +84,12 @@ def lipschitz_constant(
 
     Equals max w-adjusted L1 gap; 0.0 when the set has no pairs.
     """
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
-    gaps, w = _pair_gaps(similarity, z, order=1)
+    if not 0.0 <= delta < np.inf:
+        raise DomainError("delta must be finite and nonnegative")
+    gaps = _pair_gaps(similarity, z, order=1)
     if gaps.size == 0:
         return 0.0
-    return float(np.max(gaps * (w + delta)))
+    return float(np.max(gaps * (similarity.weights + delta)))
 
 
 def gdif(a: float, b: float) -> float:
@@ -100,36 +116,27 @@ def average_gdif(values) -> float:
 
 
 def group_traces(
-    similarity: SimilaritySet, z: Array, partition: GroupPartition
+    similarity: SimilaritySet, z: Array, partition: GroupPartition, pairs: GroupPairs = ()
 ) -> list[float]:
-    """Per-group Laplacian quadratic form over the group-restricted similarity."""
-    z = np.asarray(z, dtype=np.float64)
-    if partition.group_ids.size != similarity.n:
-        raise ContractError("partition size must match the similarity set")
-    return [
-        trace_form(similarity.restrict(members), z[members])
-        for members in (partition.members(g) for g in range(partition.m))
-    ]
+    """Per-group Laplacian quadratic form over partition.within_pairs, or the given pairs."""
+    z = _embedding(similarity, z)
+    return [pair_trace(z, *group) for group in pairs or partition.within_pairs(similarity)]
 
 
 def group_ginis(
-    similarity: SimilaritySet, z: Array, partition: GroupPartition
+    similarity: SimilaritySet, z: Array, partition: GroupPartition, pairs: GroupPairs = ()
 ) -> list[float]:
-    """Per-group embedding Gini over the group-restricted similarity."""
-    z = np.asarray(z, dtype=np.float64)
-    if partition.group_ids.size != similarity.n:
-        raise ContractError("partition size must match the similarity set")
-    return [
-        embedding_gini(similarity.restrict(members), z[members])
-        for members in (partition.members(g) for g in range(partition.m))
-    ]
+    """Per-group embedding Gini over the within-group pairs (or the given ones) and mass."""
+    z = _embedding(similarity, z)
+    pairs = pairs or partition.within_pairs(similarity)
+    return [_gini(z, *group, z[partition.members(g)]) for g, group in enumerate(pairs)]
 
 
 def tail_fraction(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
     """Fraction of stored pairs whose L2 gap is at least epsilon."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    gaps, _ = _pair_gaps(similarity, z, order=2)
+    gaps = _pair_gaps(similarity, z, order=2)
     if gaps.size == 0:
         return 0.0
     return float(np.mean(gaps >= epsilon))
@@ -139,7 +146,7 @@ def tail_bound(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
     """Markov bound mean(gap)/epsilon on the tail fraction."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    gaps, _ = _pair_gaps(similarity, z, order=2)
+    gaps = _pair_gaps(similarity, z, order=2)
     if gaps.size == 0:
         return 0.0
     return float(np.mean(gaps) / epsilon)
@@ -170,6 +177,8 @@ def rank_auc(scores: Array, labels: Array) -> float:
 
 def f1_score(scores: Array, labels: Array, threshold: float = 0.5) -> float:
     """F1 of thresholded scores against binary labels (0.0 when degenerate)."""
+    if not np.isfinite(threshold):
+        raise DomainError("threshold must be finite")
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     pred = scores >= threshold
@@ -188,6 +197,8 @@ def equal_opportunity_gap(
     Groups without positive examples are skipped with a warning; None when
     fewer than two groups remain.
     """
+    if not np.isfinite(threshold):
+        raise DomainError("threshold must be finite")
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     group_ids = np.asarray(group_ids).ravel()
@@ -304,12 +315,13 @@ def compute_report(
     traces: tuple[float, ...] = ()
     ginis: tuple[float, ...] = ()
     if partition is not None and partition.m >= 2:
-        traces = tuple(group_traces(similarity, z, partition))
+        pairs = partition.within_pairs(similarity)
+        traces = tuple(group_traces(similarity, z, partition, pairs))
         sizes = tuple(int(s) for s in partition.sizes())
         gd_trace = average_gdif(traces)
         if not zero_mass:
             try:
-                ginis = tuple(group_ginis(similarity, z, partition))
+                ginis = tuple(group_ginis(similarity, z, partition, pairs))
                 gd_gini = average_gdif(ginis)
             except DomainError as exc:
                 notes.append(f"group Gini skipped: {exc}")

@@ -284,38 +284,47 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise DataFormatError(
-                f"{path}: unsupported checkpoint header {header!r} "
-                f"(expected {CHECKPOINT_HEADER!r})"
-            )
-        variant_line = fh.readline().split()
-        if len(variant_line) != 2 or variant_line[0] != "variant":
-            raise DataFormatError(f"{path}: missing variant line")
-        variant = variant_line[1]
-        sections: dict[str, dict[str, Array]] = {}
-        for _ in range(2):
-            head = fh.readline().split()
-            if len(head) != 3 or head[0] != "section":
-                raise DataFormatError(f"{path}: malformed section header")
-            name, count = head[1], int(head[2])
-            weights: dict[str, Array] = {}
-            for _ in range(count):
-                mhead = fh.readline().split()
-                if len(mhead) != 4 or mhead[0] != "matrix":
-                    raise DataFormatError(f"{path}: malformed matrix header")
-                mname, rows, cols = mhead[1], int(mhead[2]), int(mhead[3])
-                data = np.array(
-                    [[float(v) for v in fh.readline().split()] for _ in range(rows)]
-                )
-                if data.shape != (rows, cols):
-                    raise DataFormatError(f"{path}: matrix {mname} shape mismatch")
-                weights[mname] = data
-            sections[name] = weights
+    """Read a save_checkpoint file; a malformed one raises DataFormatError with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_checkpoint(fh)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _parse_checkpoint(fh) -> ModelParams:
+    """The checkpoint lines; raises ValueError on anything malformed."""
+    header = fh.readline().rstrip("\n")
+    if header != CHECKPOINT_HEADER:
+        raise ValueError(
+            f"unsupported checkpoint header {header!r} (expected {CHECKPOINT_HEADER!r})"
+        )
+    variant_line = fh.readline().split()
+    if len(variant_line) != 2 or variant_line[0] != "variant":
+        raise ValueError("missing variant line")
+    variant = variant_line[1]
+    if variant not in BACKBONES:
+        raise ValueError(f"unknown variant {variant!r} (choose from {BACKBONES})")
+    sections: dict[str, dict[str, Array]] = {}
+    for _ in range(2):
+        head = fh.readline().split()
+        if len(head) != 3 or head[0] != "section":
+            raise ValueError("malformed section header")
+        weights: dict[str, Array] = {}
+        for _ in range(int(head[2])):
+            mhead = fh.readline().split()
+            if len(mhead) != 4 or mhead[0] != "matrix":
+                raise ValueError("malformed matrix header")
+            mname, rows, cols = mhead[1], int(mhead[2]), int(mhead[3])
+            data = [[float(v) for v in fh.readline().split()] for _ in range(rows)]
+            if min(rows, cols) < 0 or any(len(row) != cols for row in data):
+                raise ValueError(f"matrix {mname} shape mismatch")
+            weights[mname] = np.array(data, dtype=np.float64).reshape(rows, cols)
+            if not np.all(np.isfinite(weights[mname])):
+                raise ValueError(f"matrix {mname} has non-finite values")
+        sections[head[1]] = weights
     if "backbone" not in sections:
-        raise DataFormatError(f"{path}: missing backbone section")
+        raise ValueError("missing backbone section")
     return ModelParams(
         variant=variant, backbone=sections["backbone"], fair=sections.get("fair", {})
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_field_types
 from .graph import Graph, split_nodes
 
 Array = np.ndarray
@@ -50,6 +50,7 @@ class SbmSpec:
     label_noise: float = 0.1
 
     def validate(self) -> None:
+        check_field_types(self, ContractError)
         if len(self.block_sizes) < 1 or min(self.block_sizes) <= 0:
             raise ContractError("block sizes must be positive")
         for p in (self.p_within, self.p_between):

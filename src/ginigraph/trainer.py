@@ -31,11 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ConfigError, ContractError, DomainError, check_field_types
 from .gradnorm import GradNormController
 from .graph import Graph, GroupPartition, SimilaritySet, split_nodes
 from .losses import (
-    GroupContext,
     combine_losses,
     group_context,
     group_welfare_loss,
@@ -43,7 +42,7 @@ from .losses import (
     surrogate_loss,
     utility_loss,
 )
-from .metrics import MetricsReport, average_gdif, compute_report, rank_auc, trace_form
+from .metrics import MetricsReport, average_gdif, compute_report, pair_trace, rank_auc
 from .models import (
     BACKBONES,
     ModelParams,
@@ -97,29 +96,22 @@ class TrainConfig:
     eo_threshold: float = 0.5
 
     def validate(self) -> None:
+        check_field_types(self, ConfigError)
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}")
         if self.surrogate not in SURROGATES:
             raise ConfigError(f"surrogate must be one of {SURROGATES}")
         if self.gradnorm_scope not in GRADNORM_SCOPES:
             raise ConfigError(f"gradnorm_scope must be one of {GRADNORM_SCOPES}")
-        for name in ("hidden", "max_epochs", "patience", "top_k"):
+        for name in ("hidden", "max_epochs", "patience", "top_k", "learning_rate",
+                     "beta_lr", "temperature", "head_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.pretrain_epochs < 0:
-            raise ConfigError("pretrain_epochs must be nonnegative")
-        if self.learning_rate <= 0 or self.beta_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.weight_decay < 0 or self.delta < 0:
-            raise ConfigError("weight_decay and delta must be nonnegative")
-        if self.beta2 < 0 or self.beta3 < 0:
-            raise ConfigError("beta2 and beta3 must be nonnegative")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        for name in ("pretrain_epochs", "weight_decay", "delta", "beta2", "beta3"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if not 0 < self.topk_fraction <= 1:
             raise ConfigError("topk_fraction must be in (0, 1]")
-        if self.head_scale <= 0:
-            raise ConfigError("head_scale must be positive")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -150,6 +142,8 @@ class RunResult:
     params: ModelParams
     report: MetricsReport
     history: list[EpochRecord]
+    embeddings: Array
+    scores: Array
     epochs_run: int
     pretrain_epochs_run: int
     wall_seconds: float
@@ -255,11 +249,7 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
             config.weight_decay,
         )
         tape.release()
-    quiet = Tape(tracing=False)
-    z = backbone_embed(
-        config.backbone, as_leaves(quiet, weights), quiet.leaf(graph.features), operators
-    )
-    return weights, z.values.copy()
+    return weights, embed(ModelParams(config.backbone, weights), graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +301,8 @@ def _weighted_gradient(
 
 
 def _val_auc(scores: Array, labels: Array, index: Array) -> float:
-    if index.size == 0:
-        return float("nan")
     labeled = index[labels[index] >= 0]
-    if labeled.size == 0:
-        return float("nan")
-    try:
+    try:  # rank_auc raises DomainError when a class is missing, also on no nodes
         return rank_auc(scores[labeled], labels[labeled])
     except DomainError:
         return float("nan")
@@ -340,28 +326,20 @@ def train(
     fair_weights = init_fair_head(config.hidden, rng, scale=config.head_scale)
     edges = attention_edges(similarity)
 
-    use_l2 = config.beta2 > 0
-    use_l3 = config.beta3 > 0
-    ctx: GroupContext | None = None
-    if partition is not None and partition.m >= 2:
-        ctx = group_context(similarity, partition)
-    if use_l3 and ctx is None:
+    grouped = partition is not None and partition.m >= 2
+    ctx = group_context(similarity, partition) if grouped else None
+    betas = np.array([1.0, config.beta2, config.beta3])
+    if betas[2] > 0 and ctx is None:
         warnings.warn("group welfare term disabled: fewer than two groups")
-        use_l3 = False
-
-    active = [0] + ([1] if use_l2 else []) + ([2] if use_l3 else [])
-    initial_betas = {0: 1.0, 1: config.beta2, 2: config.beta3}
+        betas[2] = 0.0
+    active = np.flatnonzero(betas > 0)
     controller = None
-    if config.gradnorm and len(active) >= 2:
+    if config.gradnorm and active.size >= 2:
         # weights renormalize to one-per-active-term (sum 3 in the full run)
         controller = GradNormController(
-            [initial_betas[i] for i in active],
-            beta_lr=config.beta_lr,
-            total=float(len(active)),
+            betas[active], beta_lr=config.beta_lr, total=float(active.size)
         )
-        betas_active = controller.betas.copy()
-    else:
-        betas_active = np.array([initial_betas[i] for i in active])
+        betas[active] = controller.betas
 
     adam = AdamState(fair_weights)
     history: list[EpochRecord] = []
@@ -376,66 +354,39 @@ def train(
         logits = readout_logits(h, leaves)
 
         terms = [utility_loss(logits, graph.labels, graph.train_mask, tape)]
-        if use_l2:
-            if config.surrogate == "none":
-                terms.append(smoothness_loss(h, similarity))
-            else:
-                terms.append(
-                    surrogate_loss(
-                        h,
-                        similarity,
-                        config.surrogate,
-                        temperature=config.temperature,
-                        fraction=config.topk_fraction,
-                    )
+        if 1 in active:
+            terms.append(
+                smoothness_loss(h, similarity)
+                if config.surrogate == "none"
+                else surrogate_loss(
+                    h, similarity, config.surrogate, config.temperature, config.topk_fraction
                 )
-        if use_l3:
+            )
+        if 2 in active:
             terms.append(group_welfare_loss(h, ctx))
 
-        loss_values = np.array([float(t.values[0, 0]) for t in terms])
+        losses = np.zeros(3)
+        losses[active] = [float(t.values[0, 0]) for t in terms]
         if controller is not None:
             # by linearity the probe sweeps already hold the total's gradient
             term_grads, norms = _probe_sweeps(tape, terms, leaves, config.gradnorm_scope)
-            betas_active = controller.step(loss_values, norms)
-            grads = _weighted_gradient(term_grads, betas_active)
+            betas[active] = controller.step(losses[active], norms)
+            grads = _weighted_gradient(term_grads, betas[active])
         else:
-            tape.backward(combine_losses(terms, betas_active))
+            tape.backward(combine_losses(terms, betas[active]))
             grads = {k: leaves[k].grad for k in fair_weights}
         adam.step(fair_weights, grads, config.learning_rate, config.weight_decay)
 
-        scores = ad.sigmoid_values(logits.values[:, 0])
-        val_auc = _val_auc(scores, graph.labels, graph.val_mask)
-        if_value = (
-            loss_values[active.index(1)]
-            if use_l2 and config.surrogate == "none"
-            else trace_form(similarity, h.values)
-        )
-        if ctx is not None:
-            gd = average_gdif(
-                [trace_form(sim, h.values[mem]) for mem, sim in zip(ctx.members, ctx.sims)]
-            )
-        else:
-            gd = float("nan")
+        val_auc = _val_auc(ad.sigmoid_values(logits.values[:, 0]), graph.labels, graph.val_mask)
+        # the plain smoothness term is this trace, from the same expression
+        plain = 1 in active and config.surrogate == "none"
+        if_value = float(losses[1]) if plain else pair_trace(h.values, *similarity.pair_arrays())
+        # unfloored traces: the tape's carry TRACE_FLOOR, and runs without the
+        # welfare term have none on the tape
+        gd = average_gdif([pair_trace(h.values, *p) for p in ctx]) if ctx else float("nan")
         tape.release()
-        full_betas = {i: 0.0 for i in (0, 1, 2)}
-        for i, b in zip(active, betas_active):
-            full_betas[i] = float(b)
-        full_losses = {i: 0.0 for i in (0, 1, 2)}
-        for i, v in zip(active, loss_values):
-            full_losses[i] = float(v)
         history.append(
-            EpochRecord(
-                epoch=epoch,
-                l1=full_losses[0],
-                l2=full_losses[1],
-                l3=full_losses[2],
-                beta1=full_betas[0],
-                beta2=full_betas[1],
-                beta3=full_betas[2],
-                val_auc=val_auc,
-                if_value=float(if_value),
-                gd=float(gd),
-            )
+            EpochRecord(epoch, *map(float, losses), *map(float, betas), val_auc, if_value, gd)
         )
 
         if np.isfinite(val_auc):
@@ -447,15 +398,15 @@ def train(
             if stale >= config.patience:
                 break
 
-    params = ModelParams(
-        variant=config.backbone, backbone=backbone_weights, fair=fair_weights
-    )
-    report = evaluate(params, graph, similarity, partition, config)
+    params = ModelParams(config.backbone, backbone_weights, fair_weights)
+    embeddings, scores = embed(params, graph, similarity, attention=config.attention)
     return RunResult(
         config=config,
         params=params,
-        report=report,
+        report=evaluate(embeddings, scores, graph, similarity, partition, config),
         history=history,
+        embeddings=embeddings,
+        scores=scores,
         epochs_run=len(history),
         pretrain_epochs_run=config.pretrain_epochs,
         wall_seconds=time.monotonic() - started,
@@ -491,15 +442,15 @@ def embed(
 
 
 def evaluate(
-    params: ModelParams,
+    h: Array,
+    scores: Array,
     graph: Graph,
     similarity: SimilaritySet,
     partition: GroupPartition | None,
     config: TrainConfig | None = None,
 ) -> MetricsReport:
-    """Audit the trained model on the test mask (all nodes when no mask)."""
+    """Audit embeddings and scores (as from embed) on the test mask, or all nodes."""
     config = config or TrainConfig()
-    h, scores = embed(params, graph, similarity, attention=config.attention)
     index = graph.test_mask if graph.test_mask.size else np.arange(graph.n)
     return compute_report(
         h[index],

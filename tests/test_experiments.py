@@ -15,7 +15,17 @@ from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_VARIANTS, run_matrix
 from ginigraph.clustering import kmeans, kmeans_elbow
 from ginigraph.config import SEED_ENV_VAR, load_config, parse_config_text
 from ginigraph.errors import ConfigError, ContractError, DomainError, NumericalError
-from ginigraph.graph import Graph, write_embedding_csv
+from ginigraph import trainer
+from ginigraph.graph import (
+    Graph,
+    build_similarity,
+    load_graph,
+    read_embedding_csv,
+    read_scores_csv,
+    write_embedding_csv,
+    write_scores_csv,
+)
+from ginigraph.models import fair_head_embed, load_checkpoint
 from ginigraph.perturb import perturb_noise, rewire_homophily
 from ginigraph.sweep import (
     SweepSpec,
@@ -516,6 +526,13 @@ def test_cli_ingest_and_similarity(sbm_dir, tmp_path, capsys):
 
 def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    head_calls = []
+
+    def counted_head(*args, **kwargs):
+        head_calls.append(1)
+        return fair_head_embed(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "fair_head_embed", counted_head)
     run_dir = tmp_path / "run"
     code, result = run_cli(
         capsys, "train", *graph_args(sbm_dir),
@@ -525,8 +542,17 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     assert result["epochs_run"] == 4
+    assert len(head_calls) == 4 + 1  # one per epoch, then one final forward
     for name in ("log.csv", "result.json", "checkpoint.txt", "embeddings.csv", "scores.csv"):
         assert (run_dir / name).exists()
+    # the written outputs are one forward pass of the saved model
+    graph, _ = load_graph(sbm_dir / "edges.txt", sbm_dir / "features.csv")
+    h, scores = trainer.embed(
+        load_checkpoint(run_dir / "checkpoint.txt"), graph,
+        build_similarity(graph, "attr", 5), attention=True,
+    )
+    np.testing.assert_array_equal(read_embedding_csv(run_dir / "embeddings.csv"), h)
+    np.testing.assert_array_equal(read_scores_csv(run_dir / "scores.csv"), scores)
 
     sim_path = tmp_path / "sim.csv"
     run_cli(
@@ -675,6 +701,53 @@ def test_cli_audit_rejects_a_non_finite_embedding(sbm_dir, tmp_path, capsys):
         capsys, "audit", "--embeddings", str(emb_path), "--similarity", str(sim_path)
     )
     assert code == 4 and out == {}
+
+
+# each reached a TypeError traceback or ran with a wrong value before
+INVALID_INPUTS = {
+    "sweep-gradnorm-string": ("sweep", {"config": {"gradnorm": "off"}}),
+    "sweep-max-epochs-string": ("sweep", {"config": {"max_epochs": "3"}}),
+    "sweep-hidden-float": ("sweep", {"config": {"hidden": 2.5}}),
+    "sweep-seed-bool": ("sweep", {"config": {"seed": True}}),
+    "sweep-sbm-p-within-string": ("sweep", {"sbm": {"p_within": "0.2"}}),
+    "train-beta2-nan": ("train", ["--beta2", "nan"]),
+    "config-learning-rate-inf": ("config", "learning_rate = inf"),
+    "config-weight-decay-nan": ("config", "weight_decay = nan"),
+    "config-delta-nan": ("config", "delta = nan"),
+    "config-eo-threshold-nan": ("config", "eo_threshold = nan"),
+    "audit-delta-nan": ("audit", ["--delta", "nan"]),
+    "audit-delta-inf": ("audit", ["--delta", "inf"]),
+    "audit-threshold-nan": ("audit", ["--threshold", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys):
+    kind, bad = INVALID_INPUTS[case]
+    if kind == "sweep":
+        spec = {"beta2": [1.0], **bad, "config": {**TINY_TRAIN, **bad.get("config", {})}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "sweep")]
+    elif kind == "audit":
+        sim_path = tmp_path / "sim.csv"
+        run_cli(capsys, "similarity", *graph_args(sbm_dir), "--top-k", "5", "--out", str(sim_path))
+        write_embedding_csv(tmp_path / "emb.csv", np.random.default_rng(0).normal(size=(40, 2)))
+        write_scores_csv(tmp_path / "scores.csv", np.linspace(0.0, 1.0, 40))
+        argv = [
+            "audit", "--embeddings", str(tmp_path / "emb.csv"), "--similarity", str(sim_path),
+            "--features", str(sbm_dir / "features.csv"), "--scores", str(tmp_path / "scores.csv"),
+            *bad,
+        ]
+    else:
+        if kind == "config":
+            (tmp_path / "bad.cfg").write_text(bad + "\n")
+            bad = ["--config", str(tmp_path / "bad.cfg")]
+        argv = ["train", *graph_args(sbm_dir), "--out-dir", str(tmp_path / "run"), *bad]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypatch):

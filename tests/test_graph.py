@@ -172,6 +172,21 @@ def test_similarity_restrict_matches_dense_slice(rng):
     np.testing.assert_allclose(sub.to_dense(), s.to_dense()[np.ix_(index, index)])
 
 
+def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
+    s = build_random_similarity(rng, 12)
+    part = GroupPartition.from_values(rng.integers(0, 3, size=12))
+    pairs = part.within_pairs(s)
+    assert len(pairs) == part.m
+    for g, (rows, cols, weights) in enumerate(pairs):
+        members = part.members(g)
+        sub = s.restrict(members)
+        np.testing.assert_array_equal(rows, members[sub.rows])
+        np.testing.assert_array_equal(cols, members[sub.cols])
+        np.testing.assert_array_equal(weights, sub.weights)
+    with pytest.raises(ContractError):
+        GroupPartition(np.zeros(11, dtype=int)).within_pairs(s)
+
+
 def test_laplacian_apply_matches_dense(rng):
     s = build_random_similarity(rng, 8)
     z = rng.normal(size=(8, 3))
@@ -187,8 +202,9 @@ def test_pair_distance_fixture_and_guards():
     np.testing.assert_allclose(pair_distance(s, 0, 1, delta=0.5), 1.0)
     with pytest.raises(DomainError):
         pair_distance(s, 0, 2, delta=0.0)  # absent pair, zero delta
-    with pytest.raises(DomainError):
-        pair_distance(s, 0, 1, delta=-1.0)
+    for delta in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            pair_distance(s, 0, 1, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +336,37 @@ def test_edge_list_rejects_malformed_lines(tmp_path):
     path.write_text("-1 2\n")
     with pytest.raises(DataFormatError):
         read_edge_list(path)
+
+
+def test_edge_list_parse_edge_cases(tmp_path, rng):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1 2\n1 2 3\n")  # every line has three columns
+    with pytest.raises(DataFormatError, match=":1: expected 'i j'"):
+        read_edge_list(path)
+    path.write_text("0 1\n# comment\n\n2 3 4\n")
+    with pytest.raises(DataFormatError, match=":4: expected 'i j'"):
+        read_edge_list(path)
+    path.write_text("0 1\n1 99999999999999999999\n")
+    with pytest.raises(DataFormatError, match=":2: node id exceeds int64"):
+        read_edge_list(path)
+    for text in ("1.5 2\n", "1e3 2\n"):  # numpy would parse these through a float
+        path.write_text("0 1\n" + text)
+        with pytest.raises(DataFormatError, match=":2: non-integer endpoint"):
+            read_edge_list(path)
+    for text in ("# only a comment\n\n", ""):
+        path.write_text(text)
+        edges, dropped = read_edge_list(path)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64 and dropped == 0
+    path.write_text("3 3\n4 4\n")
+    edges, dropped = read_edge_list(path)
+    assert edges.shape == (0, 2) and dropped == 2
+    # random lines with repeats, reversals and self-loops against a set of pairs
+    raw = rng.integers(0, 30, size=(400, 2))
+    path.write_text("".join(f"{a}\t{b}  # e\n" for a, b in raw))
+    kept = sorted({(min(a, b), max(a, b)) for a, b in raw.tolist() if a != b})
+    edges, dropped = read_edge_list(path)
+    np.testing.assert_array_equal(edges, kept)
+    assert dropped == len(raw) - len(kept)
 
 
 def test_feature_table_round_trip(tmp_path, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -297,4 +299,28 @@ def test_checkpoint_rejects_bad_header(tmp_path):
         load_checkpoint(path)
     path.write_text("ginigraph-checkpoint v1\nvariant gcn\nsection backbone 1\nbogus\n")
     with pytest.raises(DataFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("variant gcn", "variant foo"),
+        ("section backbone 4", "section backbone four"),
+        ("matrix W1 3 2", "matrix W1 3 x"),
+        ("ROW", "0.5 abc"),
+        ("ROW", "nan 0.5"),
+        ("ROW", "0.5"),
+        ("ROW", None),
+    ],
+    ids=["variant", "count", "shape", "value", "nan", "short-row", "truncated"],
+)
+def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, rng, old, new):
+    path = tmp_path / "model.txt"
+    save_checkpoint(path, ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng)))
+    lines = path.read_text().splitlines()
+    at = lines.index("matrix W1 3 2") + 1 if old == "ROW" else lines.index(old)
+    lines = lines[: at + 1] if new is None else lines[:at] + [new] + lines[at + 1 :]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
