@@ -41,7 +41,7 @@ from .graph import (
     write_scores_csv,
     write_similarity_csv,
 )
-from .metrics import MetricsReport, compute_report
+from .metrics import REPORT_FIELDS, MetricsReport, compute_report
 from .perturb import perturb_noise, rewire_homophily
 from .sweep import SweepSpec, aggregate_dir, run_sweep, write_metrics_table, write_sweep_table
 from .synthetic import SbmSpec, sbm_generate
@@ -72,7 +72,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_similarity(args) -> int:
     graph, _ = load_graph(args.edges, args.features)
-    mask_cols = tuple(int(c) for c in args.mask_cols.split(",")) if args.mask_cols else ()
+    try:
+        mask_cols = tuple(int(c) for c in args.mask_cols.split(",")) if args.mask_cols else ()
+    except ValueError as exc:
+        raise ConfigError(f"--mask-cols must be comma-separated integers: {exc}") from exc
     similarity = build_similarity(graph, args.mode, args.top_k, mask_cols)
     write_similarity_csv(args.out, similarity)
     _emit({"nodes": similarity.n, "pairs": similarity.num_pairs, "out": str(args.out)})
@@ -254,9 +257,17 @@ def cmd_report(args) -> int:
         write_sweep_table(rows, out, args.format, args.thousands)
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if "final_metrics" in payload:
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{source}: {exc}") from exc
+        if isinstance(payload, dict) and "final_metrics" in payload:
             payload = payload["final_metrics"]
+        if not isinstance(payload, dict):
+            raise DataFormatError(f"{source}: expected a JSON object")
+        missing = [name for name in REPORT_FIELDS if name not in payload]
+        if missing:
+            raise DataFormatError(f"{source}: missing report fields {missing}")
         known = {f.name for f in dataclasses.fields(MetricsReport)}
         report = MetricsReport(
             **{

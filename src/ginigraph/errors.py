@@ -43,8 +43,14 @@ _KINDS = {"bool": bool, "str": str, "int": numbers.Integral, "float": numbers.Re
 
 
 def _fits(value, kind: str) -> bool:
+    if kind.endswith(" | None"):
+        return value is None or _fits(value, kind.removesuffix(" | None"))
     if kind == "tuple[int, ...]":
         return isinstance(value, tuple) and all(_fits(v, "int") for v in value)
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, kind[5:-1]) for v in value)
+    if kind not in _KINDS:  # a nested settings dataclass, named by its class
+        return type(value).__name__ == kind
     if isinstance(value, bool) != (kind == "bool"):
         return False  # a bool is no number, and nothing else is a bool
     return isinstance(value, _KINDS[kind]) and (kind != "float" or math.isfinite(value))
@@ -54,7 +60,8 @@ def check_field_types(settings, error: type[GiniGraphError]) -> None:
     """Raise error unless each field of the dataclass holds its annotated type.
 
     The annotations are postponed (strings). A float field takes ints and must
-    be finite.
+    be finite; a list field holds items of its type; a field annotated with a
+    class name holds an instance of that class.
     """
     for f in dataclasses.fields(settings):
         value = getattr(settings, f.name)

@@ -415,7 +415,7 @@ def edges_from_features(
 def _read_table(
     path, columns: str, n_int: int, open_ended: bool = False
 ) -> tuple[Array, Array, Array]:
-    """Read a CSV of n_int integer columns followed by float columns.
+    """Read a CSV of n_int integer columns followed by float columns (maybe none).
 
     The header names the comma-separated columns (whitespace ignored); an
     open-ended table adds at least one float column of any name after them.
@@ -448,9 +448,9 @@ def _read_table(
         ints = np.array(
             [list(map(int, fields[k::width])) for k in range(n_int)], dtype=np.int64
         ).T
-        floats = np.column_stack(
-            [list(map(float, fields[k::width])) for k in range(n_int, width)]
-        )
+        floats = np.array(
+            [list(map(float, fields[k::width])) for k in range(n_int, width)], dtype=np.float64
+        ).reshape(width - n_int, len(rows)).T.copy()
     except ValueError as exc:
         bad = next(r for r, line in enumerate(rows) if not _parses(line, n_int))
         raise DataFormatError(f"{path}:{lines[bad]}: malformed field") from exc
@@ -470,6 +470,22 @@ def _parses(line: str, n_int: int) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _write_table(path, header: str, columns, sep: str = ",") -> None:
+    """Write a header line, then the columns side by side, one row per line.
+
+    The mirror of _read_table: integer columns are written as decimals and
+    float columns at full precision ('.17g'), so reading back gives the same
+    values bit for bit.
+    """
+    cells = []
+    for column in map(np.asarray, columns):
+        values = column.tolist()
+        integer = column.dtype.kind in "iu"
+        cells.append(list(map(str, values)) if integer else [f"{v:.17g}" for v in values])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([header, *map(sep.join, zip(*cells))]) + "\n")
 
 
 def _id_order(path, ids: Array, lines: Array) -> Array:
@@ -532,10 +548,8 @@ def _rescan_edge_list(path) -> NoReturn:
 
 
 def write_edge_list(path, edges: Array) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# i j (0-based, one undirected edge per line)\n")
-        for i, j in np.asarray(edges, dtype=np.int64):
-            fh.write(f"{i} {j}\n")
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    _write_table(path, "# i j (0-based, one undirected edge per line)", edges.T, sep=" ")
 
 
 def read_feature_table(path) -> tuple[Array, Array, Array]:
@@ -558,12 +572,9 @@ def read_feature_table(path) -> tuple[Array, Array, Array]:
 
 def write_feature_table(path, features: Array, labels: Array, sensitive: Array) -> None:
     features = np.asarray(features, dtype=np.float64)
+    codes = [np.asarray(column).astype(np.int64) for column in (labels, sensitive)]
     header = "id,label,sensitive," + ",".join(f"f{k}" for k in range(features.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(features.shape[0]):
-            feats = ",".join(f"{v:.17g}" for v in features[i])
-            fh.write(f"{i},{int(labels[i])},{int(sensitive[i])},{feats}\n")
+    _write_table(path, header, [np.arange(features.shape[0]), *codes, *features.T])
 
 
 def load_graph(edge_path, feature_path) -> tuple[Graph, int]:
@@ -580,10 +591,7 @@ def load_graph(edge_path, feature_path) -> tuple[Graph, int]:
 
 def write_similarity_csv(path, similarity: SimilaritySet) -> None:
     """Write pairs as 'i,j,weight' with i < j, full float64 precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,weight\n")
-        for i, j, w in zip(similarity.rows, similarity.cols, similarity.weights):
-            fh.write(f"{i},{j},{w:.17g}\n")
+    _write_table(path, "i,j,weight", [similarity.rows, similarity.cols, similarity.weights])
 
 
 def read_similarity_csv(path, n: int) -> SimilaritySet:
@@ -598,10 +606,7 @@ def write_embedding_csv(path, values: Array) -> None:
     """Embedding matrix as CSV with header id,e0,...; full float64 precision."""
     values = np.asarray(values, dtype=np.float64)
     header = "id," + ",".join(f"e{k}" for k in range(values.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(values):
-            fh.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_table(path, header, [np.arange(values.shape[0]), *values.T])
 
 
 def read_embedding_csv(path) -> Array:
@@ -609,37 +614,26 @@ def read_embedding_csv(path) -> Array:
     return values[_id_order(path, ids[:, 0], lines)]
 
 
-def _read_id_value_csv(path, column: str) -> Array:
-    ids, values, lines = _read_table(path, f"id,{column}", 1)
+def read_scores_csv(path) -> Array:
+    """Per-node scores as CSV 'id,score'."""
+    ids, values, lines = _read_table(path, "id,score", 1)
     return values[_id_order(path, ids[:, 0], lines), 0]
 
 
-def read_scores_csv(path) -> Array:
-    """Per-node scores as CSV 'id,score'."""
-    return _read_id_value_csv(path, "score")
-
-
 def write_scores_csv(path, scores: Array) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,score\n")
-        for i, v in enumerate(np.asarray(scores, dtype=np.float64).ravel()):
-            fh.write(f"{i},{v:.17g}\n")
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    _write_table(path, "id,score", [np.arange(scores.size), scores])
 
 
 def read_partition_csv(path) -> GroupPartition:
-    """Group assignment as CSV 'id,group' (nonnegative integer codes)."""
-    values = _read_id_value_csv(path, "group")
-    ids = values.astype(np.int64)
-    if np.any(values != ids):
-        raise DataFormatError(f"{path}: group codes must be integers")
-    return GroupPartition.from_values(ids)
+    """Group assignment as CSV 'id,group' (integer codes)."""
+    codes, _, lines = _read_table(path, "id,group", 2)
+    return GroupPartition.from_values(codes[_id_order(path, codes[:, 0], lines), 1])
 
 
 def write_partition_csv(path, group_ids: Array) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,group\n")
-        for i, g in enumerate(np.asarray(group_ids, dtype=np.int64)):
-            fh.write(f"{i},{g}\n")
+    group_ids = np.asarray(group_ids, dtype=np.int64)
+    _write_table(path, "id,group", [np.arange(group_ids.size), group_ids])
 
 
 def graph_summary(graph: Graph, dropped_edges: int = 0) -> dict:

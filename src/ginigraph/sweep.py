@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GiniGraphError
+from .errors import ConfigError, GiniGraphError, check_field_types
 from .graph import GroupPartition, build_similarity
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import perturb_noise, rewire_homophily
@@ -48,6 +48,7 @@ class SweepSpec:
     sbm: SbmSpec = field(default_factory=SbmSpec)
 
     def validate(self) -> None:
+        check_field_types(self, ConfigError)
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.similarity_mode not in ("topo", "attr"):
@@ -68,27 +69,25 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "SweepSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown sweep spec keys: {sorted(unknown)}")
-        kwargs = dict(raw)
+        kwargs = _known_keys(raw, cls, "sweep spec")
         if "config" in kwargs:
-            cfg_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-            bad = set(kwargs["config"]) - cfg_fields
-            if bad:
-                raise ConfigError(f"unknown config keys: {sorted(bad)}")
-            kwargs["config"] = TrainConfig(**kwargs["config"])
+            kwargs["config"] = TrainConfig(**_known_keys(kwargs["config"], TrainConfig, "config"))
         if "sbm" in kwargs:
-            sbm_fields = {f.name for f in dataclasses.fields(SbmSpec)}
-            bad = set(kwargs["sbm"]) - sbm_fields
-            if bad:
-                raise ConfigError(f"unknown sbm keys: {sorted(bad)}")
-            sbm = dict(kwargs["sbm"])
-            if "block_sizes" in sbm:
+            sbm = _known_keys(kwargs["sbm"], SbmSpec, "sbm")
+            if isinstance(sbm.get("block_sizes"), list):
                 sbm["block_sizes"] = tuple(sbm["block_sizes"])
             kwargs["sbm"] = SbmSpec(**sbm)
         return cls(**kwargs)
+
+
+def _known_keys(raw, settings, what: str) -> dict:
+    """A copy of the JSON object raw, whose keys must be fields of settings."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(settings)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(raw)
 
 
 def _point_slug(point: dict, rep: int) -> str:
@@ -110,8 +109,6 @@ def _build_run_data(spec: SweepSpec, point: dict, seed: int):
 
 def _point_config(spec: SweepSpec, point: dict, seed: int) -> TrainConfig:
     overrides = {k: point[k] for k in ("beta2", "beta3", "hidden") if k in point}
-    if "hidden" in overrides:
-        overrides["hidden"] = int(overrides["hidden"])
     return dataclasses.replace(spec.config, seed=seed, **overrides)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .errors import ConfigError, ContractError, DomainError, check_field_types
 from .gradnorm import GradNormController
-from .graph import Graph, GroupPartition, SimilaritySet, split_nodes
+from .graph import Graph, GroupPartition, SimilaritySet, _write_table, split_nodes
 from .losses import (
     combine_losses,
     group_context,
@@ -163,13 +164,7 @@ class RunResult:
 
 def write_training_log(path, history: list[EpochRecord]) -> None:
     """Full-precision CSV so identical runs produce bitwise-identical files."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LOG_COLUMNS) + "\n")
-        for row in history:
-            values = [str(row.epoch)] + [
-                f"{getattr(row, name):.17g}" for name in LOG_COLUMNS[1:]
-            ]
-            fh.write(",".join(values) + "\n")
+    _write_table(path, ",".join(LOG_COLUMNS), zip(*map(attrgetter(*LOG_COLUMNS), history)))
 
 
 # ---------------------------------------------------------------------------

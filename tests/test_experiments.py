@@ -25,6 +25,7 @@ from ginigraph.graph import (
     write_embedding_csv,
     write_scores_csv,
 )
+from ginigraph.metrics import REPORT_FIELDS
 from ginigraph.models import fair_head_embed, load_checkpoint
 from ginigraph.perturb import perturb_noise, rewire_homophily
 from ginigraph.sweep import (
@@ -580,6 +581,19 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
     assert code == 0 and table.exists()
 
 
+def test_cli_report_rejects_malformed_result_files(tmp_path, capsys):
+    path, table = tmp_path / "result.json", str(tmp_path / "table.csv")
+    for payload in ({"auc": 0.5}, [1, 2]):
+        path.write_text(json.dumps(payload))
+        code = cli.main(["report", "--results", str(path), "--out", table])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert str(path) in captured.err and captured.out == ""
+    # keys that name no report field, such as the dropped a_gdif, are ignored
+    path.write_text(json.dumps({**dict.fromkeys(REPORT_FIELDS, 0.5), "a_gdif": 1.0}))
+    assert cli.main(["report", "--results", str(path), "--out", table]) == 0
+
+
 def test_cli_train_env_seed_overrides_flag(sbm_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "77")
     run_dir = tmp_path / "run_env"
@@ -710,6 +724,10 @@ INVALID_INPUTS = {
     "sweep-hidden-float": ("sweep", {"config": {"hidden": 2.5}}),
     "sweep-seed-bool": ("sweep", {"config": {"seed": True}}),
     "sweep-sbm-p-within-string": ("sweep", {"sbm": {"p_within": "0.2"}}),
+    "sweep-repetitions-string": ("sweep", {"repetitions": "2"}),
+    "sweep-axis-scalar": ("sweep", {"beta2": 1.0}),
+    "sweep-hidden-axis-float": ("sweep", {"hidden": [2.5]}),
+    "similarity-mask-cols-letter": ("similarity", ["--mask-cols", "a"]),
     "train-beta2-nan": ("train", ["--beta2", "nan"]),
     "config-learning-rate-inf": ("config", "learning_rate = inf"),
     "config-weight-decay-nan": ("config", "weight_decay = nan"),
@@ -729,6 +747,11 @@ def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         argv = ["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "sweep")]
+    elif kind == "similarity":
+        argv = [
+            "similarity", *graph_args(sbm_dir), "--mode", "attr",
+            "--out", str(tmp_path / "sim.csv"), *bad,
+        ]
     elif kind == "audit":
         sim_path = tmp_path / "sim.csv"
         run_cli(capsys, "similarity", *graph_args(sbm_dir), "--top-k", "5", "--out", str(sim_path))

@@ -31,8 +31,11 @@ from ginigraph.graph import (
     write_edge_list,
     write_embedding_csv,
     write_feature_table,
+    write_partition_csv,
+    write_scores_csv,
     write_similarity_csv,
 )
+from ginigraph.trainer import EpochRecord, write_training_log
 
 from conftest import build_random_similarity
 
@@ -428,12 +431,102 @@ def test_embedding_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(read_embedding_csv(path), z)
 
 
-# Each id-keyed table: its header, a row template, and its reader.
+# -0, a tiny and the largest double, and a value that needs all 17 digits
+MAX = 1.7976931348623157e308
+EXTREMES_CSV = "-0,1e-300,1.7976931348623157e+308,0.10000000000000001"
+EDGE_HEADER = "# i j (0-based, one undirected edge per line)"
+NAN = float("nan")
+LOG_ROWS = [
+    EpochRecord(0, -0.0, 1e-300, MAX, 0.1, 1.0, 1.9, NAN, 0.5, NAN),
+    EpochRecord(1, 1.0, 2.0, 3.0, 1 / 3, 1.0, 1.0, 0.75, 1e-300, 2.5),
+]
+
+# Each writer: its call, the exact text it writes, and a reader with the
+# arrays it must give back bit for bit (None for the training log).
+WRITERS = {
+    "edges": (
+        lambda path: write_edge_list(path, [[0, 1], [0, 3], [2, 3]]),
+        f"{EDGE_HEADER}\n0 1\n0 3\n2 3\n",
+        lambda path: read_edge_list(path)[:1],
+        (np.array([[0, 1], [0, 3], [2, 3]]),),
+    ),
+    "features": (
+        lambda path: write_feature_table(
+            path, [[-0.0, 1e-300], [MAX, 0.1]], [1, -1], [0, 2]
+        ),
+        "id,label,sensitive,f0,f1\n0,1,0,-0,1e-300\n"
+        "1,-1,2,1.7976931348623157e+308,0.10000000000000001\n",
+        read_feature_table,
+        (np.array([[-0.0, 1e-300], [MAX, 0.1]]), np.array([1, -1]), np.array([0, 2])),
+    ),
+    "similarity": (
+        lambda path: write_similarity_csv(path, SimilaritySet(3, [1, 0], [2, 2], [1e-300, 0.1])),
+        "i,j,weight\n0,2,0.10000000000000001\n1,2,1e-300\n",
+        lambda path: read_similarity_csv(path, 3).pair_arrays(),
+        (np.array([0, 1]), np.array([2, 2]), np.array([0.1, 1e-300])),
+    ),
+    "similarity-empty": (
+        lambda path: write_similarity_csv(path, SimilaritySet(3, [], [], [])),
+        "i,j,weight\n",
+        lambda path: read_similarity_csv(path, 3).pair_arrays(),
+        (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
+    ),
+    "embedding": (
+        lambda path: write_embedding_csv(path, [[-0.0, 1e-300, MAX, 0.1]]),
+        f"id,e0,e1,e2,e3\n0,{EXTREMES_CSV}\n",
+        lambda path: (read_embedding_csv(path),),
+        (np.array([[-0.0, 1e-300, MAX, 0.1]]),),
+    ),
+    "scores": (
+        lambda path: write_scores_csv(path, [-0.0, 1e-300, MAX, 0.1]),
+        "id,score\n" + "".join(f"{i},{v}\n" for i, v in enumerate(EXTREMES_CSV.split(","))),
+        lambda path: (read_scores_csv(path),),
+        (np.array([-0.0, 1e-300, MAX, 0.1]),),
+    ),
+    "partition": (
+        lambda path: write_partition_csv(path, [1, 0, 2, 1]),
+        "id,group\n0,1\n1,0\n2,2\n3,1\n",
+        lambda path: (read_partition_csv(path).group_ids,),
+        (np.array([1, 0, 2, 1]),),
+    ),
+    "training-log": (
+        lambda path: write_training_log(path, LOG_ROWS),
+        "epoch,l1,l2,l3,beta1,beta2,beta3,val_auc,if_value,gd\n"
+        "0,-0,1e-300,1.7976931348623157e+308,0.10000000000000001,1,1.8999999999999999,nan,0.5,nan\n"
+        "1,1,2,3,0.33333333333333331,1,1,0.75,1e-300,2.5\n",
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_write_exact_bytes_that_read_back_bitwise(tmp_path, name):
+    write, text, read, values = WRITERS[name]
+    path = tmp_path / "table"
+    write(path)
+    assert path.read_bytes() == text.encode()
+    for a, b in zip(read(path), values, strict=True) if read else ():
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_partition_codes_are_read_as_exact_integers(tmp_path):
+    path = tmp_path / "groups.csv"
+    # 2**53 + 1 has no float64 of its own: read through a float it becomes 2**53
+    path.write_text("id,group\n0,9007199254740993\n1,9007199254740992\n2,9007199254740993\n")
+    np.testing.assert_array_equal(read_partition_csv(path).group_ids, [1, 0, 1])
+    path.write_text("id,group\n0,1.5\n1,0\n")
+    with pytest.raises(DataFormatError, match=":2: malformed field"):
+        read_partition_csv(path)
+
+
+# Each id-keyed table: its header, a row template, its reader, and what it says
+# of a nan or inf value (the group column holds integers, which have none).
 ID_TABLES = {
-    "features": ("id,label,sensitive,f0", "{i},1,0,{v}", read_feature_table),
-    "embedding": ("id,e0", "{i},{v}", read_embedding_csv),
-    "scores": ("id,score", "{i},{v}", read_scores_csv),
-    "partition": ("id,group", "{i},{v}", read_partition_csv),
+    "features": ("id,label,sensitive,f0", "{i},1,0,{v}", read_feature_table, "non-finite"),
+    "embedding": ("id,e0", "{i},{v}", read_embedding_csv, "non-finite"),
+    "scores": ("id,score", "{i},{v}", read_scores_csv, "non-finite"),
+    "partition": ("id,group", "{i},{v}", read_partition_csv, "malformed field"),
 }
 
 
@@ -441,9 +534,9 @@ ID_TABLES = {
 @pytest.mark.parametrize(
     "rows, reason",
     [
-        ([(0, "1.0"), (1, "2.0"), (1, "5.0")], "duplicate"),
-        ([(0, "1.0"), (1, "nan")], "non-finite"),
-        ([(0, "-inf"), (1, "1.0")], "non-finite"),
+        ([(0, "1"), (1, "2"), (1, "5")], "duplicate"),
+        ([(0, "1"), (1, "nan")], "non-finite"),
+        ([(0, "-inf"), (1, "1")], "non-finite"),
         ([], "no data rows"),
     ],
     ids=["repeated-id", "nan", "inf", "header-only"],
@@ -451,10 +544,10 @@ ID_TABLES = {
 def test_id_tables_reject_repeats_non_finite_values_and_empty_tables(
     tmp_path, table, rows, reason
 ):
-    header, row, reader = ID_TABLES[table]
+    header, row, reader, non_finite = ID_TABLES[table]
     path = tmp_path / f"{table}.csv"
     path.write_text("\n".join([header] + [row.format(i=i, v=v) for i, v in rows]) + "\n")
-    with pytest.raises(DataFormatError, match=reason):
+    with pytest.raises(DataFormatError, match=non_finite if reason == "non-finite" else reason):
         reader(path)
 
 
