@@ -56,6 +56,22 @@ def mean(values):
     return sum(values) / len(values)
 
 
+# The per-seed ratios behind the four ablation gates, as (numerator variant,
+# denominator variant, statistic). The first two gates count seeds with a
+# ratio <= 1 (full wins), the last two seeds with a ratio > 1 (the ablation
+# loses), so each ratio's distance from 1 is that seed's margin.
+GATE_RATIOS = {
+    "full/fixed IF": ("full", "fixed", "if"),
+    "full/no_attention IF": ("full", "no_attention", "if"),
+    "no_l2/full IF": ("no_l2", "full", "if"),
+    "no_l3/full |GD-1|": ("no_l3", "full", "gd_gap"),
+}
+
+
+def statistic(entry, name):
+    return abs(entry["gd"] - 1.0) if name == "gd_gap" else entry[name]
+
+
 def summarize(rows):
     out = {}
     for name, entries in rows.items():
@@ -90,6 +106,16 @@ def summarize(rows):
         comparison["no_l2_if_worse_seeds"] = sum(
             1 for a, b in zip(rows["full"], rows["no_l2"]) if b["if"] > a["if"]
         )
+    ratios = {
+        label: [
+            statistic(a, stat) / max(statistic(b, stat), 1e-12)
+            for a, b in zip(rows[num], rows[den])
+        ]
+        for label, (num, den, stat) in GATE_RATIOS.items()
+        if num in rows and den in rows
+    }
+    if ratios:
+        comparison["gate_ratios"] = ratios
     if comparison:
         out["comparison"] = comparison
     return out

@@ -17,7 +17,6 @@ from .graph import (
     GroupPartition,
     SimilaritySet,
     attr_similarity,
-    edges_from_features,
     laplacian_apply,
     load_graph,
     pair_distance,
@@ -80,7 +79,6 @@ __all__ = [
     "attr_similarity",
     "average_gdif",
     "compute_report",
-    "edges_from_features",
     "embedding_gini",
     "equal_opportunity_gap",
     "evaluate",

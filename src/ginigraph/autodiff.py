@@ -414,64 +414,26 @@ def segment_softmax(x: Tensor, segments: Array, num_segments: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgePattern:
-    """Fixed sparsity pattern of an operator A with A[rows[e], cols[e]] = w[e].
+def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
+    """out = A(w) @ x, where A has the fixed CSR pattern and the entry weights w (nnz,1).
 
-    indptr and indices are the CSR arrays of the pattern, entries sorted by
-    (row, col); order[p] is the edge stored at CSR position p. Built once with
-    edge_pattern and reused by every edge_spmm over the same edges.
-    """
-
-    rows: Array
-    cols: Array
-    shape: tuple[int, int]
-    indptr: Array
-    indices: Array
-    order: Array
-
-
-def edge_pattern(rows: Array, cols: Array, shape: tuple[int, int]) -> EdgePattern:
-    """Validate directed edges (no duplicates) and lay them out as CSR."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    n_rows, n_cols = shape
-    if rows.ndim != 1 or rows.shape != cols.shape:
-        raise DimensionError("edge arrays must be 1-D and equal length")
-    if rows.size and (
-        min(rows.min(), cols.min()) < 0 or rows.max() >= n_rows or cols.max() >= n_cols
-    ):
-        raise DimensionError("edge index out of range")
-    order = np.lexsort((cols, rows))
-    sorted_rows, sorted_cols = rows[order], cols[order]
-    if np.any((sorted_rows[1:] == sorted_rows[:-1]) & (sorted_cols[1:] == sorted_cols[:-1])):
-        raise ContractError("duplicate directed edge in the pattern")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(sorted_rows, minlength=n_rows))])
-    return EdgePattern(
-        rows=rows, cols=cols, shape=(n_rows, n_cols),
-        indptr=indptr, indices=sorted_cols, order=order,
-    )
-
-
-def edge_spmm(weights: Tensor, x: Tensor, pattern: EdgePattern) -> Tensor:
-    """out = A(w) @ x, where A has the fixed pattern and the edge weights w (E,1).
-
-    The backward gives dx = A(w)^T g and dw_e = g[rows[e]] . x[cols[e]].
+    w[p] is the weight at CSR position p: row r for indptr[r] <= p < indptr[r+1],
+    column indices[p]; the pattern's own data is not read. The backward gives
+    dx = A(w)^T g and dw_p = g[r] . x[indices[p]].
     """
     _same_tape(weights, x)
-    if weights.shape != (pattern.rows.size, 1):
-        raise DimensionError(
-            f"edge weights must be ({pattern.rows.size},1), got {weights.shape}"
-        )
+    if weights.shape != (pattern.nnz, 1):
+        raise DimensionError(f"edge weights must be ({pattern.nnz},1), got {weights.shape}")
     if x.shape[0] != pattern.shape[1]:
         raise DimensionError(f"edge_spmm mismatch: {pattern.shape} @ {x.shape}")
     mat = sp.csr_matrix(
-        (weights.values[pattern.order, 0], pattern.indices, pattern.indptr), shape=pattern.shape
+        (weights.values[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
     )
     out = _ensure_finite(mat @ x.values, "edge-spmm")
 
     def backward(g: Array) -> None:
-        dw = np.einsum("ij,ij->i", g[pattern.rows], x.values[pattern.cols])
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        dw = np.einsum("ij,ij->i", g[rows], x.values[pattern.indices])
         _accumulate(weights, dw[:, None])
         _accumulate(x, mat.T @ g)
 

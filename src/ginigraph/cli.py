@@ -41,7 +41,7 @@ from .graph import (
     write_scores_csv,
     write_similarity_csv,
 )
-from .metrics import REPORT_FIELDS, MetricsReport, compute_report
+from .metrics import MetricsReport, compute_report
 from .perturb import perturb_noise, rewire_homophily
 from .sweep import SweepSpec, aggregate_dir, run_sweep, write_metrics_table, write_sweep_table
 from .synthetic import SbmSpec, sbm_generate
@@ -256,26 +256,14 @@ def cmd_report(args) -> int:
         rows = aggregate_dir(source)
         write_sweep_table(rows, out, args.format, args.thousands)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{source}: {exc}") from exc
-        if isinstance(payload, dict) and "final_metrics" in payload:
-            payload = payload["final_metrics"]
-        if not isinstance(payload, dict):
-            raise DataFormatError(f"{source}: expected a JSON object")
-        missing = [name for name in REPORT_FIELDS if name not in payload]
-        if missing:
-            raise DataFormatError(f"{source}: missing report fields {missing}")
-        known = {f.name for f in dataclasses.fields(MetricsReport)}
-        report = MetricsReport(
-            **{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in payload.items()
-                if k in known
-            }
-        )
+            if isinstance(payload, dict) and "final_metrics" in payload:
+                payload = payload["final_metrics"]
+            report = MetricsReport.from_json_dict(payload)
+        except (ValueError, RecursionError, DataFormatError) as exc:  # not JSON, or no report
+            raise DataFormatError(f"{source}: {exc}") from exc
         write_metrics_table([report], out, args.format, args.thousands)
     _emit({"out": str(out)})
     return 0

@@ -39,29 +39,41 @@ class NumericalError(GiniGraphError):
     """A computation produced NaN/Inf or otherwise left the finite regime."""
 
 
-_KINDS = {"bool": bool, "str": str, "int": numbers.Integral, "float": numbers.Real}
+_KINDS = {"bool": bool, "str": str, "int": numbers.Integral}
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _fits(value, kind: str) -> bool:
     if kind.endswith(" | None"):
         return value is None or _fits(value, kind.removesuffix(" | None"))
-    if kind == "tuple[int, ...]":
-        return isinstance(value, tuple) and all(_fits(v, "int") for v in value)
+    if kind.startswith("tuple[") and kind.endswith(", ...]"):
+        return isinstance(value, tuple) and all(_fits(v, kind[6:-6]) for v in value)
     if kind.startswith("list["):
         return isinstance(value, list) and all(_fits(v, kind[5:-1]) for v in value)
+    if kind == "float":
+        return is_finite_number(value)
     if kind not in _KINDS:  # a nested settings dataclass, named by its class
         return type(value).__name__ == kind
     if isinstance(value, bool) != (kind == "bool"):
         return False  # a bool is no number, and nothing else is a bool
-    return isinstance(value, _KINDS[kind]) and (kind != "float" or math.isfinite(value))
+    return isinstance(value, _KINDS[kind])
 
 
 def check_field_types(settings, error: type[GiniGraphError]) -> None:
     """Raise error unless each field of the dataclass holds its annotated type.
 
     The annotations are postponed (strings). A float field takes ints and must
-    be finite; a list field holds items of its type; a field annotated with a
-    class name holds an instance of that class.
+    be finite; a list[X] or tuple[X, ...] field holds items of type X; a field
+    annotated with a class name holds an instance of that class.
     """
     for f in dataclasses.fields(settings):
         value = getattr(settings, f.name)

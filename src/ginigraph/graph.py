@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from .errors import ConfigError, ContractError, DataFormatError, DimensionError, DomainError
 
 Array = np.ndarray
-GroupPairs = tuple[tuple[Array, Array, Array], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +166,12 @@ class GroupPartition:
     def sizes(self) -> Array:
         return np.bincount(self.group_ids, minlength=self.m)
 
-    def within_pairs(self, similarity: "SimilaritySet") -> GroupPairs:
-        """Per group, the stored pairs with both ends in it, as GroupPairs.
+    def within_pairs(self, similarity: "SimilaritySet") -> tuple["SimilaritySet", ...]:
+        """Per group, the stored pairs with both ends in it, as a SimilaritySet.
 
-        Indices stay global; the pairs keep the stored order, which is that of
-        similarity.restrict(members(g)), so sums over them match.
+        Each set keeps the global n and indices; its pairs keep the stored
+        order, which is that of similarity.restrict(members(g)), so sums over
+        them match.
         """
         if self.group_ids.size != similarity.n:
             raise ContractError("partition size must match the similarity set")
@@ -179,7 +179,7 @@ class GroupPartition:
         group = self.group_ids[rows]
         group[group != self.group_ids[cols]] = -1
         return tuple(
-            (rows[keep], cols[keep], weights[keep])
+            SimilaritySet(similarity.n, rows[keep], cols[keep], weights[keep])
             for keep in (group == g for g in range(self.m))
         )
 
@@ -380,31 +380,6 @@ def build_similarity(
     if mode == "attr":
         return attr_similarity(graph.features, top_k, tuple(masked_columns))
     raise ConfigError(f"unknown similarity mode {mode!r}")
-
-
-def edges_from_features(
-    features: Array, threshold: float, metric: str = "euclidean"
-) -> Array:
-    """Edge list (i < j) connecting rows that are close enough.
-
-    euclidean: connect when ||x_i - x_j||_2 <= threshold.
-    cosine: connect when cosine similarity >= threshold.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    n = feats.shape[0]
-    if n > DENSE_SIMILARITY_LIMIT:
-        raise ContractError("edge construction supports up to 5000 rows")
-    if metric == "euclidean":
-        sq = np.sum(feats * feats, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * feats @ feats.T, 0.0)
-        hit = np.sqrt(d2) <= threshold
-    elif metric == "cosine":
-        rows = _cosine_rows(feats)
-        hit = rows @ rows.T >= threshold
-    else:
-        raise ContractError(f"unknown metric '{metric}'")
-    i, j = np.nonzero(np.triu(hit, k=1))
-    return np.column_stack([i, j]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

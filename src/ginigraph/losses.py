@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DomainError
-from .graph import GroupPairs, GroupPartition, SimilaritySet
+from .graph import GroupPartition, SimilaritySet
 
 Array = np.ndarray
 
@@ -98,20 +98,22 @@ def surrogate_loss(
 # ---------------------------------------------------------------------------
 
 
-def group_context(similarity: SimilaritySet, partition: GroupPartition) -> GroupPairs:
-    """Per-group (rows, cols, weights) of the within-group pairs, built once per run."""
+def group_context(
+    similarity: SimilaritySet, partition: GroupPartition
+) -> tuple[SimilaritySet, ...]:
+    """The within-group pair sets, one SimilaritySet per group, built once per run."""
     return partition.within_pairs(similarity)
 
 
-def group_trace_tensors(z: Tensor, ctx: GroupPairs) -> list[Tensor]:
+def group_trace_tensors(z: Tensor, ctx: tuple[SimilaritySet, ...]) -> list[Tensor]:
     """Per-group smoothness traces with a small floor, as 1x1 tensors."""
     return [
-        ad.add_const(ad.quadratic_pair_form(z, rows, cols, weights), TRACE_FLOOR)
-        for rows, cols, weights in ctx
+        ad.add_const(ad.quadratic_pair_form(z, *group.pair_arrays()), TRACE_FLOOR)
+        for group in ctx
     ]
 
 
-def group_welfare_loss(z: Tensor, ctx: GroupPairs) -> Tensor:
+def group_welfare_loss(z: Tensor, ctx: tuple[SimilaritySet, ...]) -> Tensor:
     """Nash-welfare penalty on trace ratios, averaged over ordered group pairs."""
     m = len(ctx)
     if m < 2:

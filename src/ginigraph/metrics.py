@@ -15,14 +15,14 @@ contribute, weighted by their similarity. Conventions:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .autodiff import pair_trace_values
-from .errors import ContractError, DomainError
-from .graph import GroupPairs, GroupPartition, SimilaritySet
+from .errors import ContractError, DataFormatError, DomainError, check_field_types
+from .graph import GroupPartition, SimilaritySet
 
 Array = np.ndarray
 
@@ -44,14 +44,12 @@ def _pair_gaps(similarity: SimilaritySet, z: Array, order: int) -> Array:
     return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def pair_trace(z: Array, rows: Array, cols: Array, w: Array) -> float:
-    """sum_p w_p ||z[rows_p] - z[cols_p]||_2^2, the forward of autodiff.quadratic_pair_form."""
-    return pair_trace_values(z, rows, cols, w)[0]
-
-
 def trace_form(similarity: SimilaritySet, z: Array) -> float:
-    """Tr(Z^T L Z) = sum over unordered pairs of w * ||z_i - z_j||_2^2."""
-    return pair_trace(_embedding(similarity, z), *similarity.pair_arrays())
+    """Tr(Z^T L Z) = sum over unordered pairs of w * ||z_i - z_j||_2^2.
+
+    The forward of autodiff.quadratic_pair_form over the same pairs, bit for bit.
+    """
+    return pair_trace_values(_embedding(similarity, z), *similarity.pair_arrays())[0]
 
 
 def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> float:
@@ -116,20 +114,27 @@ def average_gdif(values) -> float:
 
 
 def group_traces(
-    similarity: SimilaritySet, z: Array, partition: GroupPartition, pairs: GroupPairs = ()
+    similarity: SimilaritySet,
+    z: Array,
+    partition: GroupPartition,
+    pairs: tuple[SimilaritySet, ...] = (),
 ) -> list[float]:
     """Per-group Laplacian quadratic form over partition.within_pairs, or the given pairs."""
-    z = _embedding(similarity, z)
-    return [pair_trace(z, *group) for group in pairs or partition.within_pairs(similarity)]
+    return [trace_form(group, z) for group in pairs or partition.within_pairs(similarity)]
 
 
 def group_ginis(
-    similarity: SimilaritySet, z: Array, partition: GroupPartition, pairs: GroupPairs = ()
+    similarity: SimilaritySet,
+    z: Array,
+    partition: GroupPartition,
+    pairs: tuple[SimilaritySet, ...] = (),
 ) -> list[float]:
     """Per-group embedding Gini over the within-group pairs (or the given ones) and mass."""
     z = _embedding(similarity, z)
     pairs = pairs or partition.within_pairs(similarity)
-    return [_gini(z, *group, z[partition.members(g)]) for g, group in enumerate(pairs)]
+    return [
+        _gini(z, *group.pair_arrays(), z[partition.members(g)]) for g, group in enumerate(pairs)
+    ]
 
 
 def tail_fraction(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
@@ -259,6 +264,26 @@ class MetricsReport:
         out["group_ginis"] = list(self.group_ginis)
         out["warnings"] = list(self.warnings)
         return out
+
+    @classmethod
+    def from_json_dict(cls, raw) -> "MetricsReport":
+        """The report to_json_dict wrote; DataFormatError when raw is not one.
+
+        Every REPORT_FIELDS key must be present and every field hold its
+        annotated type (finite numbers, None where allowed); keys that name
+        no field are ignored.
+        """
+        if not isinstance(raw, dict):
+            raise DataFormatError("expected a JSON object")
+        missing = [name for name in REPORT_FIELDS if name not in raw]
+        if missing:
+            raise DataFormatError(f"missing report fields {missing}")
+        known = {f.name for f in fields(cls)}
+        report = cls(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k in known}
+        )
+        check_field_types(report, DataFormatError)
+        return report
 
     def to_csv_row(self, thousands: bool = False) -> list[str]:
         """Fixed-order row; thousands divides IF by 1000 for presentation."""

@@ -11,12 +11,12 @@ Three interchangeable two-round encoders produce node embeddings of width c:
 On top of any encoder sits a fairness head: a linear transform T = Z W, an
 attention score LeakyReLU(a^T [T_i || T_j]) multiplied by the pairwise
 similarity inside the softmax, and aggregation of the neighbors' T rows
-weighted by those softmax coefficients alpha. The score is computed in GAT's
+weighted by those softmax coefficients alpha. The head's one operator is the
+CSR of S + I (attention_edges), 1.0 on the diagonal for the self-loop term
+only; the SimilaritySet never stores it. The score is computed in GAT's
 decomposed form (T a_c)_i + (T a_n)_j, with a = [a_c; a_n], so only one number
-per node is gathered onto each edge; the aggregation is one sparse product
-A(alpha) T over the fixed (center, neighbor) pattern. The similarity diagonal
-is treated as 1.0 for the self-loop term only; it is never stored in the
-SimilaritySet itself.
+per node is gathered onto each entry; the aggregation is one sparse product
+A(alpha) T on that CSR pattern, alpha in CSR order.
 
 Parameters live in plain dicts of float64 arrays; each training epoch wraps
 them as tape leaves.
@@ -25,6 +25,7 @@ them as tape leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,35 +48,37 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 
-def init_backbone(
-    variant: str, in_dim: int, hidden: int, rng: np.random.Generator
-) -> dict[str, Array]:
-    """Weight dict for one encoder variant; embedding width equals hidden."""
+def _backbone_layout(variant: str, in_dim: int, hidden: int) -> dict[str, tuple[int, int]]:
+    """Weight names and shapes of one encoder variant, in draw order."""
     if variant not in BACKBONES:
         raise ContractError(f"unknown backbone '{variant}' (choose from {BACKBONES})")
     if in_dim < 1 or hidden < 1:
         raise ContractError("dimensions must be positive")
+    h = hidden
     if variant == "gcn":
-        weights = {"W1": _glorot(rng, in_dim, hidden), "W2": _glorot(rng, hidden, hidden)}
+        layout = {"W1": (in_dim, h), "W2": (h, h)}
     elif variant == "gin":
-        weights = {
-            "eps1": np.zeros((1, 1)),
-            "U1": _glorot(rng, in_dim, hidden),
-            "V1": _glorot(rng, hidden, hidden),
-            "eps2": np.zeros((1, 1)),
-            "U2": _glorot(rng, hidden, hidden),
-            "V2": _glorot(rng, hidden, hidden),
+        layout = {
+            "eps1": (1, 1), "U1": (in_dim, h), "V1": (h, h),
+            "eps2": (1, 1), "U2": (h, h), "V2": (h, h),
         }
     else:
-        weights = {
-            "W1": _glorot(rng, in_dim, hidden),
-            "W2": _glorot(rng, hidden, hidden),
-            "P1": _glorot(rng, hidden, hidden),
-            "P2": _glorot(rng, hidden, hidden),
-        }
-    weights["w_out"] = _glorot(rng, hidden, 1)
-    weights["b_out"] = np.zeros((1, 1))
-    return weights
+        layout = {"W1": (in_dim, h), "W2": (h, h), "P1": (h, h), "P2": (h, h)}
+    return {**layout, "w_out": (h, 1), "b_out": (1, 1)}
+
+
+def init_backbone(
+    variant: str, in_dim: int, hidden: int, rng: np.random.Generator
+) -> dict[str, Array]:
+    """Weight dict for one encoder variant; embedding width equals hidden.
+
+    The GIN self-weights eps and the bias b_out start at zero, every other
+    matrix at a Glorot draw.
+    """
+    return {
+        name: np.zeros(shape) if name in ("eps1", "eps2", "b_out") else _glorot(rng, *shape)
+        for name, shape in _backbone_layout(variant, in_dim, hidden).items()
+    }
 
 
 def init_fair_head(
@@ -138,83 +141,55 @@ def readout_logits(z: Tensor, leaves: dict[str, Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttentionEdges:
-    """Directed message edges derived from a similarity set, self-loops included.
+def attention_edges(similarity: SimilaritySet) -> sp.csr_matrix:
+    """The message pattern S + I as canonical CSR, built once per run.
 
-    centers[e] receives a message from neighbors[e]; sim_values[e] is the pair
-    similarity, with 1.0 on the self-loop entries. The edges are stored as an
-    EdgePattern, laid out once as CSR for the aggregation product.
+    Row i lists i's neighbours and i itself, columns ascending; data holds the
+    pair similarities, with 1.0 on the diagonal.
     """
-
-    pattern: ad.EdgePattern
-    sim_values: Array
-
-    @property
-    def centers(self) -> Array:
-        return self.pattern.rows
-
-    @property
-    def neighbors(self) -> Array:
-        return self.pattern.cols
-
-    @property
-    def n(self) -> int:
-        return self.pattern.shape[0]
-
-
-def attention_edges(similarity: SimilaritySet) -> AttentionEdges:
-    rows, cols, w = similarity.pair_arrays()
-    loops = np.arange(similarity.n, dtype=np.int64)
-    return AttentionEdges(
-        pattern=ad.edge_pattern(
-            np.concatenate([rows, cols, loops]),
-            np.concatenate([cols, rows, loops]),
-            (similarity.n, similarity.n),
-        ),
-        sim_values=np.concatenate([w, w, np.ones(similarity.n)]),
-    )
+    return similarity.matrix + sp.identity(similarity.n, format="csr")
 
 
 def fair_head_embed(
     z0: Tensor,
     leaves: dict[str, Tensor],
-    edges: AttentionEdges,
+    edges: sp.csr_matrix,
     tape: Tape,
     attention: bool = True,
 ) -> Tensor:
     """Similarity-gated attention round on top of base embeddings.
 
-    With attention on, the score for edge (i <- j) is
-    LeakyReLU(a^T [T_i || T_j]) * S_ij, softmax-normalized over i's
-    neighborhood into alpha_ij. a^T [T_i || T_j] is evaluated as
-    (T a_c)_i + (T a_n)_j: two per-node scores gathered onto the edges.
-    With attention off, every neighbor of i receives equal weight alpha_ij.
-    The output is elu(sum_j alpha_ij T_j), one sparse product A(alpha) T.
+    edges is the attention_edges CSR: entry p is the message i <- j with i
+    the row of p, j = indices[p] and S_ij = data[p]. With attention on, its
+    score is LeakyReLU(a^T [T_i || T_j]) * S_ij, softmax-normalized over i's
+    row into alpha_ij. a^T [T_i || T_j] is evaluated as (T a_c)_i + (T a_n)_j:
+    two per-node scores gathered onto the entries. With attention off, every
+    entry of row i receives equal weight alpha_ij. The output is
+    elu(sum_j alpha_ij T_j), one sparse product A(alpha) T on the same pattern.
     """
     t = z0 @ leaves["W"]
     hidden = t.shape[1]
     if leaves["a"].shape != (2 * hidden, 1):
         raise DimensionError("score vector must have shape (2*hidden, 1)")
+    n = edges.shape[0]
+    counts = np.diff(edges.indptr)
+    centers = np.repeat(np.arange(n), counts)
     if attention:
         center_score = t @ ad.slice_rows(leaves["a"], 0, hidden)
         neighbor_score = t @ ad.slice_rows(leaves["a"], hidden, 2 * hidden)
         raw = ad.leaky_relu(
             ad.add(
-                ad.gather_rows(center_score, edges.centers),
-                ad.gather_rows(neighbor_score, edges.neighbors),
+                ad.gather_rows(center_score, centers),
+                ad.gather_rows(neighbor_score, edges.indices),
             ),
             LEAKY_SLOPE,
         )
-        gated = ad.hadamard(raw, tape.leaf(edges.sim_values[:, None], "sim"))
-        alpha = ad.segment_softmax(gated, edges.centers, edges.n)
-        return ad.elu(ad.edge_spmm(alpha, t, edges.pattern))
+        gated = ad.hadamard(raw, tape.leaf(edges.data[:, None], "sim"))
+        alpha = ad.segment_softmax(gated, centers, n)
+        return ad.elu(ad.edge_spmm(alpha, t, edges))
     # constant weights: a plain sparse product, with no edge-weight gradient
-    pattern = edges.pattern
-    counts = np.bincount(edges.centers, minlength=edges.n).astype(np.float64)
     uniform = sp.csr_matrix(
-        ((1.0 / counts[edges.centers])[pattern.order], pattern.indices, pattern.indptr),
-        shape=pattern.shape,
+        ((1.0 / counts)[centers], edges.indices, edges.indptr), shape=edges.shape
     )
     return ad.elu(ad.spmm(uniform, t))
 
@@ -306,25 +281,51 @@ def _parse_checkpoint(fh) -> ModelParams:
     if variant not in BACKBONES:
         raise ValueError(f"unknown variant {variant!r} (choose from {BACKBONES})")
     sections: dict[str, dict[str, Array]] = {}
-    for _ in range(2):
+    for section in ("backbone", "fair"):
         head = fh.readline().split()
-        if len(head) != 3 or head[0] != "section":
-            raise ValueError("malformed section header")
+        if len(head) != 3 or head[:2] != ["section", section]:
+            raise ValueError(f"malformed {section} section header")
         weights: dict[str, Array] = {}
         for _ in range(int(head[2])):
             mhead = fh.readline().split()
             if len(mhead) != 4 or mhead[0] != "matrix":
                 raise ValueError("malformed matrix header")
             mname, rows, cols = mhead[1], int(mhead[2]), int(mhead[3])
-            data = [[float(v) for v in fh.readline().split()] for _ in range(rows)]
-            if min(rows, cols) < 0 or any(len(row) != cols for row in data):
+            # islice stops at the end of the file, however many rows the header claims
+            data = [[float(v) for v in line.split()] for line in islice(fh, rows)]
+            if cols < 0 or len(data) != rows or any(len(row) != cols for row in data):
                 raise ValueError(f"matrix {mname} shape mismatch")
             weights[mname] = np.array(data, dtype=np.float64).reshape(rows, cols)
             if not np.all(np.isfinite(weights[mname])):
                 raise ValueError(f"matrix {mname} has non-finite values")
-        sections[head[1]] = weights
-    if "backbone" not in sections:
-        raise ValueError("missing backbone section")
-    return ModelParams(
-        variant=variant, backbone=sections["backbone"], fair=sections.get("fair", {})
-    )
+        sections[section] = weights
+    params = ModelParams(variant=variant, backbone=sections["backbone"], fair=sections["fair"])
+    _check_layout(params)
+    return params
+
+
+def _check_layout(params: ModelParams) -> None:
+    """Raise ValueError unless the matrices have the layout of a fresh model.
+
+    The names and shapes must be those init_backbone and init_fair_head give
+    for the input width of the first layer and the hidden width of w_out; the
+    fair section may be empty.
+    """
+    first = params.backbone.get("U1" if params.variant == "gin" else "W1")
+    out = params.backbone.get("w_out")
+    if first is None or out is None or min(first.shape[0], out.shape[0]) < 1:
+        raise ValueError(f"backbone lacks the {params.variant} input or output layer")
+    in_dim, hidden = first.shape[0], out.shape[0]
+    _match_layout("backbone", params.backbone, _backbone_layout(params.variant, in_dim, hidden))
+    if params.fair:
+        # the backbone matched, so hidden x hidden weights exist: this draw is bounded
+        head = init_fair_head(hidden, np.random.default_rng(0))
+        _match_layout("fair", params.fair, {name: m.shape for name, m in head.items()})
+
+
+def _match_layout(section: str, weights: dict[str, Array], expected: dict) -> None:
+    shapes = {name: m.shape for name, m in sorted(weights.items())}
+    if shapes != expected:
+        raise ValueError(
+            f"{section} matrices {shapes} do not match the layout {dict(sorted(expected.items()))}"
+        )

@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GiniGraphError, check_field_types
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    GiniGraphError,
+    check_field_types,
+    is_finite_number,
+)
 from .graph import GroupPartition, build_similarity
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import perturb_noise, rewire_homophily
@@ -188,12 +194,39 @@ def aggregate_records(records: list[dict]) -> list[SweepRow]:
     return rows
 
 
+def _check_record(record) -> None:
+    """Raise DataFormatError unless record has the layout run_sweep writes.
+
+    The point maps grid axes to numbers; a record without an error holds the
+    run's report under result.final_metrics.
+    """
+    if not isinstance(record, dict) or not isinstance(record.get("point"), dict):
+        raise DataFormatError("expected a run record with a 'point' object")
+    bad = {
+        axis: value
+        for axis, value in record["point"].items()
+        if axis not in GRID_AXES or not is_finite_number(value)
+    }
+    if bad:
+        raise DataFormatError(f"point must map grid axes to numbers, got {bad}")
+    if "error" not in record:
+        result = record.get("result")
+        if not isinstance(result, dict):
+            raise DataFormatError("run record holds neither a 'result' object nor an 'error'")
+        MetricsReport.from_json_dict(result.get("final_metrics"))
+
+
 def aggregate_dir(out_dir) -> list[SweepRow]:
     """Independent aggregation pass over the run JSONs in a directory."""
     records = []
     for path in sorted(Path(out_dir).glob("run_*.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            records.append(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                record = json.load(fh)
+            _check_record(record)
+        except (ValueError, RecursionError, DataFormatError) as exc:  # not JSON, or no record
+            raise DataFormatError(f"{path}: {exc}") from exc
+        records.append(record)
     return aggregate_records(records)
 
 

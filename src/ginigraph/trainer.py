@@ -43,7 +43,7 @@ from .losses import (
     surrogate_loss,
     utility_loss,
 )
-from .metrics import MetricsReport, average_gdif, compute_report, pair_trace, rank_auc
+from .metrics import MetricsReport, average_gdif, compute_report, rank_auc, trace_form
 from .models import (
     BACKBONES,
     ModelParams,
@@ -375,10 +375,10 @@ def train(
         val_auc = _val_auc(ad.sigmoid_values(logits.values[:, 0]), graph.labels, graph.val_mask)
         # the plain smoothness term is this trace, from the same expression
         plain = 1 in active and config.surrogate == "none"
-        if_value = float(losses[1]) if plain else pair_trace(h.values, *similarity.pair_arrays())
+        if_value = float(losses[1]) if plain else trace_form(similarity, h.values)
         # unfloored traces: the tape's carry TRACE_FLOOR, and runs without the
         # welfare term have none on the tape
-        gd = average_gdif([pair_trace(h.values, *p) for p in ctx]) if ctx else float("nan")
+        gd = average_gdif([trace_form(p, h.values) for p in ctx]) if ctx else float("nan")
         tape.release()
         history.append(
             EpochRecord(epoch, *map(float, losses), *map(float, betas), val_auc, if_value, gd)

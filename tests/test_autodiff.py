@@ -186,49 +186,47 @@ def test_segment_ops_gradients(rng):
 
 
 # Node 3 has only its self-loop; node 0 is the center of three edges. The
-# edges are listed out of CSR order so the edge-to-CSR permutation matters.
-EDGE_ROWS = np.array([1, 0, 2, 0, 3, 1, 0, 2])
-EDGE_COLS = np.array([0, 2, 2, 1, 3, 1, 0, 0])
+# weights of edge_spmm follow the CSR order of the pattern.
+PATTERN = sp.csr_matrix(
+    (np.ones(8), (np.array([1, 0, 2, 0, 3, 1, 0, 2]), np.array([0, 2, 2, 1, 3, 1, 0, 0]))),
+    shape=(4, 4),
+)
+PATTERN_ROWS = np.repeat(np.arange(4), np.diff(PATTERN.indptr))
 
 
 def test_edge_spmm_matches_dense_product(rng):
-    pattern = ad.edge_pattern(EDGE_ROWS, EDGE_COLS, (4, 4))
-    w = rng.normal(size=(EDGE_ROWS.size, 1))
+    w = rng.normal(size=(PATTERN.nnz, 1))
     x = rng.normal(size=(4, 3))
     dense = np.zeros((4, 4))
-    dense[EDGE_ROWS, EDGE_COLS] = w[:, 0]
+    dense[PATTERN_ROWS, PATTERN.indices] = w[:, 0]
     tape = Tape()
-    out = ad.edge_spmm(tape.leaf(w), tape.leaf(x), pattern)
+    out = ad.edge_spmm(tape.leaf(w), tape.leaf(x), PATTERN)
     np.testing.assert_allclose(out.values, dense @ x, rtol=1e-12, atol=1e-15)
 
 
 def test_edge_spmm_gradients(rng):
-    pattern = ad.edge_pattern(EDGE_ROWS, EDGE_COLS, (4, 4))
     x = rng.normal(size=(4, 3))
-    w = rng.normal(size=(EDGE_ROWS.size, 1))
+    w = rng.normal(size=(PATTERN.nnz, 1))
 
     def build_weights(v):
-        out = ad.edge_spmm(v, v.tape.leaf(x), pattern)
+        out = ad.edge_spmm(v, v.tape.leaf(x), PATTERN)
         return ad.sum_all(ad.hadamard(out, out))
 
     checked(build_weights, w)
 
     def build_x(v):
-        out = ad.edge_spmm(v.tape.leaf(w), v, pattern)
+        out = ad.edge_spmm(v.tape.leaf(w), v, PATTERN)
         return ad.sum_all(ad.hadamard(out, out))
 
     checked(build_x, x)
 
 
-def test_edge_pattern_rejects_bad_edges():
-    with pytest.raises(ContractError):
-        ad.edge_pattern(np.array([0, 1, 0]), np.array([1, 1, 1]), (2, 2))
-    with pytest.raises(DimensionError):
-        ad.edge_pattern(np.array([0, 2]), np.array([1, 1]), (2, 2))
-    pattern = ad.edge_pattern(EDGE_ROWS, EDGE_COLS, (4, 4))
+def test_edge_spmm_rejects_mismatched_shapes():
     tape = Tape()
     with pytest.raises(DimensionError):
-        ad.edge_spmm(tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((4, 2))), pattern)
+        ad.edge_spmm(tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((4, 2))), PATTERN)
+    with pytest.raises(DimensionError):
+        ad.edge_spmm(tape.leaf(np.ones((PATTERN.nnz, 1))), tape.leaf(np.ones((5, 2))), PATTERN)
 
 
 def test_scatter_rows_is_bitwise_equal_to_add_at(rng):

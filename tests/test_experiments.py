@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginigraph import cli
 from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_VARIANTS, run_matrix
@@ -29,6 +31,7 @@ from ginigraph.metrics import REPORT_FIELDS
 from ginigraph.models import fair_head_embed, load_checkpoint
 from ginigraph.perturb import perturb_noise, rewire_homophily
 from ginigraph.sweep import (
+    GRID_AXES,
     SweepSpec,
     _point_slug,
     aggregate_dir,
@@ -583,15 +586,75 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
 
 def test_cli_report_rejects_malformed_result_files(tmp_path, capsys):
     path, table = tmp_path / "result.json", str(tmp_path / "table.csv")
-    for payload in ({"auc": 0.5}, [1, 2]):
-        path.write_text(json.dumps(payload))
+    for text in (json.dumps({"auc": 0.5}), "[1, 2]", "{bad", "[" * 10**5 + "]" * 10**5):
+        path.write_text(text)
         code = cli.main(["report", "--results", str(path), "--out", table])
         captured = capsys.readouterr()
         assert code == 4
         assert str(path) in captured.err and captured.out == ""
+    # a field of the wrong type, or a non-finite number, is named before any output
+    valid = dict.fromkeys(REPORT_FIELDS, 0.5)
+    for field, value in (("auc", "x"), ("gini", True), ("lipschitz", None), ("f1", 1e400)):
+        path.write_text(json.dumps({**valid, field: value}))
+        assert cli.main(["report", "--results", str(path), "--out", table]) == 4
+        assert f"{path}: {field}:" in capsys.readouterr().err
     # keys that name no report field, such as the dropped a_gdif, are ignored
-    path.write_text(json.dumps({**dict.fromkeys(REPORT_FIELDS, 0.5), "a_gdif": 1.0}))
+    path.write_text(json.dumps({**valid, "a_gdif": 1.0}))
     assert cli.main(["report", "--results", str(path), "--out", table]) == 0
+
+
+def test_cli_report_rejects_malformed_run_directories(tmp_path, capsys):
+    table = str(tmp_path / "table.csv")
+    run = tmp_path / "run_a.json"
+    metrics = dict.fromkeys(REPORT_FIELDS, 0.5)
+    for record in (
+        {},
+        [],
+        "[" * 10**5 + "]" * 10**5,
+        {"point": {"beta2": 1.0}},
+        {"point": {"width": 1.0}, "error": "boom"},
+        {"point": {"beta2": "x"}, "error": "boom"},
+        {"point": {"beta2": 1.0}, "result": {"final_metrics": {**metrics, "auc": "x"}}},
+    ):
+        run.write_text(record if isinstance(record, str) else json.dumps(record))
+        assert cli.main(["report", "--results", str(tmp_path), "--out", table]) == 4
+        assert str(run) in capsys.readouterr().err
+    run.write_text(json.dumps({"point": {"beta2": 1.0}, "result": {"final_metrics": metrics}}))
+    assert cli.main(["report", "--results", str(tmp_path), "--out", table]) == 0
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+KEYS = st.sampled_from(
+    [*REPORT_FIELDS, *GRID_AXES, "point", "result", "final_metrics", "error", "group_sizes"]
+) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=6),
+    max_leaves=20,
+)
+# near-valid reports and run records, so the field checks are reached
+REPORTS = st.fixed_dictionaries({name: SCALARS for name in REPORT_FIELDS})
+RECORDS = st.fixed_dictionaries(
+    {
+        "point": st.dictionaries(st.sampled_from(GRID_AXES) | st.text(max_size=3), SCALARS),
+        "result": st.fixed_dictionaries({"final_metrics": REPORTS | JSON_VALUES}),
+    },
+    optional={"error": JSON_VALUES},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=JSON_VALUES | REPORTS | RECORDS,
+    as_dir=st.booleans(),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_cli_report_exits_cleanly_on_any_json(tmp_path_factory, payload, as_dir, fmt):
+    root = tmp_path_factory.mktemp("report")
+    run = root / "run_a.json"
+    run.write_text(json.dumps(payload))
+    argv = ["report", "--results", str(root if as_dir else run), "--out", str(root / "table")]
+    assert cli.main([*argv, "--format", fmt]) in (0, 2, 4)
 
 
 def test_cli_train_env_seed_overrides_flag(sbm_dir, tmp_path, capsys, monkeypatch):
@@ -824,9 +887,18 @@ def test_benchmark_summary_without_vanilla_or_fixed():
     rows = {
         "full": [bench_row(0, 1.0, 1.2), bench_row(1, 3.0, 1.1)],
         "no_attention": [bench_row(0, 2.0, 1.3), bench_row(1, 2.0, 1.4)],
+        "no_l3": [bench_row(0, 5.0, 1.4), bench_row(1, 5.0, 1.05)],
     }
     summary = summarize(rows)
-    assert summary["comparison"] == {"attention_win_seeds": 1}
+    # the per-seed ratios behind the gates: a margin, not only a count
+    assert summary["comparison"] == {
+        "attention_win_seeds": 1,
+        "no_l3_gd_worse_seeds": 1,
+        "gate_ratios": {
+            "full/no_attention IF": [0.5, 1.5],
+            "no_l3/full |GD-1|": [pytest.approx(2.0), pytest.approx(0.5)],
+        },
+    }
     assert summary["full"]["if"] == 2.0
     assert "comparison" not in summarize({"full": rows["full"]})
 

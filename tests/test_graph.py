@@ -14,7 +14,6 @@ from ginigraph.graph import (
     SimilaritySet,
     attr_similarity,
     build_similarity,
-    edges_from_features,
     graph_summary,
     laplacian_apply,
     load_graph,
@@ -180,7 +179,9 @@ def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
     part = GroupPartition.from_values(rng.integers(0, 3, size=12))
     pairs = part.within_pairs(s)
     assert len(pairs) == part.m
-    for g, (rows, cols, weights) in enumerate(pairs):
+    for g, group in enumerate(pairs):
+        assert group.n == s.n
+        rows, cols, weights = group.pair_arrays()
         members = part.members(g)
         sub = s.restrict(members)
         np.testing.assert_array_equal(rows, members[sub.rows])
@@ -277,16 +278,6 @@ def test_build_similarity_dispatches_on_mode(rng, graph_factory):
             np.testing.assert_array_equal(a, b)
     with pytest.raises(ConfigError):
         build_similarity(graph, "cosine", 3)
-
-
-def test_edges_from_features_euclidean_and_cosine(rng):
-    feats = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [0.0, 1.1]])
-    edges = edges_from_features(feats, threshold=1.2, metric="euclidean")
-    assert {(int(i), int(j)) for i, j in edges} == {(0, 1), (0, 3), (1, 3)}
-    cos_edges = edges_from_features(feats, threshold=0.99, metric="cosine")
-    assert {(int(i), int(j)) for i, j in cos_edges} == {(1, 3)}
-    with pytest.raises(ContractError):
-        edges_from_features(feats, 1.0, metric="manhattan")
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -160,31 +160,36 @@ def manual_fair_head(z0, weights, edges, attention=True):
     t = z0 @ weights["W"]
     h = t.shape[1]
     a = weights["a"]
-    src = t[edges.neighbors]
+    n = edges.shape[0]
+    centers = np.repeat(np.arange(n), np.diff(edges.indptr))
+    src = t[edges.indices]
     if attention:
-        raw = np_leaky(t[edges.centers] @ a[:h] + src @ a[h:])
-        gated = raw * edges.sim_values[:, None]
+        raw = np_leaky(t[centers] @ a[:h] + src @ a[h:])
+        gated = raw * edges.data[:, None]
         alpha = np.zeros_like(gated)
-        for i in range(edges.n):
-            mask = edges.centers == i
+        for i in range(n):
+            mask = centers == i
             g = gated[mask, 0]
             e = np.exp(g - g.max())
             alpha[mask, 0] = e / e.sum()
     else:
-        counts = np.bincount(edges.centers, minlength=edges.n)
-        alpha = (1.0 / counts[edges.centers])[:, None]
-    agg = np.zeros((edges.n, h))
-    np.add.at(agg, edges.centers, alpha * src)
+        counts = np.bincount(centers, minlength=n)
+        alpha = (1.0 / counts[centers])[:, None]
+    agg = np.zeros((n, h))
+    np.add.at(agg, centers, alpha * src)
     return np_elu(agg)
 
 
 def test_attention_edges_include_self_loops(rng):
     s = build_random_similarity(rng, 7)
     edges = attention_edges(s)
-    assert edges.centers.size == 2 * s.num_pairs + 7
-    assert np.all(edges.sim_values[-7:] == 1.0)
-    # every node has at least its self-loop
-    assert set(np.unique(edges.centers)) == set(range(7))
+    assert edges.nnz == 2 * s.num_pairs + 7
+    # row i lists i's neighbours and i itself, columns ascending
+    for i in range(7):
+        row = edges.indices[edges.indptr[i] : edges.indptr[i + 1]]
+        assert i in row and np.all(np.diff(row) > 0)
+    # data holds the similarities, with 1.0 on the diagonal
+    np.testing.assert_array_equal(edges.toarray(), s.to_dense() + np.eye(7))
 
 
 @pytest.mark.parametrize("attention", [True, False])
@@ -302,25 +307,55 @@ def test_checkpoint_rejects_bad_header(tmp_path):
         load_checkpoint(path)
 
 
+GCN_3_2 = {"W1": (3, 2), "W2": (2, 2), "w_out": (2, 1), "b_out": (1, 1)}
+HEAD_2 = {"W": (2, 2), "a": (4, 1), "w_out": (2, 1), "b_out": (1, 1)}
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, layout",
     [
-        ("variant gcn", "variant foo"),
-        ("section backbone 4", "section backbone four"),
-        ("matrix W1 3 2", "matrix W1 3 x"),
-        ("ROW", "0.5 abc"),
-        ("ROW", "nan 0.5"),
-        ("ROW", "0.5"),
-        ("ROW", None),
+        ("variant gcn", "variant foo", None),
+        ("section backbone 4", "section backbone four", None),
+        ("matrix W1 3 2", "matrix W1 3 x", None),
+        ("ROW", "0.5 abc", None),
+        ("ROW", "nan 0.5", None),
+        ("ROW", "0.5", None),
+        ("ROW", None, None),
+        ("section fair 0", "section head 0", None),
+        ("variant gcn", "variant gin", None),
+        (None, None, ({"W1": (1, 2)}, {})),
+        (None, None, ({**GCN_3_2, "W2": (2, 3)}, {})),
+        (None, None, ({**GCN_3_2, "w_out": (3, 1)}, {})),
+        (None, None, ({**GCN_3_2, "P1": (2, 2)}, {})),
+        (None, None, (GCN_3_2, {**HEAD_2, "a": (2, 1)})),
+        (None, None, (GCN_3_2, {"W": (3, 3), "a": (6, 1), "w_out": (3, 1), "b_out": (1, 1)})),
     ],
-    ids=["variant", "count", "shape", "value", "nan", "short-row", "truncated"],
+    ids=[
+        "variant", "count", "shape", "value", "nan", "short-row", "truncated", "section",
+        "other-variant", "only-W1", "W2-shape", "hidden-mismatch", "extra-matrix",
+        "head-shape", "head-width",
+    ],
 )
-def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, rng, old, new):
+def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, rng, old, new, layout):
     path = tmp_path / "model.txt"
-    save_checkpoint(path, ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng)))
-    lines = path.read_text().splitlines()
-    at = lines.index("matrix W1 3 2") + 1 if old == "ROW" else lines.index(old)
-    lines = lines[: at + 1] if new is None else lines[:at] + [new] + lines[at + 1 :]
-    path.write_text("\n".join(lines) + "\n")
+    if layout is None:
+        params = ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng))
+    else:
+        backbone, fair = ({name: np.ones(shape) for name, shape in part.items()} for part in layout)
+        params = ModelParams(variant="gcn", backbone=backbone, fair=fair)
+    save_checkpoint(path, params)
+    if old is not None:
+        lines = path.read_text().splitlines()
+        at = lines.index("matrix W1 3 2") + 1 if old == "ROW" else lines.index(old)
+        lines = lines[: at + 1] if new is None else lines[:at] + [new] + lines[at + 1 :]
+        path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+def test_checkpoint_layouts_of_every_variant_load(tmp_path, rng):
+    for variant in BACKBONES:
+        path = tmp_path / f"{variant}.txt"
+        params = ModelParams(variant, init_backbone(variant, 5, 3, rng), init_fair_head(3, rng))
+        save_checkpoint(path, params)
+        assert load_checkpoint(path).hidden == 3
