@@ -24,6 +24,7 @@ from .graph import (
     topo_similarity,
 )
 from .losses import (
+    group_trace_tensors,
     group_welfare_loss,
     nswp_value,
     smoothness_loss,
@@ -86,6 +87,7 @@ __all__ = [
     "finite_diff_check",
     "gdif",
     "group_ginis",
+    "group_trace_tensors",
     "group_traces",
     "group_welfare_loss",
     "kmeans",

@@ -6,6 +6,10 @@ record in reverse and accumulates gradients into every reachable node, so a
 single forward graph supports several backward sweeps (each sweep resets the
 stored gradients first).
 
+A leaf made with constant=True (input features, labels, fixed similarities)
+never receives a gradient: the ops skip computing the gradient of a constant
+operand, and spmm of a constant is itself a constant with no backward.
+
 Forward values never depend on whether tracing is on: a Tape built with
 tracing=False runs the identical numpy code and simply skips recording.
 Every operation checks its output for NaN/Inf and raises NumericalError on
@@ -21,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, DimensionError, DomainError, NumericalError
+from .graph import SimilaritySet, laplacian_apply
 
 Array = np.ndarray
 
@@ -50,9 +55,9 @@ class Tape:
         self.tracing = tracing
         self._nodes: list[Tensor] = []
 
-    def leaf(self, values, name: str | None = None) -> "Tensor":
-        """Create an input node (parameter or constant)."""
-        return Tensor(_as_matrix(values).copy(), self, name=name)
+    def leaf(self, values, name: str | None = None, constant: bool = False) -> "Tensor":
+        """Create an input node: a parameter, or with constant=True a value with no gradient."""
+        return Tensor(_as_matrix(values).copy(), self, name=name, constant=constant)
 
     def _record(self, t: "Tensor") -> None:
         if self.tracing:
@@ -92,7 +97,7 @@ class Tape:
 class Tensor:
     """A node on a tape: a matrix value plus the closure that backpropagates it."""
 
-    __slots__ = ("values", "tape", "name", "op", "grad", "_backward")
+    __slots__ = ("values", "tape", "name", "op", "constant", "grad", "_backward")
 
     def __init__(
         self,
@@ -102,14 +107,17 @@ class Tensor:
         name: str | None = None,
         op: str = "leaf",
         backward: Callable[[Array], None] | None = None,
+        constant: bool = False,
     ):
         self.values = values
         self.tape = tape
         self.name = name
         self.op = op
+        self.constant = constant
         self.grad: Array | None = None
         self._backward = backward
-        tape._record(self)
+        if not constant:  # nothing flows into a constant, so no sweep visits it
+            tape._record(self)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -124,6 +132,8 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    if t.constant:
+        return
     if t.grad is None:
         t.grad = np.zeros_like(t.values)
     t.grad += g
@@ -156,8 +166,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _ensure_finite(a.values @ b.values, "matmul")
 
     def backward(g: Array) -> None:
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        if not a.constant:
+            _accumulate(a, g @ b.values.T)
+        if not b.constant:
+            _accumulate(b, a.values.T @ g)
 
     return Tensor(out, tape, op="matmul", backward=backward)
 
@@ -168,6 +180,8 @@ def spmm(mat: sp.spmatrix, x: Tensor) -> Tensor:
         raise DimensionError(f"spmm mismatch: {mat.shape} @ {x.shape}")
     mat = mat.tocsr()
     out = _ensure_finite(np.asarray(mat @ x.values), "spmm")
+    if x.constant:
+        return Tensor(out, x.tape, op="spmm", constant=True)
 
     def backward(g: Array) -> None:
         _accumulate(x, np.asarray(mat.T @ g))
@@ -208,8 +222,10 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     out = _ensure_finite(a.values * b.values, "hadamard")
 
     def backward(g: Array) -> None:
-        _accumulate(a, g * b.values)
-        _accumulate(b, g * a.values)
+        if not a.constant:
+            _accumulate(a, g * b.values)
+        if not b.constant:
+            _accumulate(b, g * a.values)
 
     return Tensor(out, a.tape, op="hadamard", backward=backward)
 
@@ -419,7 +435,8 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
 
     w[p] is the weight at CSR position p: row r for indptr[r] <= p < indptr[r+1],
     column indices[p]; the pattern's own data is not read. The backward gives
-    dx = A(w)^T g and dw_p = g[r] . x[indices[p]].
+    dx = A(w)^T g and dw_p = g[r] . x[indices[p]]; the row of each position and
+    the rows x[indices] are gathered once, by the first sweep over this graph.
     """
     _same_tape(weights, x)
     if weights.shape != (pattern.nnz, 1):
@@ -430,10 +447,14 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
         (weights.values[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
     )
     out = _ensure_finite(mat @ x.values, "edge-spmm")
+    rows = neighbors = None
 
     def backward(g: Array) -> None:
-        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-        dw = np.einsum("ij,ij->i", g[rows], x.values[pattern.indices])
+        nonlocal rows, neighbors
+        if rows is None:
+            rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+            neighbors = x.values[pattern.indices]
+        dw = np.einsum("ij,ij->i", g[rows], neighbors)
         _accumulate(weights, dw[:, None])
         _accumulate(x, mat.T @ g)
 
@@ -445,35 +466,27 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def pair_trace_values(z: Array, rows: Array, cols: Array, weights: Array) -> tuple[float, Array]:
-    """sum_p w_p ||z[rows_p] - z[cols_p]||_2^2 on plain arrays, and the pair differences."""
+def pair_trace_values(z: Array, rows: Array, cols: Array, weights: Array) -> float:
+    """sum_p w_p ||z[rows_p] - z[cols_p]||_2^2 on plain arrays."""
     diff = z[rows] - z[cols]
-    return float(np.sum(weights * np.sum(diff * diff, axis=1))), diff
+    return float(np.sum(weights * np.sum(diff * diff, axis=1)))
 
 
-def quadratic_pair_form(z: Tensor, rows: Array, cols: Array, weights: Array) -> Tensor:
-    """sum_p w_p * ||z[i_p] - z[j_p]||_2^2 over unordered pairs, as a scalar.
+def quadratic_pair_form(z: Tensor, pairs: SimilaritySet) -> Tensor:
+    """sum_p w_p * ||z[i_p] - z[j_p]||_2^2 over the set's unordered pairs, as a scalar.
 
-    With symmetric weights this equals Tr(Z^T L Z) for the graph Laplacian
-    L = D - S built from the same pairs; the gradient 2 L Z is accumulated
-    pair-by-pair so the dense Laplacian is never materialized.
+    This is Tr(Z^T L Z) for the Laplacian L = D - S of the same pairs. The
+    forward sums pair by pair (pair_trace_values, the expression of
+    metrics.trace_form); the backward is the one sparse product 2 g L Z on the
+    set's own CSR matrix and degree vector (graph.laplacian_apply), so the
+    dense Laplacian is never materialized.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if not (rows.shape == cols.shape == weights.shape) or rows.ndim != 1:
-        raise DimensionError("pair arrays must be 1-D and equal length")
-    n = z.shape[0]
-    if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-        raise DimensionError("pair index out of range")
-    trace, diff = pair_trace_values(z.values, rows, cols, weights)
-    out = np.array([[trace]])
+    if z.shape[0] != pairs.n:
+        raise DimensionError(f"pair set over {pairs.n} nodes, embeddings have {z.shape[0]} rows")
+    out = np.array([[pair_trace_values(z.values, *pairs.pair_arrays())]])
 
     def back(g: Array) -> Array:
-        contrib = (2.0 * g[0, 0]) * weights[:, None] * diff
-        return _scatter_rows(
-            np.concatenate([rows, cols]), np.concatenate([contrib, -contrib]), n
-        )
+        return (2.0 * g[0, 0]) * laplacian_apply(pairs, z.values)
 
     return _unary(z, _ensure_finite(out, "quadratic-pair-form"), "quadratic-pair-form", back)
 

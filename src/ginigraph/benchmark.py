@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .graph import GroupPartition, topo_similarity
 from .synthetic import SbmSpec, sbm_generate
-from .trainer import RunResult, TrainConfig, train
+from .trainer import RunResult, TrainConfig, pretrain, train
 
 BENCHMARK_BASE = dict(
     hidden=16,
@@ -46,6 +46,9 @@ def run_matrix(
     set and partition before the next seed starts. overrides update
     BENCHMARK_BASE for every run; variants names a subset of
     BENCHMARK_VARIANTS (all of them, in table order, when empty or None).
+
+    The variants change only fairness-stage fields, so a seed's variants share
+    one pretraining, and each result's wall_seconds excludes it.
     """
     names = list(variants or BENCHMARK_VARIANTS)
     base = {**BENCHMARK_BASE, **(overrides or {})}
@@ -53,6 +56,7 @@ def run_matrix(
         graph = sbm_generate(SbmSpec(**BENCHMARK_SBM), seed)
         similarity = topo_similarity(graph, base["top_k"])
         partition = GroupPartition.from_values(graph.sensitive)
+        pretrained = pretrain(graph, TrainConfig(seed=seed, **base))
         for name in names:
             config = TrainConfig(seed=seed, **{**base, **BENCHMARK_VARIANTS[name]})
-            yield seed, name, train(graph, similarity, partition, config)
+            yield seed, name, train(graph, similarity, partition, config, pretrained)

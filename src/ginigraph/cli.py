@@ -232,8 +232,12 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = SweepSpec.from_json_dict(json.load(fh))
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise DataFormatError(f"{args.spec}: {exc}") from exc
+    spec = SweepSpec.from_json_dict(raw)
     rows = run_sweep(spec, args.out_dir)
     out = Path(args.out_dir)
     write_sweep_table(rows, out / "table.csv", "csv")

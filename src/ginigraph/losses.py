@@ -3,13 +3,16 @@
 - utility: mean binary cross-entropy of node logits on an index set, computed
   through softplus so large logits cannot overflow.
 - smoothness: the similarity-weighted Laplacian quadratic form
-  sum_pairs w ||z_i - z_j||_2^2 (gradient 2 L Z, accumulated sparsely).
+  sum_pairs w ||z_i - z_j||_2^2 (gradient 2 L Z, one sparse product on the
+  similarity set's CSR matrix).
 - tail surrogates: smooth stand-ins that focus on the largest pairwise gaps
   instead of their mean (softmax weighting with a temperature, or the mean of
   the top fraction of gaps).
 - group welfare: a Nash-social-welfare style penalty on per-group smoothness
   traces; each ordered pair (g, h) contributes -(t_g/t_h - 1)(t_h/t_g - 1),
   which is (r - 1)^2 / r >= 0 for the ratio r, zero iff the traces match.
+  The traces are built first (group_trace_tensors), so a caller can read
+  them off the tape as well.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Ten
     if np.any((y != 0.0) & (y != 1.0)):
         raise DomainError("utility loss needs binary labels on the index set")
     z = ad.gather_rows(logits, index)
-    y_pos = tape.leaf(y[:, None], "y")
-    y_neg = tape.leaf((1.0 - y)[:, None], "1-y")
+    y_pos = tape.leaf(y[:, None], "y", constant=True)
+    y_neg = tape.leaf((1.0 - y)[:, None], "1-y", constant=True)
     terms = ad.add(
         ad.hadamard(y_pos, ad.softplus(ad.scale(z, -1.0))),
         ad.hadamard(y_neg, ad.softplus(z)),
@@ -48,8 +51,7 @@ def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Ten
 
 def smoothness_loss(z: Tensor, similarity: SimilaritySet) -> Tensor:
     """Laplacian quadratic form over the similarity pairs, as a tape scalar."""
-    rows, cols, weights = similarity.pair_arrays()
-    return ad.quadratic_pair_form(z, rows, cols, weights)
+    return ad.quadratic_pair_form(z, similarity)
 
 
 def pair_gap_tensor(z: Tensor, similarity: SimilaritySet) -> Tensor:
@@ -106,19 +108,20 @@ def group_context(
 
 
 def group_trace_tensors(z: Tensor, ctx: tuple[SimilaritySet, ...]) -> list[Tensor]:
-    """Per-group smoothness traces with a small floor, as 1x1 tensors."""
-    return [
-        ad.add_const(ad.quadratic_pair_form(z, *group.pair_arrays()), TRACE_FLOOR)
-        for group in ctx
-    ]
+    """Per-group smoothness traces, as 1x1 tensors; each equals metrics.trace_form."""
+    return [ad.quadratic_pair_form(z, group) for group in ctx]
 
 
-def group_welfare_loss(z: Tensor, ctx: tuple[SimilaritySet, ...]) -> Tensor:
-    """Nash-welfare penalty on trace ratios, averaged over ordered group pairs."""
-    m = len(ctx)
+def group_welfare_loss(group_traces: list[Tensor]) -> Tensor:
+    """Nash-welfare penalty on trace ratios, averaged over ordered group pairs.
+
+    group_traces are the per-group traces of group_trace_tensors; each gets
+    TRACE_FLOOR added first, so a group with no spread cannot divide by zero.
+    """
+    m = len(group_traces)
     if m < 2:
         raise ContractError("group welfare needs at least two groups")
-    traces = group_trace_tensors(z, ctx)
+    traces = [ad.add_const(t, TRACE_FLOOR) for t in group_traces]
     total: Tensor | None = None
     for i in range(m):
         for j in range(m):

@@ -49,7 +49,7 @@ def trace_form(similarity: SimilaritySet, z: Array) -> float:
 
     The forward of autodiff.quadratic_pair_form over the same pairs, bit for bit.
     """
-    return pair_trace_values(_embedding(similarity, z), *similarity.pair_arrays())[0]
+    return pair_trace_values(_embedding(similarity, z), *similarity.pair_arrays())
 
 
 def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> float:

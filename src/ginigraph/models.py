@@ -184,7 +184,7 @@ def fair_head_embed(
             ),
             LEAKY_SLOPE,
         )
-        gated = ad.hadamard(raw, tape.leaf(edges.data[:, None], "sim"))
+        gated = ad.hadamard(raw, tape.leaf(edges.data[:, None], "sim", constant=True))
         alpha = ad.segment_softmax(gated, centers, n)
         return ad.elu(ad.edge_spmm(alpha, t, edges))
     # constant weights: a plain sparse product, with no edge-weight gradient

@@ -38,6 +38,7 @@ from .graph import Graph, GroupPartition, SimilaritySet, _write_table, split_nod
 from .losses import (
     combine_losses,
     group_context,
+    group_trace_tensors,
     group_welfare_loss,
     smoothness_loss,
     surrogate_loss,
@@ -232,7 +233,7 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
     for _ in range(config.pretrain_epochs):
         tape = Tape()
         leaves = as_leaves(tape, weights)
-        x = tape.leaf(graph.features, "x")
+        x = tape.leaf(graph.features, "x", constant=True)
         z = backbone_embed(config.backbone, leaves, x, operators)
         logits = readout_logits(z, leaves)
         loss = utility_loss(logits, graph.labels, graph.train_mask, tape)
@@ -308,15 +309,24 @@ def train(
     similarity: SimilaritySet,
     partition: GroupPartition | None,
     config: TrainConfig,
+    pretrained: tuple[dict[str, Array], Array] | None = None,
 ) -> RunResult:
-    """Full two-stage run; see the module docstring for the schedule."""
+    """Full two-stage run; see the module docstring for the schedule.
+
+    pretrained is what pretrain(graph, config) returns, for a caller that
+    trains several configs which differ only in the fairness stage; the run
+    then skips stage 1, and wall_seconds excludes it.
+    """
     started = time.monotonic()
     config.validate()
     graph = _ensure_masks(graph, config.seed)
     if similarity.n != graph.n:
         raise ContractError("similarity set does not match the graph")
 
-    backbone_weights, z0_values = pretrain(graph, config)
+    if pretrained is None:
+        pretrained = pretrain(graph, config)
+    backbone_weights = {name: w.copy() for name, w in pretrained[0].items()}
+    z0_values = pretrained[1]
     rng = np.random.default_rng(config.seed + 1)
     fair_weights = init_fair_head(config.hidden, rng, scale=config.head_scale)
     edges = attention_edges(similarity)
@@ -344,7 +354,7 @@ def train(
     for epoch in range(config.max_epochs):
         tape = Tape()
         leaves = as_leaves(tape, fair_weights)
-        z0 = tape.leaf(z0_values, "z0")
+        z0 = tape.leaf(z0_values, "z0", constant=True)
         h = fair_head_embed(z0, leaves, edges, tape, attention=config.attention)
         logits = readout_logits(h, leaves)
 
@@ -358,7 +368,8 @@ def train(
                 )
             )
         if 2 in active:
-            terms.append(group_welfare_loss(h, ctx))
+            group_traces = group_trace_tensors(h, ctx)
+            terms.append(group_welfare_loss(group_traces))
 
         losses = np.zeros(3)
         losses[active] = [float(t.values[0, 0]) for t in terms]
@@ -376,9 +387,12 @@ def train(
         # the plain smoothness term is this trace, from the same expression
         plain = 1 in active and config.surrogate == "none"
         if_value = float(losses[1]) if plain else trace_form(similarity, h.values)
-        # unfloored traces: the tape's carry TRACE_FLOOR, and runs without the
-        # welfare term have none on the tape
-        gd = average_gdif([trace_form(p, h.values) for p in ctx]) if ctx else float("nan")
+        # the welfare term's group traces are trace_form's, bit for bit, and
+        # unfloored; runs without that term compute them off the tape
+        if 2 in active:
+            gd = average_gdif([t.values[0, 0] for t in group_traces])
+        else:
+            gd = average_gdif([trace_form(p, h.values) for p in ctx]) if ctx else float("nan")
         tape.release()
         history.append(
             EpochRecord(epoch, *map(float, losses), *map(float, betas), val_auc, if_value, gd)

@@ -21,6 +21,7 @@ from ginigraph.gradnorm import GradNormController
 from ginigraph.losses import (
     combine_losses,
     group_context,
+    group_trace_tensors,
     group_welfare_loss,
     nswp_value,
     smoothness_loss,
@@ -185,7 +186,7 @@ def loss_value_and_grad(
         if name == "smoothness":
             return smoothness_loss(h, similarity)
         if name == "welfare":
-            return group_welfare_loss(h, ctx)
+            return group_welfare_loss(group_trace_tensors(h, ctx))
         if name == "softmax":
             return surrogate_loss(h, similarity, "softmax", temperature=1.0)
         if name == "topk":

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ginigraph import autodiff as ad
 from ginigraph.autodiff import Tape, finite_diff_check, tape_evaluator
 from ginigraph.errors import ContractError, DimensionError, DomainError, NumericalError
+from ginigraph.graph import SimilaritySet
 
 
 def checked(build, point, tol=1e-6, step=1e-6):
@@ -290,7 +291,7 @@ def test_quadratic_pair_form_equals_dense_trace(rng):
         lap = dense_laplacian(n, rows, cols, weights)
         expected = float(np.trace(z.T @ lap @ z))
         tape = Tape()
-        out = ad.quadratic_pair_form(tape.leaf(z), rows, cols, weights)
+        out = ad.quadratic_pair_form(tape.leaf(z), SimilaritySet(n, rows, cols, weights))
         np.testing.assert_allclose(out.values[0, 0], expected, rtol=1e-12)
 
 
@@ -302,9 +303,29 @@ def test_quadratic_pair_form_backward_is_two_l_z(rng):
     z = rng.normal(size=(n, 4))
     tape = Tape()
     leaf = tape.leaf(z)
-    tape.backward(ad.quadratic_pair_form(leaf, rows, cols, weights))
+    tape.backward(ad.quadratic_pair_form(leaf, SimilaritySet(n, rows, cols, weights)))
     lap = dense_laplacian(n, rows, cols, weights)
     np.testing.assert_allclose(leaf.grad, 2.0 * lap @ z, rtol=1e-10, atol=1e-12)
+
+
+def test_quadratic_pair_form_gradient_on_a_group_subset(rng):
+    # a group's pair set keeps the global n: nodes 0, 4 and 6 lie outside the
+    # group {1, 2, 3, 5}, and node 6 is in no pair at all
+    rows = np.array([1, 1, 2, 3, 0, 4])
+    cols = np.array([2, 3, 5, 5, 4, 5])
+    weights = rng.uniform(0.1, 1.0, size=rows.size)
+    in_group = np.isin(rows, [1, 2, 3, 5]) & np.isin(cols, [1, 2, 3, 5])
+    group = SimilaritySet(7, rows[in_group], cols[in_group], weights[in_group])
+    report = checked(
+        lambda z: ad.quadratic_pair_form(z, group), rng.normal(size=(7, 3)), tol=1e-4
+    )
+    assert not report.analytic[[0, 4, 6]].any()
+
+
+def test_quadratic_pair_form_rejects_a_set_of_another_size(rng):
+    tape = Tape()
+    with pytest.raises(DimensionError):
+        ad.quadratic_pair_form(tape.leaf(rng.normal(size=(4, 2))), SimilaritySet(5, [0], [1], [1.0]))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -319,9 +340,7 @@ def test_quadratic_pair_form_nonnegative(seed):
     tape = Tape()
     out = ad.quadratic_pair_form(
         tape.leaf(rng.normal(size=(n, 3))),
-        i[keep],
-        j[keep],
-        rng.uniform(0.01, 1.0, size=int(keep.sum())),
+        SimilaritySet(n, i[keep], j[keep], rng.uniform(0.01, 1.0, size=int(keep.sum()))),
     )
     assert out.values[0, 0] >= 0.0
 
@@ -350,6 +369,36 @@ def test_repeated_backward_sweeps_are_independent(rng):
     np.testing.assert_allclose(x.grad, np.ones_like(x.values))
     tape.backward(a)
     np.testing.assert_allclose(x.grad, first)
+
+
+def test_constant_leaves_get_no_gradient_and_leave_the_others_unchanged(rng):
+    x_values, s_values = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    w_values, c_values = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+    mat = sp.random(5, 5, density=0.5, random_state=1, format="csr")
+
+    def run(constant):
+        tape = Tape()
+        x, s, c = (tape.leaf(v, constant=constant) for v in (x_values, s_values, c_values))
+        w = tape.leaf(w_values)
+        h = ad.hadamard(ad.hadamard(s, ad.spmm(mat, x) @ w), s) @ c
+        out = ad.sum_all(ad.elu(ad.add(h, x @ w)))
+        tape.backward(out)
+        return out, w, (x, s, c)
+
+    plain_out, plain_w, plain_leaves = run(False)
+    out, w, leaves = run(True)
+    assert all(leaf.grad is None for leaf in leaves)
+    assert all(leaf.grad is not None for leaf in plain_leaves)
+    np.testing.assert_array_equal(out.values, plain_out.values)
+    np.testing.assert_array_equal(w.grad, plain_w.grad)
+
+
+def test_spmm_of_a_constant_records_no_backward(rng):
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(4, 2)), constant=True)
+    out = ad.spmm(sp.identity(4, format="csr"), x)
+    assert out.constant and out._backward is None
+    assert all(node is not out and node is not x for node in tape._nodes)
 
 
 def test_released_tape_frees_its_tensors_without_gc(rng):

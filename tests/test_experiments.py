@@ -13,17 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginigraph import cli
-from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_VARIANTS, run_matrix
+from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_SBM, BENCHMARK_VARIANTS, run_matrix
 from ginigraph.clustering import kmeans, kmeans_elbow
 from ginigraph.config import SEED_ENV_VAR, load_config, parse_config_text
 from ginigraph.errors import ConfigError, ContractError, DomainError, NumericalError
 from ginigraph import trainer
 from ginigraph.graph import (
     Graph,
+    GroupPartition,
     build_similarity,
     load_graph,
     read_embedding_csv,
     read_scores_csv,
+    topo_similarity,
     write_embedding_csv,
     write_scores_csv,
 )
@@ -836,6 +838,21 @@ def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys)
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"{bad", b"\xff\xfe", b"[" * 10**5 + b"]" * 10**5],
+    ids=["not-json", "not-utf8", "nested-too-deep"],
+)
+def test_cli_sweep_rejects_an_unreadable_spec_with_exit_4(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code = cli.main(["sweep", "--spec", str(path), "--out-dir", str(tmp_path / "sweep")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("I/O error: ") and str(path) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     off = dict(
@@ -901,6 +918,19 @@ def test_benchmark_summary_without_vanilla_or_fixed():
     }
     assert summary["full"]["if"] == 2.0
     assert "comparison" not in summarize({"full": rows["full"]})
+
+
+def test_run_matrix_logs_equal_unshared_runs(tmp_path):
+    overrides = dict(pretrain_epochs=3, max_epochs=2, patience=2)
+    runs = list(run_matrix((0,), overrides, variants=["full", "no_attention"]))
+    graph = sbm_generate(SbmSpec(**BENCHMARK_SBM), 0)
+    similarity = topo_similarity(graph, BENCHMARK_BASE["top_k"])
+    partition = GroupPartition.from_values(graph.sensitive)
+    for _, name, shared in runs:
+        alone = trainer.train(graph, similarity, partition, shared.config)
+        trainer.write_training_log(tmp_path / "shared.csv", shared.history)
+        trainer.write_training_log(tmp_path / "alone.csv", alone.history)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_run_matrix_is_seed_major_on_the_shared_base():

@@ -235,7 +235,7 @@ def test_group_welfare_tensor_matches_floored_oracle(rng):
     z_values = rng.normal(size=(10, 3))
     tape = Tape()
     z = tape.leaf(z_values)
-    loss = group_welfare_loss(z, ctx)
+    loss = group_welfare_loss(group_trace_tensors(z, ctx))
     raw = [
         trace_form(s.restrict(part.members(g)), z_values[part.members(g)])
         for g in range(part.m)
@@ -245,15 +245,20 @@ def test_group_welfare_tensor_matches_floored_oracle(rng):
     assert loss.values[0, 0] >= 0.0
 
 
-def test_group_trace_tensors_apply_floor(rng):
+def test_group_welfare_floors_zero_traces(rng):
     s = build_random_similarity(rng, 6)
     part = GroupPartition.from_values(np.array([0, 0, 0, 1, 1, 1]))
     ctx = group_context(s, part)
     tape = Tape()
-    z = tape.leaf(np.zeros((6, 2)))
-    traces = group_trace_tensors(z, ctx)
-    for t in traces:
-        np.testing.assert_allclose(t.values[0, 0], TRACE_FLOOR)
+    z_values = np.zeros((6, 2))
+    z_values[3:] = rng.normal(size=(3, 2))
+    traces = group_trace_tensors(tape.leaf(z_values), ctx)
+    # the traces are unfloored and equal trace_form; the penalty floors them
+    assert [t.values[0, 0] for t in traces] == [trace_form(g, z_values) for g in ctx]
+    assert traces[0].values[0, 0] == 0.0
+    loss = group_welfare_loss(traces)
+    floored = [t.values[0, 0] + TRACE_FLOOR for t in traces]
+    np.testing.assert_allclose(loss.values[0, 0], nswp_value(floored), rtol=1e-10)
 
 
 def test_group_welfare_requires_two_groups(rng):
@@ -261,7 +266,7 @@ def test_group_welfare_requires_two_groups(rng):
     ctx = group_context(s, GroupPartition.from_values(np.zeros(4, dtype=int)))
     tape = Tape()
     with pytest.raises(ContractError):
-        group_welfare_loss(tape.leaf(rng.normal(size=(4, 2))), ctx)
+        group_welfare_loss(group_trace_tensors(tape.leaf(rng.normal(size=(4, 2))), ctx))
 
 
 def test_group_welfare_gradient(rng):
@@ -270,7 +275,7 @@ def test_group_welfare_gradient(rng):
     ctx = group_context(s, part)
 
     def build(tape, z):
-        return group_welfare_loss(z, ctx)
+        return group_welfare_loss(group_trace_tensors(z, ctx))
 
     point = rng.normal(size=(9, 3))
     report = finite_diff_check(embedding_evaluator(build, (9, 3)), point, step=1e-6)

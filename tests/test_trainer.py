@@ -13,11 +13,12 @@ from ginigraph.graph import Graph, GroupPartition, attr_similarity
 from ginigraph.losses import (
     combine_losses,
     group_context,
+    group_trace_tensors,
     group_welfare_loss,
     smoothness_loss,
     utility_loss,
 )
-from ginigraph.metrics import compute_report, rank_auc, trace_form
+from ginigraph.metrics import average_gdif, compute_report, rank_auc, trace_form
 from ginigraph.models import (
     ModelParams,
     as_leaves,
@@ -216,6 +217,21 @@ def test_train_is_bitwise_deterministic(tmp_path, fixture_data):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_train_on_a_shared_pretraining_logs_bitwise_equal(tmp_path, fixture_data):
+    graph, similarity, partition = fixture_data
+    config = quick_config(max_epochs=5)
+    pretrained = pretrain(graph, config)
+    shared = train(graph, similarity, partition, config, pretrained)
+    alone = train(graph, similarity, partition, quick_config(max_epochs=5))
+    write_training_log(tmp_path / "shared.csv", shared.history)
+    write_training_log(tmp_path / "alone.csv", alone.history)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    for name, weights in pretrained[0].items():
+        np.testing.assert_array_equal(shared.params.backbone[name], weights)
+        # each result owns its backbone, so callers sharing a pretraining stay apart
+        assert shared.params.backbone[name] is not weights
+
+
 def test_training_log_format(tmp_path, fixture_data):
     graph, similarity, partition = fixture_data
     result = train(graph, similarity, partition, quick_config(max_epochs=3))
@@ -261,6 +277,27 @@ def test_missing_partition_disables_group_term(fixture_data):
     assert np.isnan(result.history[-1].gd)
 
 
+@pytest.mark.parametrize(
+    "overrides", [dict(), dict(beta3=0.0), dict(beta2=0.0, beta3=0.0)], ids=["full", "no_l3", "vanilla"]
+)
+def test_logged_gd_is_the_trace_form_gdif_of_each_epoch(fixture_data, monkeypatch, overrides):
+    graph, similarity, partition = fixture_data
+    heads = []
+
+    def recording(*args, **kwargs):
+        out = fair_head_embed(*args, **kwargs)
+        heads.append(out.values)
+        return out
+
+    monkeypatch.setattr(trainer_module, "fair_head_embed", recording)
+    result = train(graph, similarity, partition, quick_config(max_epochs=4, **overrides))
+    ctx = group_context(similarity, partition)
+    # one head forward per epoch, then the final forward
+    expected = [average_gdif([trace_form(group, h) for group in ctx]) for h in heads[:-1]]
+    assert [record.gd for record in result.history] == expected
+    assert all(np.isfinite(record.gd) for record in result.history)
+
+
 def test_fixed_betas_without_gradnorm(fixture_data):
     graph, similarity, partition = fixture_data
     result = train(
@@ -299,7 +336,7 @@ def test_probe_sweeps_give_the_weighted_total_gradient(fixture_data, scope):
     terms = [
         utility_loss(readout_logits(h, leaves), graph.labels, graph.train_mask, tape),
         smoothness_loss(h, similarity),
-        group_welfare_loss(h, group_context(similarity, partition)),
+        group_welfare_loss(group_trace_tensors(h, group_context(similarity, partition))),
     ]
     controller = GradNormController([1.0, 1.0, 1.0])
     term_grads, norms = _probe_sweeps(tape, terms, leaves, scope)
