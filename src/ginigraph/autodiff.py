@@ -435,8 +435,8 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
 
     w[p] is the weight at CSR position p: row r for indptr[r] <= p < indptr[r+1],
     column indices[p]; the pattern's own data is not read. The backward gives
-    dx = A(w)^T g and dw_p = g[r] . x[indices[p]]; the row of each position and
-    the rows x[indices] are gathered once, by the first sweep over this graph.
+    dx = A(w)^T g and dw_p = g[r] . x[indices[p]]; the rows x[indices] are
+    gathered once, by the first sweep over this graph.
     """
     _same_tape(weights, x)
     if weights.shape != (pattern.nnz, 1):
@@ -447,14 +447,14 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
         (weights.values[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
     )
     out = _ensure_finite(mat @ x.values, "edge-spmm")
-    rows = neighbors = None
+    neighbors = None
 
     def backward(g: Array) -> None:
-        nonlocal rows, neighbors
-        if rows is None:
-            rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        nonlocal neighbors
+        if neighbors is None:
             neighbors = x.values[pattern.indices]
-        dw = np.einsum("ij,ij->i", g[rows], neighbors)
+        # g[r] for each position: row r repeated once per entry of that row
+        dw = np.einsum("ij,ij->i", np.repeat(g, np.diff(pattern.indptr), axis=0), neighbors)
         _accumulate(weights, dw[:, None])
         _accumulate(x, mat.T @ g)
 

@@ -9,11 +9,13 @@ scripts/run_benchmark.py both train it through run_matrix.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator
 
+from .errors import ContractError
 from .graph import GroupPartition, topo_similarity
 from .synthetic import SbmSpec, sbm_generate
-from .trainer import RunResult, TrainConfig, pretrain, train
+from .trainer import PRETRAIN_FIELDS, RunResult, TrainConfig, pretrain, train
 
 BENCHMARK_BASE = dict(
     hidden=16,
@@ -47,16 +49,20 @@ def run_matrix(
     BENCHMARK_BASE for every run; variants names a subset of
     BENCHMARK_VARIANTS (all of them, in table order, when empty or None).
 
-    The variants change only fairness-stage fields, so a seed's variants share
-    one pretraining, and each result's wall_seconds excludes it.
+    A seed's variants share one pretraining, and each result's wall_seconds
+    excludes it; variants that differ in a field pretrain reads
+    (trainer.PRETRAIN_FIELDS) raise ContractError instead.
     """
     names = list(variants or BENCHMARK_VARIANTS)
     base = {**BENCHMARK_BASE, **(overrides or {})}
+    stage1 = attrgetter(*PRETRAIN_FIELDS)
     for seed in seeds:
+        configs = [TrainConfig(seed=seed, **{**base, **BENCHMARK_VARIANTS[n]}) for n in names]
+        if len({stage1(config) for config in configs}) > 1:
+            raise ContractError(f"variants {names} differ in a field of {PRETRAIN_FIELDS}")
         graph = sbm_generate(SbmSpec(**BENCHMARK_SBM), seed)
         similarity = topo_similarity(graph, base["top_k"])
         partition = GroupPartition.from_values(graph.sensitive)
-        pretrained = pretrain(graph, TrainConfig(seed=seed, **base))
-        for name in names:
-            config = TrainConfig(seed=seed, **{**base, **BENCHMARK_VARIANTS[name]})
+        pretrained = pretrain(graph, configs[0])
+        for name, config in zip(names, configs):
             yield seed, name, train(graph, similarity, partition, config, pretrained)

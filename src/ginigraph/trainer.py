@@ -220,6 +220,10 @@ def _ensure_masks(graph: Graph, seed: int) -> Graph:
     return replace(graph, train_mask=train, val_mask=val, test_mask=test)
 
 
+# the TrainConfig fields that pretrain reads (beyond validating the config)
+PRETRAIN_FIELDS = ("backbone", "hidden", "pretrain_epochs", "learning_rate", "weight_decay", "seed")
+
+
 def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array]:
     """Train the encoder on utility loss only; returns (weights, embeddings)."""
     config.validate()
@@ -367,8 +371,9 @@ def train(
                     h, similarity, config.surrogate, config.temperature, config.topk_fraction
                 )
             )
+        # on the tape every epoch; only the welfare term backpropagates them
+        group_traces = group_trace_tensors(h, ctx) if ctx else []
         if 2 in active:
-            group_traces = group_trace_tensors(h, ctx)
             terms.append(group_welfare_loss(group_traces))
 
         losses = np.zeros(3)
@@ -387,12 +392,8 @@ def train(
         # the plain smoothness term is this trace, from the same expression
         plain = 1 in active and config.surrogate == "none"
         if_value = float(losses[1]) if plain else trace_form(similarity, h.values)
-        # the welfare term's group traces are trace_form's, bit for bit, and
-        # unfloored; runs without that term compute them off the tape
-        if 2 in active:
-            gd = average_gdif([t.values[0, 0] for t in group_traces])
-        else:
-            gd = average_gdif([trace_form(p, h.values) for p in ctx]) if ctx else float("nan")
+        # the unfloored group traces are trace_form's, bit for bit
+        gd = average_gdif([t.values[0, 0] for t in group_traces]) if ctx else float("nan")
         tape.release()
         history.append(
             EpochRecord(epoch, *map(float, losses), *map(float, betas), val_auc, if_value, gd)

@@ -933,6 +933,12 @@ def test_run_matrix_logs_equal_unshared_runs(tmp_path):
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
+def test_run_matrix_rejects_variants_that_change_pretraining(monkeypatch):
+    monkeypatch.setitem(BENCHMARK_VARIANTS, "wide", dict(hidden=8))
+    with pytest.raises(ContractError, match="hidden"):
+        next(run_matrix((0,), dict(pretrain_epochs=1), variants=["full", "wide"]))
+
+
 def test_run_matrix_is_seed_major_on_the_shared_base():
     overrides = dict(pretrain_epochs=1, max_epochs=2, patience=2)
     runs = list(run_matrix((0, 1), overrides, variants=["no_l2", "vanilla"]))
