@@ -31,6 +31,7 @@ from .graph import (
     load_graph,
     read_embedding_csv,
     read_feature_table,
+    read_json,
     read_partition_csv,
     read_scores_csv,
     read_similarity_csv,
@@ -232,12 +233,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise DataFormatError(f"{args.spec}: {exc}") from exc
-    spec = SweepSpec.from_json_dict(raw)
+    spec = SweepSpec.from_json_dict(read_json(args.spec))
     rows = run_sweep(spec, args.out_dir)
     out = Path(args.out_dir)
     write_sweep_table(rows, out / "table.csv", "csv")
@@ -253,6 +249,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _final_report(payload) -> MetricsReport:
+    """The report in a result JSON (under final_metrics) or a bare report JSON."""
+    if isinstance(payload, dict) and "final_metrics" in payload:
+        payload = payload["final_metrics"]
+    return MetricsReport.from_json_dict(payload)
+
+
 def cmd_report(args) -> int:
     source = Path(args.results)
     out = args.out
@@ -260,14 +263,7 @@ def cmd_report(args) -> int:
         rows = aggregate_dir(source)
         write_sweep_table(rows, out, args.format, args.thousands)
     else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if isinstance(payload, dict) and "final_metrics" in payload:
-                payload = payload["final_metrics"]
-            report = MetricsReport.from_json_dict(payload)
-        except (ValueError, RecursionError, DataFormatError) as exc:  # not JSON, or no report
-            raise DataFormatError(f"{source}: {exc}") from exc
+        report = read_json(source, _final_report)
         write_metrics_table([report], out, args.format, args.thousands)
     _emit({"out": str(out)})
     return 0

@@ -8,6 +8,7 @@ matrix and degree vector cached for Laplacian work.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -204,8 +205,10 @@ class SimilaritySet:
     """Sparse symmetric pairwise similarities with weights in (0, 1].
 
     Each unordered pair is stored once (i < j); the diagonal is never stored.
-    The symmetric CSR matrix and the weighted degree vector are precomputed for
-    Laplacian products.
+    The pairs may come in any order and either orientation: the constructor
+    builds the symmetric CSR matrix once, and the canonical pair order is the
+    CSR order of its upper triangle (by i, then j). The matrix and the
+    weighted degree vector serve the Laplacian products.
     """
 
     def __init__(self, n: int, rows: Array, cols: Array, weights: Array):
@@ -216,32 +219,26 @@ class SimilaritySet:
             raise DimensionError("rows, cols, weights must be 1-D and equal length")
         if n <= 0:
             raise ContractError("n must be positive")
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        if lo.size:
-            if lo.min() < 0 or hi.max() >= n:
+        if rows.size:
+            if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
                 raise ContractError("similarity index out of range")
-            if np.any(lo == hi):
+            if np.any(rows == cols):
                 raise ContractError("diagonal similarities are not stored")
         if not np.all((weights > 0.0) & (weights <= 1.0)):
             raise DomainError("similarity weights must lie in (0, 1]")
-        order = np.lexsort((hi, lo))
-        lo, hi, weights = lo[order], hi[order], weights[order]
-        if lo.size:
-            keys = lo * n + hi
-            if np.unique(keys).size != keys.size:
-                raise ContractError("duplicate similarity pairs")
+        # the COO -> CSR conversion sorts the entries and sums repeated ones
+        self.matrix = sp.csr_matrix(
+            (np.concatenate([weights, weights]),
+             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+            shape=(n, n),
+        )
+        if self.matrix.nnz != 2 * rows.size:
+            raise ContractError("duplicate similarity pairs")
+        upper = sp.triu(self.matrix, 1)
         self.n = int(n)
-        self.rows = lo
-        self.cols = hi
-        self.weights = weights
-        if lo.size:
-            data = np.concatenate([weights, weights])
-            self.matrix = sp.csr_matrix(
-                (data, (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n)
-            )
-        else:
-            self.matrix = sp.csr_matrix((n, n))
+        self.rows = upper.row.astype(np.int64)
+        self.cols = upper.col.astype(np.int64)
+        self.weights = upper.data
         self.degree = np.asarray(self.matrix.sum(axis=1)).ravel()
 
     @property
@@ -321,20 +318,21 @@ def _cosine_rows(vectors: Array) -> Array:
 def _topk_union(scores: Array, top_k: int) -> "SimilaritySet":
     """Keep each node's top_k positive scores; a pair survives if either side keeps it.
 
-    Symmetrization by max is a union here because cosine scores are symmetric.
+    scores is the dense cosine matrix, overwritten: its diagonal and
+    nonpositive entries become 0 before each row's argpartition picks its
+    top_k, and a pick with score 0 is dropped. The picks of both ends of a
+    pair merge into one key lo * n + hi; symmetrization by max is a union
+    here because cosine scores are symmetric.
     """
     n = scores.shape[0]
     np.fill_diagonal(scores, 0.0)
     scores[scores <= 0.0] = 0.0
-    keep = np.zeros_like(scores, dtype=bool)
-    k = min(top_k, n - 1)
-    if k > 0:
-        idx = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-        rows = np.repeat(np.arange(n), k)
-        keep[rows, idx.ravel()] = True
-    keep &= scores > 0.0
-    keep |= keep.T
-    i, j = np.nonzero(np.triu(keep, k=1))
+    k = max(min(top_k, n - 1), 0)
+    rows = np.repeat(np.arange(n), k)
+    cols = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k].ravel() if k else rows
+    picked = scores[rows, cols] > 0.0
+    rows, cols = rows[picked], cols[picked]
+    i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
     return SimilaritySet(n, i, j, np.minimum(scores[i, j], 1.0))
 
 
@@ -550,6 +548,19 @@ def write_feature_table(path, features: Array, labels: Array, sensitive: Array) 
     codes = [np.asarray(column).astype(np.int64) for column in (labels, sensitive)]
     header = "id,label,sensitive," + ",".join(f"f{k}" for k in range(features.shape[1]))
     _write_table(path, header, [np.arange(features.shape[0]), *codes, *features.T])
+
+
+def read_json(path, parse=lambda value: value):
+    """parse applied to the JSON value in the file at path.
+
+    A file that is not UTF-8 JSON, nests too deep, or that parse rejects with
+    DataFormatError raises DataFormatError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (ValueError, RecursionError, DataFormatError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_graph(edge_path, feature_path) -> tuple[Graph, int]:

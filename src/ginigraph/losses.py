@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DomainError
-from .graph import GroupPartition, SimilaritySet
+from .graph import SimilaritySet
 
 Array = np.ndarray
 
@@ -98,13 +98,6 @@ def surrogate_loss(
 # ---------------------------------------------------------------------------
 # Group welfare
 # ---------------------------------------------------------------------------
-
-
-def group_context(
-    similarity: SimilaritySet, partition: GroupPartition
-) -> tuple[SimilaritySet, ...]:
-    """The within-group pair sets, one SimilaritySet per group, built once per run."""
-    return partition.within_pairs(similarity)
 
 
 def group_trace_tensors(z: Tensor, ctx: tuple[SimilaritySet, ...]) -> list[Tensor]:

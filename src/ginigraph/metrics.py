@@ -113,27 +113,17 @@ def average_gdif(values) -> float:
     return total / (m * (m - 1))
 
 
-def group_traces(
-    similarity: SimilaritySet,
-    z: Array,
-    partition: GroupPartition,
-    pairs: tuple[SimilaritySet, ...] = (),
-) -> list[float]:
-    """Per-group Laplacian quadratic form over partition.within_pairs, or the given pairs."""
-    return [trace_form(group, z) for group in pairs or partition.within_pairs(similarity)]
+def group_traces(similarity: SimilaritySet, z: Array, partition: GroupPartition) -> list[float]:
+    """Per-group Laplacian quadratic form over partition.within_pairs."""
+    return [trace_form(group, z) for group in partition.within_pairs(similarity)]
 
 
-def group_ginis(
-    similarity: SimilaritySet,
-    z: Array,
-    partition: GroupPartition,
-    pairs: tuple[SimilaritySet, ...] = (),
-) -> list[float]:
-    """Per-group embedding Gini over the within-group pairs (or the given ones) and mass."""
+def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) -> list[float]:
+    """Per-group embedding Gini over the within-group pairs and the group's mass."""
     z = _embedding(similarity, z)
-    pairs = pairs or partition.within_pairs(similarity)
     return [
-        _gini(z, *group.pair_arrays(), z[partition.members(g)]) for g, group in enumerate(pairs)
+        _gini(z, *group.pair_arrays(), z[partition.members(g)])
+        for g, group in enumerate(partition.within_pairs(similarity))
     ]
 
 
@@ -285,19 +275,6 @@ class MetricsReport:
         check_field_types(report, DataFormatError)
         return report
 
-    def to_csv_row(self, thousands: bool = False) -> list[str]:
-        """Fixed-order row; thousands divides IF by 1000 for presentation."""
-        row = []
-        for name in REPORT_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                row.append("")
-                continue
-            if thousands and name == "individual_unfairness":
-                value = value / 1000.0
-            row.append(f"{value:.6g}")
-        return row
-
 
 def compute_report(
     z: Array,
@@ -340,13 +317,12 @@ def compute_report(
     traces: tuple[float, ...] = ()
     ginis: tuple[float, ...] = ()
     if partition is not None and partition.m >= 2:
-        pairs = partition.within_pairs(similarity)
-        traces = tuple(group_traces(similarity, z, partition, pairs))
+        traces = tuple(group_traces(similarity, z, partition))
         sizes = tuple(int(s) for s in partition.sizes())
         gd_trace = average_gdif(traces)
         if not zero_mass:
             try:
-                ginis = tuple(group_ginis(similarity, z, partition, pairs))
+                ginis = tuple(group_ginis(similarity, z, partition))
                 gd_gini = average_gdif(ginis)
             except DomainError as exc:
                 notes.append(f"group Gini skipped: {exc}")

@@ -234,10 +234,6 @@ class ModelParams:
     backbone: dict[str, Array]
     fair: dict[str, Array] = field(default_factory=dict)
 
-    @property
-    def hidden(self) -> int:
-        return self.backbone["w_out"].shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints (versioned, human-readable)

@@ -28,7 +28,7 @@ from .errors import (
     check_field_types,
     is_finite_number,
 )
-from .graph import GroupPartition, build_similarity
+from .graph import GroupPartition, build_similarity, read_json
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import perturb_noise, rewire_homophily
 from .synthetic import SbmSpec, sbm_generate
@@ -194,8 +194,8 @@ def aggregate_records(records: list[dict]) -> list[SweepRow]:
     return rows
 
 
-def _check_record(record) -> None:
-    """Raise DataFormatError unless record has the layout run_sweep writes.
+def _check_record(record) -> dict:
+    """record, once it has the layout run_sweep writes; else DataFormatError.
 
     The point maps grid axes to numbers; a record without an error holds the
     run's report under result.final_metrics.
@@ -214,20 +214,13 @@ def _check_record(record) -> None:
         if not isinstance(result, dict):
             raise DataFormatError("run record holds neither a 'result' object nor an 'error'")
         MetricsReport.from_json_dict(result.get("final_metrics"))
+    return record
 
 
 def aggregate_dir(out_dir) -> list[SweepRow]:
     """Independent aggregation pass over the run JSONs in a directory."""
-    records = []
-    for path in sorted(Path(out_dir).glob("run_*.json")):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            _check_record(record)
-        except (ValueError, RecursionError, DataFormatError) as exc:  # not JSON, or no record
-            raise DataFormatError(f"{path}: {exc}") from exc
-        records.append(record)
-    return aggregate_records(records)
+    paths = sorted(Path(out_dir).glob("run_*.json"))
+    return aggregate_records([read_json(path, _check_record) for path in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -235,51 +228,60 @@ def aggregate_dir(out_dir) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def _present(value, metric: str, thousands: bool):
-    if value is None:
-        return None
-    if thousands and metric == "individual_unfairness":
-        return value / 1000.0
-    return value
+def _in_thousands(metrics: dict, thousands: bool) -> dict:
+    """metrics with individual_unfairness divided by 1000 when thousands is set."""
+    value = metrics.get("individual_unfairness")
+    if not thousands or value is None:
+        return metrics
+    return {**metrics, "individual_unfairness": value / 1000.0}
+
+
+def _write_records(path, fmt: str, records: list[dict], columns: list[tuple]) -> None:
+    """Write records as one JSON list, or as one CSV line per record.
+
+    A CSV column is (header, keys, spec): its cell is the value at keys in
+    the record, formatted with spec, or empty when that is None or absent.
+    """
+    if fmt == "json":
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=2)
+        return
+    if fmt != "csv":
+        raise ConfigError("format must be csv or json")
+    lines = [",".join(header for header, _, _ in columns)]
+    for record in records:
+        cells = []
+        for _, keys, spec in columns:
+            value = record
+            for key in keys:
+                value = value.get(key)
+            cells.append("" if value is None else format(value, spec))
+        lines.append(",".join(cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sweep_table(rows: list[SweepRow], path, fmt: str = "csv", thousands=False) -> None:
     """Emit the aggregate table with a deterministic column order."""
     if not rows:
         raise ConfigError("no rows to report")
+    records = [
+        {
+            "point": row.point,
+            "n_runs": row.n_runs,
+            "errors": row.errors,
+            "mean": _in_thousands({m: row.mean[m] for m in METRIC_KEYS}, thousands),
+            "std": _in_thousands({m: row.std[m] for m in METRIC_KEYS}, thousands),
+        }
+        for row in rows
+    ]
     axes = sorted({k for row in rows for k in row.point})
-    if fmt == "json":
-        payload = [
-            {
-                "point": row.point,
-                "n_runs": row.n_runs,
-                "errors": row.errors,
-                "mean": {m: _present(row.mean[m], m, thousands) for m in METRIC_KEYS},
-                "std": {m: _present(row.std[m], m, thousands) for m in METRIC_KEYS},
-            }
-            for row in rows
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        return
-    if fmt != "csv":
-        raise ConfigError("format must be csv or json")
-    header = (
-        axes
-        + ["n_runs", "errors"]
-        + [f"mean_{m}" for m in METRIC_KEYS]
-        + [f"std_{m}" for m in METRIC_KEYS]
+    columns = (
+        [(axis, ("point", axis), "") for axis in axes]
+        + [("n_runs", ("n_runs",), ""), ("errors", ("errors",), "")]
+        + [(f"{stat}_{m}", (stat, m), ".6g") for stat in ("mean", "std") for m in METRIC_KEYS]
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [f"{row.point.get(a, '')}" for a in axes]
-            cells += [str(row.n_runs), str(row.errors)]
-            for source in (row.mean, row.std):
-                for m in METRIC_KEYS:
-                    v = _present(source[m], m, thousands)
-                    cells.append("" if v is None else f"{v:.6g}")
-            fh.write(",".join(cells) + "\n")
+    _write_records(path, fmt, records, columns)
 
 
 def write_metrics_table(
@@ -288,20 +290,5 @@ def write_metrics_table(
     """Emit plain metric rows (the audit pathway)."""
     if not reports:
         raise ConfigError("no reports to emit")
-    if fmt == "json":
-        payload = []
-        for report in reports:
-            d = report.to_json_dict()
-            d["individual_unfairness"] = _present(
-                d["individual_unfairness"], "individual_unfairness", thousands
-            )
-            payload.append(d)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        return
-    if fmt != "csv":
-        raise ConfigError("format must be csv or json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(REPORT_FIELDS) + "\n")
-        for report in reports:
-            fh.write(",".join(report.to_csv_row(thousands)) + "\n")
+    records = [_in_thousands(report.to_json_dict(), thousands) for report in reports]
+    _write_records(path, fmt, records, [(name, (name,), ".6g") for name in REPORT_FIELDS])

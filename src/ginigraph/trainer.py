@@ -37,14 +37,13 @@ from .gradnorm import GradNormController
 from .graph import Graph, GroupPartition, SimilaritySet, _write_table, split_nodes
 from .losses import (
     combine_losses,
-    group_context,
     group_trace_tensors,
     group_welfare_loss,
     smoothness_loss,
     surrogate_loss,
     utility_loss,
 )
-from .metrics import MetricsReport, average_gdif, compute_report, rank_auc, trace_form
+from .metrics import MetricsReport, average_gdif, compute_report, rank_auc
 from .models import (
     BACKBONES,
     ModelParams,
@@ -336,7 +335,7 @@ def train(
     edges = attention_edges(similarity)
 
     grouped = partition is not None and partition.m >= 2
-    ctx = group_context(similarity, partition) if grouped else None
+    ctx = partition.within_pairs(similarity) if grouped else None
     betas = np.array([1.0, config.beta2, config.beta3])
     if betas[2] > 0 and ctx is None:
         warnings.warn("group welfare term disabled: fewer than two groups")
@@ -363,15 +362,17 @@ def train(
         logits = readout_logits(h, leaves)
 
         terms = [utility_loss(logits, graph.labels, graph.train_mask, tape)]
+        # the smoothness trace and the group traces are on the tape every
+        # epoch for the log; only the loss terms that use them backpropagate
+        smoothness = smoothness_loss(h, similarity)
         if 1 in active:
             terms.append(
-                smoothness_loss(h, similarity)
+                smoothness
                 if config.surrogate == "none"
                 else surrogate_loss(
                     h, similarity, config.surrogate, config.temperature, config.topk_fraction
                 )
             )
-        # on the tape every epoch; only the welfare term backpropagates them
         group_traces = group_trace_tensors(h, ctx) if ctx else []
         if 2 in active:
             terms.append(group_welfare_loss(group_traces))
@@ -389,10 +390,8 @@ def train(
         adam.step(fair_weights, grads, config.learning_rate, config.weight_decay)
 
         val_auc = _val_auc(ad.sigmoid_values(logits.values[:, 0]), graph.labels, graph.val_mask)
-        # the plain smoothness term is this trace, from the same expression
-        plain = 1 in active and config.surrogate == "none"
-        if_value = float(losses[1]) if plain else trace_form(similarity, h.values)
-        # the unfloored group traces are trace_form's, bit for bit
+        # both traces are trace_form's, bit for bit (the group ones unfloored)
+        if_value = float(smoothness.values[0, 0])
         gd = average_gdif([t.values[0, 0] for t in group_traces]) if ctx else float("nan")
         tape.release()
         history.append(

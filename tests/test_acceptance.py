@@ -20,7 +20,6 @@ from ginigraph.graph import GroupPartition, SimilaritySet, laplacian_apply, topo
 from ginigraph.gradnorm import GradNormController
 from ginigraph.losses import (
     combine_losses,
-    group_context,
     group_trace_tensors,
     group_welfare_loss,
     nswp_value,
@@ -216,7 +215,7 @@ GRAD_SUITE_ELAPSED: dict[str, float] = {}
 def test_gradients_match_finite_differences(variant):
     started = time.monotonic()
     graph, similarity, partition = build_grad_instance(11)
-    ctx = group_context(similarity, partition)
+    ctx = partition.within_pairs(similarity)
     operators = graph_operators(graph)
     edges = attention_edges(similarity)
     rng = np.random.default_rng(7)

@@ -29,16 +29,19 @@ from ginigraph.graph import (
     write_embedding_csv,
     write_scores_csv,
 )
-from ginigraph.metrics import REPORT_FIELDS
+from ginigraph.metrics import REPORT_FIELDS, MetricsReport
 from ginigraph.models import fair_head_embed, load_checkpoint
 from ginigraph.perturb import perturb_noise, rewire_homophily
 from ginigraph.sweep import (
     GRID_AXES,
+    METRIC_KEYS,
+    SweepRow,
     SweepSpec,
     _point_slug,
     aggregate_dir,
     aggregate_records,
     run_sweep,
+    write_metrics_table,
     write_sweep_table,
 )
 from ginigraph.synthetic import SbmSpec, sbm_generate
@@ -395,8 +398,6 @@ def test_aggregate_records_counts_errors():
 
 
 def test_write_sweep_table_formats(tmp_path):
-    from ginigraph.sweep import SweepRow
-
     row = SweepRow(
         point={"beta2": 1.0},
         n_runs=2,
@@ -417,6 +418,87 @@ def test_write_sweep_table_formats(tmp_path):
         write_sweep_table([], csv_path)
     with pytest.raises(ConfigError):
         write_sweep_table([row], csv_path, "yaml")
+
+
+# Report tables: the exact bytes of every format, recorded before the writers
+# shared one emitter. The rows cover None cells, a float axis printed with str
+# (not .6g), an int axis, an axis a row lacks, and an int IF beyond 6 digits.
+TABLE_ROWS = [
+    SweepRow(
+        point={"beta2": 0.1234567891, "hidden": 8}, n_runs=2, errors=1,
+        mean={"auc": 0.71234567, "individual_unfairness": 2500.0, "gd_trace": 1.5,
+              "gini": None, "gd_gini": 1.0000001},
+        std={"auc": 0.0, "individual_unfairness": 12.3456789, "gd_trace": 0.25,
+             "gini": None, "gd_gini": 1e-9},
+    ),
+    SweepRow(
+        point={"hidden": 16}, n_runs=0, errors=3,
+        mean=dict.fromkeys(METRIC_KEYS), std=dict.fromkeys(METRIC_KEYS),
+    ),
+]
+TABLE_REPORTS = [
+    MetricsReport(auc=0.9, f1=0.8, eo=None, individual_unfairness=2500.0, gini=0.3,
+                  gd_trace=1.2, gd_gini=1.1, lipschitz=5.0),
+    MetricsReport(auc=None, f1=None, eo=12.5, individual_unfairness=12345678, gini=None,
+                  gd_trace=3.0000004, gd_gini=None, lipschitz=0.0001234567891,
+                  group_sizes=(3, 2), group_traces=(1.5, 4.5e-7), group_ginis=(),
+                  warnings=("single note",)),
+]
+SWEEP_HEADER = (
+    "beta2,hidden,n_runs,errors,mean_auc,mean_individual_unfairness,mean_gd_trace,mean_gini,"
+    "mean_gd_gini,std_auc,std_individual_unfairness,std_gd_trace,std_gini,std_gd_gini\n"
+)
+METRICS_HEADER = "auc,f1,eo,individual_unfairness,gini,gd_trace,gd_gini,lipschitz\n"
+
+
+def _sweep_json(if_mean, if_std) -> str:
+    empty = dict.fromkeys(METRIC_KEYS)
+    return json.dumps([
+        {"point": {"beta2": 0.1234567891, "hidden": 8}, "n_runs": 2, "errors": 1,
+         "mean": {"auc": 0.71234567, "individual_unfairness": if_mean, "gd_trace": 1.5,
+                  "gini": None, "gd_gini": 1.0000001},
+         "std": {"auc": 0.0, "individual_unfairness": if_std, "gd_trace": 0.25,
+                 "gini": None, "gd_gini": 1e-09}},
+        {"point": {"hidden": 16}, "n_runs": 0, "errors": 3, "mean": empty, "std": empty},
+    ], indent=2)
+
+
+def _metrics_json(if_first, if_second) -> str:
+    return json.dumps([
+        {"auc": 0.9, "f1": 0.8, "eo": None, "individual_unfairness": if_first, "gini": 0.3,
+         "gd_trace": 1.2, "gd_gini": 1.1, "lipschitz": 5.0, "group_sizes": [],
+         "group_traces": [], "group_ginis": [], "warnings": []},
+        {"auc": None, "f1": None, "eo": 12.5, "individual_unfairness": if_second, "gini": None,
+         "gd_trace": 3.0000004, "gd_gini": None, "lipschitz": 0.0001234567891,
+         "group_sizes": [3, 2], "group_traces": [1.5, 4.5e-07], "group_ginis": [],
+         "warnings": ["single note"]},
+    ], indent=2)
+
+
+TABLE_BYTES = {
+    ("sweep", "csv", False): SWEEP_HEADER
+    + "0.1234567891,8,2,1,0.712346,2500,1.5,,1,0,12.3457,0.25,,1e-09\n,16,0,3,,,,,,,,,,\n",
+    ("sweep", "csv", True): SWEEP_HEADER
+    + "0.1234567891,8,2,1,0.712346,2.5,1.5,,1,0,0.0123457,0.25,,1e-09\n,16,0,3,,,,,,,,,,\n",
+    ("sweep", "json", False): _sweep_json(2500.0, 12.3456789),
+    ("sweep", "json", True): _sweep_json(2.5, 0.012345678899999999),
+    ("metrics", "csv", False): METRICS_HEADER
+    + "0.9,0.8,,2500,0.3,1.2,1.1,5\n,,12.5,1.23457e+07,,3,,0.000123457\n",
+    ("metrics", "csv", True): METRICS_HEADER
+    + "0.9,0.8,,2.5,0.3,1.2,1.1,5\n,,12.5,12345.7,,3,,0.000123457\n",
+    ("metrics", "json", False): _metrics_json(2500.0, 12345678),
+    ("metrics", "json", True): _metrics_json(2.5, 12345.678),
+}
+
+
+@pytest.mark.parametrize("table, fmt, thousands", sorted(TABLE_BYTES))
+def test_report_tables_write_the_recorded_bytes(tmp_path, table, fmt, thousands):
+    path = tmp_path / "table"
+    if table == "sweep":
+        write_sweep_table(TABLE_ROWS, path, fmt, thousands)
+    else:
+        write_metrics_table(TABLE_REPORTS, path, fmt, thousands)
+    assert path.read_bytes() == TABLE_BYTES[table, fmt, thousands].encode()
 
 
 # ---------------------------------------------------------------------------

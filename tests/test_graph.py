@@ -149,6 +149,37 @@ def test_similarity_set_normalizes_and_validates():
         SimilaritySet(3, [0], [1], [1.5])
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=50, deadline=None)
+def test_similarity_set_canonical_order_ignores_input_order_and_orientation(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(i.size) < rng.random()
+    i, j = i[keep], j[keep]
+    w = rng.uniform(0.01, 1.0, size=i.size)
+    canonical = SimilaritySet(n, i, j, w)
+    order = rng.permutation(i.size)
+    swap = rng.random(i.size) < 0.5
+    rows, cols = np.where(swap, j, i)[order], np.where(swap, i, j)[order]
+    shuffled = SimilaritySet(n, rows, cols, w[order])
+    for a, b in (
+        (canonical.rows, i), (canonical.cols, j), (canonical.weights, w),
+        *((getattr(canonical, name), getattr(shuffled, name))
+          for name in ("rows", "cols", "weights", "degree")),
+        *((getattr(canonical.matrix, name), getattr(shuffled.matrix, name))
+          for name in ("indptr", "indices", "data")),
+    ):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if i.size:
+        with pytest.raises(ContractError, match="duplicate"):
+            SimilaritySet(n, np.append(rows, cols[0]), np.append(cols, rows[0]),
+                          np.append(w[order], 0.5))
+    empty = SimilaritySet(n, [], [], [])
+    assert empty.num_pairs == 0 and empty.matrix.nnz == 0
+    assert empty.rows.dtype == np.int64 and not empty.degree.any()
+
+
 def test_similarity_set_and_graph_reject_non_finite_values():
     with pytest.raises(DomainError):
         SimilaritySet(3, [0], [1], [np.nan])
@@ -245,6 +276,39 @@ def test_topk_keeps_union_of_per_node_selections(rng):
     keep |= keep.T
     expected = np.where(keep, np.maximum(cos, 0.0), 0.0)
     np.testing.assert_allclose(s.to_dense(), expected, atol=1e-12)
+
+
+# Integer features in {-1, 0, 1}: many exact cosine ties, several at a row's
+# top-k boundary, and negative cosines. The pairs were recorded from the dense
+# top-k union with numpy's argpartition; for k=4 they differ from a
+# stable-sort tie rule, so this pins which tied neighbour each row keeps.
+TIE_FEATURES = [
+    [1, -1, -1], [-1, -1, 1], [1, 0, -1], [-1, -1, 0], [0, 0, -1], [-1, 1, 1], [-1, -1, 0],
+    [0, 1, 0], [0, 0, 0], [0, -1, 1], [1, 1, 1], [-1, -1, 0], [0, 1, 1], [-1, 1, -1],
+    [-1, 1, 1], [-1, -1, -1],
+]
+TIE_PAIRS = {
+    2: (
+        [0, 0, 1, 1, 1, 2, 3, 3, 3, 3, 4, 5, 5, 5, 6, 6, 7, 7, 7, 10, 12],
+        [2, 4, 3, 6, 9, 4, 6, 9, 11, 15, 13, 7, 12, 14, 11, 15, 10, 12, 13, 12, 14],
+    ),
+    4: (
+        [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 7, 7,
+         7, 7, 9, 10, 10, 11, 12, 13],
+        [2, 4, 6, 15, 3, 5, 6, 9, 11, 14, 4, 13, 15, 6, 9, 11, 15, 13, 15, 7, 10, 12, 13, 14, 9,
+         11, 15, 10, 12, 13, 14, 11, 12, 14, 15, 14, 14],
+    ),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TIE_PAIRS))
+def test_topk_ties_keep_the_recorded_pairs(k):
+    feats = np.array(TIE_FEATURES, dtype=np.float64)
+    s = attr_similarity(feats, top_k=k)
+    rows, cols = TIE_PAIRS[k]
+    np.testing.assert_array_equal(s.rows, rows)
+    np.testing.assert_array_equal(s.cols, cols)
+    np.testing.assert_allclose(s.weights, brute_cosine(feats)[rows, cols], atol=1e-12)
 
 
 def test_attr_similarity_ignores_masked_columns(rng):

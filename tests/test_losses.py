@@ -14,7 +14,6 @@ from ginigraph.graph import GroupPartition, SimilaritySet
 from ginigraph.losses import (
     TRACE_FLOOR,
     combine_losses,
-    group_context,
     group_trace_tensors,
     group_welfare_loss,
     nswp_value,
@@ -231,7 +230,7 @@ def test_group_welfare_tensor_matches_floored_oracle(rng):
     part = GroupPartition.from_values(rng.integers(0, 3, size=10))
     if part.m < 2:  # pragma: no cover - partition of 3 values is ~always 3 groups
         pytest.skip("degenerate draw")
-    ctx = group_context(s, part)
+    ctx = part.within_pairs(s)
     z_values = rng.normal(size=(10, 3))
     tape = Tape()
     z = tape.leaf(z_values)
@@ -248,7 +247,7 @@ def test_group_welfare_tensor_matches_floored_oracle(rng):
 def test_group_welfare_floors_zero_traces(rng):
     s = build_random_similarity(rng, 6)
     part = GroupPartition.from_values(np.array([0, 0, 0, 1, 1, 1]))
-    ctx = group_context(s, part)
+    ctx = part.within_pairs(s)
     tape = Tape()
     z_values = np.zeros((6, 2))
     z_values[3:] = rng.normal(size=(3, 2))
@@ -263,7 +262,7 @@ def test_group_welfare_floors_zero_traces(rng):
 
 def test_group_welfare_requires_two_groups(rng):
     s = build_random_similarity(rng, 4)
-    ctx = group_context(s, GroupPartition.from_values(np.zeros(4, dtype=int)))
+    ctx = GroupPartition.from_values(np.zeros(4, dtype=int)).within_pairs(s)
     tape = Tape()
     with pytest.raises(ContractError):
         group_welfare_loss(group_trace_tensors(tape.leaf(rng.normal(size=(4, 2))), ctx))
@@ -272,7 +271,7 @@ def test_group_welfare_requires_two_groups(rng):
 def test_group_welfare_gradient(rng):
     s = build_random_similarity(rng, 9)
     part = GroupPartition.from_values(np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]))
-    ctx = group_context(s, part)
+    ctx = part.within_pairs(s)
 
     def build(tape, z):
         return group_welfare_loss(group_trace_tensors(z, ctx))

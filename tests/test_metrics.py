@@ -345,7 +345,7 @@ def test_compute_report_excludes_unlabeled_nodes_from_utility(rng):
     assert report.auc == rank_auc(scores[keep], labels[keep])
 
 
-def test_report_serialization_and_presentation_row():
+def test_report_serialization():
     report = MetricsReport(
         auc=0.9,
         f1=0.8,
@@ -356,9 +356,6 @@ def test_report_serialization_and_presentation_row():
         gd_gini=1.1,
         lipschitz=5.0,
     )
-    row = report.to_csv_row(thousands=True)
-    assert row[row.index("2.5")] == "2.5"  # IF divided by 1000
-    assert "" in row  # eo renders empty
     blob = report.to_json_dict()
     assert blob["individual_unfairness"] == 2500.0
     assert blob["eo"] is None

@@ -282,7 +282,7 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
     assert loaded.variant == "gin"
-    assert loaded.hidden == 4
+    assert loaded.backbone["w_out"].shape[0] == 4
     for section, other in (("backbone", loaded.backbone), ("fair", loaded.fair)):
         mine = getattr(params, section)
         assert set(mine) == set(other)
@@ -358,4 +358,4 @@ def test_checkpoint_layouts_of_every_variant_load(tmp_path, rng):
         path = tmp_path / f"{variant}.txt"
         params = ModelParams(variant, init_backbone(variant, 5, 3, rng), init_fair_head(3, rng))
         save_checkpoint(path, params)
-        assert load_checkpoint(path).hidden == 3
+        assert load_checkpoint(path).backbone["w_out"].shape[0] == 3

@@ -12,7 +12,6 @@ from ginigraph.gradnorm import GradNormController
 from ginigraph.graph import Graph, GroupPartition, attr_similarity
 from ginigraph.losses import (
     combine_losses,
-    group_context,
     group_trace_tensors,
     group_welfare_loss,
     smoothness_loss,
@@ -278,7 +277,9 @@ def test_missing_partition_disables_group_term(fixture_data):
 
 
 @pytest.mark.parametrize(
-    "overrides", [dict(), dict(beta3=0.0), dict(beta2=0.0, beta3=0.0)], ids=["full", "no_l3", "vanilla"]
+    "overrides",
+    [dict(), dict(beta3=0.0), dict(beta2=0.0, beta3=0.0), dict(surrogate="softmax")],
+    ids=["full", "no_l3", "vanilla", "softmax"],
 )
 def test_logged_gd_is_the_trace_form_gdif_of_each_epoch(fixture_data, monkeypatch, overrides):
     graph, similarity, partition = fixture_data
@@ -291,10 +292,14 @@ def test_logged_gd_is_the_trace_form_gdif_of_each_epoch(fixture_data, monkeypatc
 
     monkeypatch.setattr(trainer_module, "fair_head_embed", recording)
     result = train(graph, similarity, partition, quick_config(max_epochs=4, **overrides))
-    ctx = group_context(similarity, partition)
+    ctx = partition.within_pairs(similarity)
     # one head forward per epoch, then the final forward
     expected = [average_gdif([trace_form(group, h) for group in ctx]) for h in heads[:-1]]
     assert [record.gd for record in result.history] == expected
+    # the logged IF is the trace of the same head output, whatever the L2 term
+    assert [record.if_value for record in result.history] == [
+        trace_form(similarity, h) for h in heads[:-1]
+    ]
     assert all(np.isfinite(record.gd) for record in result.history)
 
 
@@ -336,7 +341,7 @@ def test_probe_sweeps_give_the_weighted_total_gradient(fixture_data, scope):
     terms = [
         utility_loss(readout_logits(h, leaves), graph.labels, graph.train_mask, tape),
         smoothness_loss(h, similarity),
-        group_welfare_loss(group_trace_tensors(h, group_context(similarity, partition))),
+        group_welfare_loss(group_trace_tensors(h, partition.within_pairs(similarity))),
     ]
     controller = GradNormController([1.0, 1.0, 1.0])
     term_grads, norms = _probe_sweeps(tape, terms, leaves, scope)
