@@ -12,6 +12,7 @@ import dataclasses
 import os
 
 from .errors import ConfigError
+from .graph import open_text
 from .trainer import TrainConfig
 
 SEED_ENV_VAR = "GINIGRAPH_SEED"
@@ -62,7 +63,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def load_config(path) -> TrainConfig:
     """Read a config file into a validated TrainConfig (env seed applied)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         values = parse_config_text(fh.read(), source=str(path))
     config = TrainConfig(**values)
     config = apply_env_seed(config)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -255,22 +256,6 @@ class SimilaritySet:
         """(rows, cols, weights) views over the unordered pairs, i < j."""
         return self.rows, self.cols, self.weights
 
-    @classmethod
-    def from_dense(cls, dense: Array) -> "SimilaritySet":
-        """Build from a symmetric dense matrix, keeping strictly positive i<j entries."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise DimensionError("dense similarity must be square")
-        if not np.allclose(dense, dense.T, atol=1e-12):
-            raise ContractError("dense similarity must be symmetric")
-        i, j = np.triu_indices(dense.shape[0], k=1)
-        w = dense[i, j]
-        keep = w > 0.0
-        return cls(dense.shape[0], i[keep], j[keep], w[keep])
-
-    def to_dense(self) -> Array:
-        return self.matrix.toarray()
-
     def restrict(self, index: Array) -> "SimilaritySet":
         """Sub-similarity over index, reindexed to 0..len(index)-1."""
         index = np.asarray(index, dtype=np.int64)
@@ -307,66 +292,71 @@ def pair_distance(similarity: SimilaritySet, i: int, j: int, delta: float = 1e-6
 
 DENSE_SIMILARITY_LIMIT = 5000
 
+# Rows per argpartition call in _cosine_topk. argpartition selects row by row,
+# so every block size picks what one call over all n rows picks; a block needs
+# a negated copy and an index array of 2 * 256 * n * 8 bytes (20 MB at the
+# dense limit), where one call over all rows needs two more n x n arrays.
+_SELECT_ROWS = 256
 
-def _cosine_rows(vectors: Array) -> Array:
-    """Row-normalize; all-zero rows stay zero (cosine undefined -> no pairs)."""
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return vectors / safe
+
+def _check_dense(n: int, top_k: int) -> None:
+    """Refuse a nonpositive top_k, and an n x n score matrix beyond the limit."""
+    if top_k <= 0:
+        raise ContractError("top_k must be positive")
+    if n > DENSE_SIMILARITY_LIMIT:
+        raise ContractError(
+            f"dense similarity path supports up to {DENSE_SIMILARITY_LIMIT} nodes"
+        )
 
 
-def _topk_union(scores: Array, top_k: int) -> "SimilaritySet":
-    """Keep each node's top_k positive scores; a pair survives if either side keeps it.
+def _cosine_topk(vectors: Array, top_k: int) -> SimilaritySet:
+    """Cosine similarity of the rows of vectors, kept to each node's top_k.
 
-    scores is the dense cosine matrix, overwritten: its diagonal and
-    nonpositive entries become 0 before each row's argpartition picks its
-    top_k, and a pick with score 0 is dropped. The picks of both ends of a
-    pair merge into one key lo * n + hi; symmetrization by max is a union
-    here because cosine scores are symmetric.
+    vectors is normalised in place (all-zero rows stay zero: cosine undefined,
+    no pairs) and released once the n x n score matrix is formed. In that
+    matrix the diagonal and nonpositive scores become 0, each row's
+    argpartition picks its top_k, and a pick with score 0 is dropped. The
+    picks of both ends of a pair merge into one key lo * n + hi; a pair
+    survives if either end picks it, which is symmetrization by max because
+    cosine scores are symmetric.
     """
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors /= np.where(norms > 0, norms, 1.0)
+    scores = vectors @ vectors.T
+    del vectors
     n = scores.shape[0]
     np.fill_diagonal(scores, 0.0)
-    scores[scores <= 0.0] = 0.0
-    k = max(min(top_k, n - 1), 0)
-    rows = np.repeat(np.arange(n), k)
-    cols = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k].ravel() if k else rows
-    picked = scores[rows, cols] > 0.0
-    rows, cols = rows[picked], cols[picked]
-    i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
+    k = min(top_k, n - 1)  # n = 1 gives k = 0, kth = -1 (the only column) and no picks
+    keys = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, n, _SELECT_ROWS):
+        block = scores[start : start + _SELECT_ROWS]
+        block[block <= 0.0] = 0.0
+        rows = np.repeat(np.arange(start, start + block.shape[0]), k)
+        cols = np.argpartition(-block, kth=k - 1, axis=1)[:, :k].ravel()
+        picked = scores[rows, cols] > 0.0
+        rows, cols = rows[picked], cols[picked]
+        keys.append(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    i, j = np.divmod(np.unique(np.concatenate(keys)), n)
     return SimilaritySet(n, i, j, np.minimum(scores[i, j], 1.0))
 
 
 def topo_similarity(graph: Graph, top_k: int = 100) -> SimilaritySet:
     """Cosine similarity of adjacency rows, sparsified to each node's top_k."""
-    if top_k <= 0:
-        raise ContractError("top_k must be positive")
-    if graph.n > DENSE_SIMILARITY_LIMIT:
-        raise ContractError(
-            f"dense similarity path supports up to {DENSE_SIMILARITY_LIMIT} nodes"
-        )
-    rows = _cosine_rows(graph.adjacency().toarray())
-    return _topk_union(rows @ rows.T, top_k)
+    _check_dense(graph.n, top_k)
+    return _cosine_topk(graph.adjacency().toarray(), top_k)
 
 
 def attr_similarity(
     features: Array, top_k: int = 100, masked_columns: tuple[int, ...] = ()
 ) -> SimilaritySet:
     """Cosine similarity of feature rows with protected columns zeroed out."""
-    if top_k <= 0:
-        raise ContractError("top_k must be positive")
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.shape[0] > DENSE_SIMILARITY_LIMIT:
-        raise ContractError(
-            f"dense similarity path supports up to {DENSE_SIMILARITY_LIMIT} nodes"
-        )
-    if masked_columns:
-        bad = [c for c in masked_columns if not 0 <= c < feats.shape[1]]
-        if bad:
-            raise ContractError(f"masked column out of range: {bad}")
-        feats = feats.copy()
-        feats[:, list(masked_columns)] = 0.0
-    rows = _cosine_rows(feats)
-    return _topk_union(rows @ rows.T, top_k)
+    feats = np.array(features, dtype=np.float64)  # a copy: the kernel normalises it in place
+    _check_dense(feats.shape[0], top_k)
+    bad = [c for c in masked_columns if not 0 <= c < feats.shape[1]]
+    if bad:
+        raise ContractError(f"masked column out of range: {bad}")
+    feats[:, list(masked_columns)] = 0.0
+    return _cosine_topk(feats, top_k)
 
 
 def build_similarity(
@@ -385,6 +375,16 @@ def build_similarity(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def open_text(path, error: type = DataFormatError):
+    """path opened for reading as UTF-8; a byte that is not UTF-8 raises error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_table(
     path, columns: str, n_int: int, open_ended: bool = False
 ) -> tuple[Array, Array, Array]:
@@ -396,7 +396,7 @@ def _read_table(
     float must be finite. Returns (integers (rows, n_int), floats, line numbers).
     """
     leading = columns.split(",")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         names = ["".join(name.split()) for name in header.split(",")]
         if names[: len(leading)] != leading or (len(names) > len(leading)) != open_ended:
@@ -501,7 +501,7 @@ def read_edge_list(path) -> tuple[Array, int]:
 
 def _rescan_edge_list(path) -> NoReturn:
     """Find the first malformed line of an edge list that failed to load, and raise."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

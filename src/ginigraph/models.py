@@ -203,29 +203,6 @@ def as_leaves(tape: Tape, weights: dict[str, Array]) -> dict[str, Tensor]:
     return {name: tape.leaf(value, name) for name, value in weights.items()}
 
 
-def flatten_params(weights: dict[str, Array]) -> tuple[Array, list[tuple[str, tuple[int, int]]]]:
-    """Stack all weights into one column vector plus a layout for unflattening."""
-    layout = [(name, weights[name].shape) for name in sorted(weights)]
-    vec = np.concatenate([weights[name].ravel() for name, _ in layout])
-    return vec[:, None], layout
-
-
-def unflatten_params(
-    vec: Array, layout: list[tuple[str, tuple[int, int]]]
-) -> dict[str, Array]:
-    flat = np.asarray(vec, dtype=np.float64).ravel()
-    expected = sum(shape[0] * shape[1] for _, shape in layout)
-    if flat.size != expected:
-        raise DimensionError("vector length does not match the layout")
-    out: dict[str, Array] = {}
-    offset = 0
-    for name, shape in layout:
-        size = shape[0] * shape[1]
-        out[name] = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return out
-
-
 @dataclass
 class ModelParams:
     """Trained weights: encoder variant, encoder dict, fairness head dict."""

@@ -73,10 +73,13 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
 
 def perturb_noise(features: Array, sigma: float, seed: int = 0) -> Array:
     """Additive elementwise Gaussian noise; sigma = 0 returns the input unchanged."""
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise DomainError(f"sigma must be finite and nonnegative, got {sigma!r}")
     features = np.asarray(features, dtype=np.float64)
     if sigma == 0.0:
         return features.copy()
     rng = np.random.default_rng(seed)
-    return features + rng.normal(0.0, sigma, size=features.shape)
+    noised = features + rng.normal(0.0, sigma, size=features.shape)
+    if not np.all(np.isfinite(noised)):
+        raise DomainError(f"sigma {sigma!r} overflows the features to infinity")
+    return noised

@@ -96,8 +96,18 @@ def _known_keys(raw, settings, what: str) -> dict:
     return dict(raw)
 
 
+def _spell(value) -> str:
+    """A grid value in a run name: ':g' when that reads back as the value, else repr.
+
+    repr keeps distinct values apart where ':g' would not (0.1234567 and
+    0.1234568 both print as 0.123457).
+    """
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _point_slug(point: dict, rep: int) -> str:
-    parts = [f"{k}-{point[k]:g}" for k in sorted(point)]
+    parts = [f"{k}-{_spell(point[k])}" for k in sorted(point)]
     return "run_" + "_".join(parts + [f"rep{rep}"])
 
 

@@ -16,6 +16,7 @@ import pytest
 from conftest import build_random_graph, build_random_similarity
 from ginigraph.autodiff import Tape
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
+from ginigraph.errors import DimensionError
 from ginigraph.graph import GroupPartition, SimilaritySet, laplacian_apply, topo_similarity
 from ginigraph.gradnorm import GradNormController
 from ginigraph.losses import (
@@ -42,12 +43,10 @@ from ginigraph.models import (
     attention_edges,
     backbone_embed,
     fair_head_embed,
-    flatten_params,
     graph_operators,
     init_backbone,
     init_fair_head,
     readout_logits,
-    unflatten_params,
 )
 from ginigraph.perturb import perturb_noise, rewire_homophily
 from ginigraph.synthetic import SbmSpec, sbm_generate
@@ -150,6 +149,39 @@ def test_weighted_norm_chain(rng):
 # ---------------------------------------------------------------------------
 
 GRAD_BETAS = (1.0, 0.7, 0.5)
+
+
+def flatten_params(weights: dict[str, np.ndarray]):
+    """Stack all weights into one column vector plus a layout for unflattening."""
+    layout = [(name, weights[name].shape) for name in sorted(weights)]
+    vec = np.concatenate([weights[name].ravel() for name, _ in layout])
+    return vec[:, None], layout
+
+
+def unflatten_params(vec: np.ndarray, layout) -> dict[str, np.ndarray]:
+    flat = np.asarray(vec, dtype=np.float64).ravel()
+    expected = sum(shape[0] * shape[1] for _, shape in layout)
+    if flat.size != expected:
+        raise DimensionError("vector length does not match the layout")
+    out: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in layout:
+        size = shape[0] * shape[1]
+        out[name] = flat[offset : offset + size].reshape(shape).copy()
+        offset += size
+    return out
+
+
+def test_flatten_unflatten_round_trip(rng):
+    weights = init_backbone("jk", 5, 4, rng)
+    vec, layout = flatten_params(weights)
+    assert vec.shape[1] == 1
+    restored = unflatten_params(vec, layout)
+    assert set(restored) == set(weights)
+    for name in weights:
+        np.testing.assert_array_equal(restored[name], weights[name])
+    with pytest.raises(DimensionError):
+        unflatten_params(vec[:-1], layout)
 
 
 def build_grad_instance(seed: int):

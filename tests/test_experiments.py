@@ -361,6 +361,16 @@ def test_point_slug_is_stable():
     assert _point_slug({"beta2": 1.0, "rho": 0.4}, 2) == "run_beta2-1_rho-0.4_rep2"
 
 
+def test_grid_values_that_print_alike_keep_their_own_runs(tmp_path):
+    assert _point_slug({"beta2": 0.1234567}, 0) == "run_beta2-0.1234567_rep0"
+    spec = tiny_sweep_spec(beta2=[0.1234567, 0.1234568])
+    spec.repetitions = 1
+    rows = run_sweep(spec, tmp_path)
+    assert sorted(row.point["beta2"] for row in rows) == [0.1234567, 0.1234568]
+    assert len(list(tmp_path.glob("run_*.json"))) == 2
+    assert len(list(tmp_path.glob("run_*.log.csv"))) == 2
+
+
 def test_run_sweep_writes_artifacts_and_aggregates(tmp_path):
     spec = tiny_sweep_spec(rho=[0.0, 0.5])
     rows = run_sweep(spec, tmp_path)
@@ -777,6 +787,15 @@ def test_cli_cluster_and_perturb(sbm_dir, tmp_path, capsys):
     )
     assert code == 0
     assert abs(info["noise_std"] - 0.2) / 0.2 < 0.15
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "1e308"])
+def test_cli_perturb_rejects_non_finite_noise_with_exit_2(sbm_dir, tmp_path, capsys, sigma):
+    out = tmp_path / "noised"
+    argv = ["perturb", *graph_args(sbm_dir), f"--noise={sigma}", "--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not (out / "features.csv").exists()
 
 
 def test_cli_sweep_end_to_end(tmp_path, capsys):

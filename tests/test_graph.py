@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginigraph.config import load_config
 from ginigraph.errors import ConfigError, ContractError, DataFormatError, DomainError
 from ginigraph.graph import (
+    _SELECT_ROWS,
     Graph,
     GroupPartition,
     SimilaritySet,
@@ -36,7 +41,7 @@ from ginigraph.graph import (
 )
 from ginigraph.trainer import EpochRecord, write_training_log
 
-from conftest import build_random_similarity
+from conftest import build_random_graph, build_random_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +197,18 @@ def test_similarity_set_and_graph_reject_non_finite_values():
 
 def test_similarity_degree_matches_dense(rng):
     s = build_random_similarity(rng, 9)
-    dense = s.to_dense()
+    dense = s.matrix.toarray()
     np.testing.assert_allclose(s.degree, dense.sum(axis=1))
-    round_trip = SimilaritySet.from_dense(dense)
-    np.testing.assert_allclose(round_trip.to_dense(), dense)
+    i, j = np.nonzero(np.triu(dense, 1))
+    round_trip = SimilaritySet(9, i, j, dense[i, j])
+    np.testing.assert_array_equal(round_trip.matrix.toarray(), dense)
 
 
 def test_similarity_restrict_matches_dense_slice(rng):
     s = build_random_similarity(rng, 10)
     index = np.array([1, 3, 4, 8])
     sub = s.restrict(index)
-    np.testing.assert_allclose(sub.to_dense(), s.to_dense()[np.ix_(index, index)])
+    np.testing.assert_allclose(sub.matrix.toarray(), s.matrix.toarray()[np.ix_(index, index)])
 
 
 def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
@@ -225,7 +231,7 @@ def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
 def test_laplacian_apply_matches_dense(rng):
     s = build_random_similarity(rng, 8)
     z = rng.normal(size=(8, 3))
-    dense = s.to_dense()
+    dense = s.matrix.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     np.testing.assert_allclose(laplacian_apply(s, z), lap @ z, rtol=1e-12)
 
@@ -260,7 +266,7 @@ def test_topo_similarity_full_topk_matches_brute_force(rng, graph_factory):
     s = topo_similarity(graph, top_k=graph.n)
     cos = brute_cosine(graph.adjacency().toarray())
     expected = np.where(cos > 0, np.minimum(cos, 1.0), 0.0)
-    np.testing.assert_allclose(s.to_dense(), expected, atol=1e-12)
+    np.testing.assert_allclose(s.matrix.toarray(), expected, atol=1e-12)
 
 
 def test_topk_keeps_union_of_per_node_selections(rng):
@@ -275,7 +281,7 @@ def test_topk_keeps_union_of_per_node_selections(rng):
         keep[i, chosen] = True
     keep |= keep.T
     expected = np.where(keep, np.maximum(cos, 0.0), 0.0)
-    np.testing.assert_allclose(s.to_dense(), expected, atol=1e-12)
+    np.testing.assert_allclose(s.matrix.toarray(), expected, atol=1e-12)
 
 
 # Integer features in {-1, 0, 1}: many exact cosine ties, several at a row's
@@ -317,7 +323,7 @@ def test_attr_similarity_ignores_masked_columns(rng):
     altered[:, 2] = rng.normal(size=8) * 100
     a = attr_similarity(feats, top_k=8, masked_columns=(2,))
     b = attr_similarity(altered, top_k=8, masked_columns=(2,))
-    np.testing.assert_allclose(a.to_dense(), b.to_dense())
+    np.testing.assert_allclose(a.matrix.toarray(), b.matrix.toarray())
     with pytest.raises(ContractError):
         attr_similarity(feats, top_k=8, masked_columns=(7,))
 
@@ -327,6 +333,53 @@ def test_zero_feature_rows_produce_no_pairs():
     feats[0] = [1.0, 0.0, 0.0]
     s = attr_similarity(feats, top_k=4)
     assert s.num_pairs == 0
+
+
+def one_shot_topk_union(vectors, top_k):
+    """The top-k union with one argpartition over the whole negated score matrix."""
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    unit = vectors / np.where(norms > 0, norms, 1.0)
+    scores = unit @ unit.T
+    n = scores.shape[0]
+    np.fill_diagonal(scores, 0.0)
+    scores[scores <= 0.0] = 0.0
+    k = min(top_k, n - 1)
+    rows = np.repeat(np.arange(n), k)
+    cols = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k].ravel()
+    picked = scores[rows, cols] > 0.0
+    rows, cols = rows[picked], cols[picked]
+    i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
+    return i, j, np.minimum(scores[i, j], 1.0)
+
+
+@pytest.mark.parametrize("k", ["1", "3", "10", "n-1"])
+def test_row_blocked_topk_matches_one_shot_selection(k):
+    rng = np.random.default_rng(4)
+    n = int(2.5 * _SELECT_ROWS) + 9  # three blocks, the last one partial
+    top_k = n - 1 if k == "n-1" else int(k)
+    graph = build_random_graph(rng, n, dim=3, p=0.02)
+    ties = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+    cases = [
+        (topo_similarity(graph, top_k), graph.adjacency().toarray()),
+        (attr_similarity(ties, top_k), ties),
+        (attr_similarity(graph.features, top_k), graph.features),
+    ]
+    for s, vectors in cases:
+        for got, want in zip(s.pair_arrays(), one_shot_topk_union(vectors, top_k)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_topo_similarity_holds_no_more_than_two_n_by_n_arrays():
+    n = 1500
+    graph = build_random_graph(np.random.default_rng(0), n, p=0.05)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        topo_similarity(graph, 10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_build_similarity_dispatches_on_mode(rng, graph_factory):
@@ -362,7 +415,7 @@ def test_topo_similarity_is_symmetric_in_storage(seed):
     s = topo_similarity(graph, top_k=3)
     assert np.all(s.rows < s.cols)
     assert np.all(s.weights > 0) and np.all(s.weights <= 1.0)
-    dense = s.to_dense()
+    dense = s.matrix.toarray()
     np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -621,3 +674,54 @@ def test_tables_sort_rows_by_id_and_name_the_bad_line(tmp_path):
     path.write_text("i,j,weight\n0,1,nan\n")
     with pytest.raises(DataFormatError, match=":2: non-finite"):
         read_similarity_csv(path, 3)
+
+
+# Every reader of an input file, with a valid input for it. A file that is not
+# UTF-8, or any other mutation of it, must end in the reader's domain error
+# (DataFormatError, exit 4; ConfigError for the config file, exit 2).
+FILE_READERS = {
+    "features": (
+        "id,label,sensitive,f0,f1\n0,0,0,0.5,-1\n1,1,1,2,0\n2,-1,0,1e-3,3\n",
+        read_feature_table,
+    ),
+    "embedding": ("id,e0,e1\n0,0.5,-1\n1,2,0\n2,1e-3,3\n", read_embedding_csv),
+    "similarity": ("i,j,weight\n0,1,0.5\n1,2,1\n", lambda path: read_similarity_csv(path, 3)),
+    "scores": ("id,score\n0,0.25\n1,0.5\n2,0.75\n", read_scores_csv),
+    "partition": ("id,group\n0,1\n1,0\n2,1\n", read_partition_csv),
+    "edges": ("# i j\n0 1\n1 2 # comment\n0 2\n", read_edge_list),
+    "config": ("seed = 3\nmax_epochs = 5  # comment\nattention = off\n", load_config),
+}
+
+
+def _reader_error(name: str) -> type:
+    return ConfigError if name == "config" else DataFormatError
+
+
+@pytest.mark.parametrize("name", sorted(FILE_READERS))
+def test_readers_name_the_path_of_a_non_utf8_file(tmp_path, name):
+    text, read = FILE_READERS[name]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode()[:10] + b"\xff" + text.encode()[10:])
+    with pytest.raises(_reader_error(name), match=re.escape(f"{path}: not UTF-8")):
+        read(path)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@pytest.mark.parametrize("name", sorted(FILE_READERS))
+@given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_mutated_input_files_raise_only_domain_errors(mutation_dir, name, edits):
+    text, read = FILE_READERS[name]
+    data = bytearray(text.encode())
+    for position, byte in edits:
+        data[position % len(data)] = byte
+    path = mutation_dir / name
+    path.write_bytes(bytes(data))
+    try:
+        read(path)
+    except (DataFormatError, ConfigError) as exc:
+        assert isinstance(exc, _reader_error(name))

@@ -107,7 +107,7 @@ def test_smoothness_loss_matches_trace_form(rng):
     z = tape.leaf(z_values)
     loss = smoothness_loss(z, s)
     tape.backward(loss)
-    dense = s.to_dense()
+    dense = s.matrix.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     np.testing.assert_allclose(z.grad, 2.0 * lap @ z_values, rtol=1e-10)
 
@@ -308,6 +308,6 @@ def test_combine_losses_routes_gradients_by_weight(rng):
     term = smoothness_loss(z, s)
     total = combine_losses([term], [2.0])
     tape.backward(total)
-    dense = s.to_dense()
+    dense = s.matrix.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     np.testing.assert_allclose(z.grad, 2.0 * 2.0 * lap @ z.values, rtol=1e-10)

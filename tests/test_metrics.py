@@ -106,7 +106,7 @@ def test_lipschitz_empty_set_and_delta_guard():
 def test_trace_form_matches_dense_laplacian(rng):
     s = build_random_similarity(rng, 12)
     z = rng.normal(size=(12, 4))
-    dense = s.to_dense()
+    dense = s.matrix.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     np.testing.assert_allclose(trace_form(s, z), np.trace(z.T @ lap @ z), rtol=1e-10)
 

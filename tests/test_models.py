@@ -19,14 +19,12 @@ from ginigraph.models import (
     attention_edges,
     backbone_embed,
     fair_head_embed,
-    flatten_params,
     graph_operators,
     init_backbone,
     init_fair_head,
     load_checkpoint,
     readout_logits,
     save_checkpoint,
-    unflatten_params,
 )
 
 from conftest import build_random_similarity
@@ -189,7 +187,7 @@ def test_attention_edges_include_self_loops(rng):
         row = edges.indices[edges.indptr[i] : edges.indptr[i + 1]]
         assert i in row and np.all(np.diff(row) > 0)
     # data holds the similarities, with 1.0 on the diagonal
-    np.testing.assert_array_equal(edges.toarray(), s.to_dense() + np.eye(7))
+    np.testing.assert_array_equal(edges.toarray(), s.matrix.toarray() + np.eye(7))
 
 
 @pytest.mark.parametrize("attention", [True, False])
@@ -256,20 +254,8 @@ def test_fair_head_gradient_passes_finite_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# Parameter plumbing and checkpoints
+# Checkpoints
 # ---------------------------------------------------------------------------
-
-
-def test_flatten_unflatten_round_trip(rng):
-    weights = init_backbone("jk", 5, 4, rng)
-    vec, layout = flatten_params(weights)
-    assert vec.shape[1] == 1
-    restored = unflatten_params(vec, layout)
-    assert set(restored) == set(weights)
-    for name in weights:
-        np.testing.assert_array_equal(restored[name], weights[name])
-    with pytest.raises(DimensionError):
-        unflatten_params(vec[:-1], layout)
 
 
 def test_checkpoint_round_trip_exact(tmp_path, rng):
