@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .autodiff import pair_trace_values
 from .errors import ContractError, DataFormatError, DomainError, check_field_types
@@ -152,6 +151,19 @@ def tail_bound(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _average_ranks(y: Array) -> Array:
+    """Ranks from 1, ties sharing their mean (a whole or half, so exact); all NaN if y has a NaN."""
+    if np.isnan(y).any():
+        return np.full(y.size, np.nan)
+    order = np.argsort(y, kind="stable")
+    y = y[order]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    counts = np.diff(np.r_[starts, y.size])
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2.0, counts)
+    return ranks
+
+
 def rank_auc(scores: Array, labels: Array) -> float:
     """Area under the ROC curve via average ranks; ties count half.
 
@@ -166,7 +178,7 @@ def rank_auc(scores: Array, labels: Array) -> float:
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise DomainError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -17,6 +17,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .graph import GroupPartition, build_similarity, read_json
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import perturb_noise, rewire_homophily
 from .synthetic import SbmSpec, sbm_generate
-from .trainer import RunResult, TrainConfig, train, write_training_log
+from .trainer import PRETRAIN_FIELDS, TrainConfig, pretrain, train, write_training_log
 
 GRID_AXES = ("beta2", "beta3", "rho", "sigma", "hidden")
 METRIC_KEYS = ("auc", "individual_unfairness", "gd_trace", "gini", "gd_gini")
@@ -128,13 +129,6 @@ def _point_config(spec: SweepSpec, point: dict, seed: int) -> TrainConfig:
     return dataclasses.replace(spec.config, seed=seed, **overrides)
 
 
-def run_single(spec: SweepSpec, point: dict, rep: int) -> RunResult:
-    """One grid cell, one repetition; the unit the sweep loops over."""
-    seed = spec.base_seed + rep
-    graph, similarity, partition = _build_run_data(spec, point, seed)
-    return train(graph, similarity, partition, _point_config(spec, point, seed))
-
-
 @dataclass
 class SweepRow:
     """Aggregate for one grid point."""
@@ -147,16 +141,34 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> list[SweepRow]:
-    """Execute the whole grid, writing per-run JSON and log files."""
+    """Execute the whole grid, writing per-run JSON and log files.
+
+    Runs that share rho, sigma and every config field pretrain reads
+    (trainer.PRETRAIN_FIELDS) differ only in the fairness stage, so they share
+    one generated graph, similarity set and pretraining; each run's
+    wall_seconds then excludes the pretraining.
+    """
     spec.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    stage1 = attrgetter(*PRETRAIN_FIELDS)
+    groups: dict[tuple, list] = {}
     for point in spec.grid_points():
         for rep in range(spec.repetitions):
+            config = _point_config(spec, point, spec.base_seed + rep)
+            key = (point.get("rho"), point.get("sigma"), stage1(config))
+            groups.setdefault(key, []).append((point, rep, config))
+    for runs in groups.values():
+        shared = None
+        for point, rep, config in runs:
             slug = _point_slug(point, rep)
-            record = {"point": point, "rep": rep, "seed": spec.base_seed + rep}
+            record = {"point": point, "rep": rep, "seed": config.seed}
             try:
-                result = run_single(spec, point, rep)
+                if shared is None:
+                    graph, similarity, partition = _build_run_data(spec, point, config.seed)
+                    shared = (graph, similarity, partition), pretrain(graph, config)
+                data, pretrained = shared
+                result = train(*data, config, pretrained)
                 record["result"] = result.to_json_dict()
                 write_training_log(out / f"{slug}.log.csv", result.history)
             except GiniGraphError as exc:

@@ -115,6 +115,33 @@ def _assign_sensitive(spec: SbmSpec, rng: np.random.Generator) -> Array:
     return sensitive
 
 
+# Pairs per rng.random call when drawing the upper triangle: consecutive calls
+# give the same stream as one call over all n(n-1)/2 pairs, and blocks of this
+# size keep the draw's memory at a few MB instead of the n²/2 pair arrays.
+_PAIR_BLOCK = 1 << 16
+
+
+def _draw_edges(blocks: Array, p_within: float, p_between: float, rng) -> Array:
+    """Each upper-triangle pair (i < j) is an edge with its block pair's probability.
+
+    The pairs are drawn in np.triu_indices order, in blocks of whole rows
+    holding at most _PAIR_BLOCK pairs (or one row).
+    """
+    n = blocks.size
+    chosen = [np.empty((0, 2), dtype=np.int64)]
+    row = 0
+    while row < n - 1:
+        stop = min(n - 1, row + max(1, _PAIR_BLOCK // (n - 1 - row)))
+        i, j = np.triu_indices(stop - row, k=1, m=n - row)
+        i += row
+        j += row
+        p = np.where(blocks[i] == blocks[j], p_within, p_between)
+        hit = rng.random(p.size) < p
+        chosen.append(np.column_stack([i[hit], j[hit]]).astype(np.int64))
+        row = stop
+    return np.concatenate(chosen)
+
+
 def sbm_generate(spec: SbmSpec, seed: int = 0) -> Graph:
     """Sample one benchmark graph, including a 50/25/25 labeled split."""
     spec.validate()
@@ -134,10 +161,7 @@ def sbm_generate(spec: SbmSpec, seed: int = 0) -> Graph:
     flip = rng.random(n) < spec.label_noise
     labels = np.where(flip, 1 - labels, labels)
 
-    i, j = np.triu_indices(n, k=1)
-    p = np.where(blocks[i] == blocks[j], spec.p_within, spec.p_between)
-    hit = rng.random(p.size) < p
-    edges = np.column_stack([i[hit], j[hit]]).astype(np.int64)
+    edges = _draw_edges(blocks, spec.p_within, spec.p_between, rng)
 
     graph = Graph(edges=edges, features=features, labels=labels, sensitive=sensitive)
     train, val, test = split_nodes(graph, (0.5, 0.25, 0.25), seed)

@@ -17,7 +17,7 @@ from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_SBM, BENCHMARK_VARIANT
 from ginigraph.clustering import kmeans, kmeans_elbow
 from ginigraph.config import SEED_ENV_VAR, load_config, parse_config_text
 from ginigraph.errors import ConfigError, ContractError, DomainError, NumericalError
-from ginigraph import trainer
+from ginigraph import sweep, synthetic, trainer
 from ginigraph.graph import (
     Graph,
     GroupPartition,
@@ -37,6 +37,8 @@ from ginigraph.sweep import (
     METRIC_KEYS,
     SweepRow,
     SweepSpec,
+    _build_run_data,
+    _point_config,
     _point_slug,
     aggregate_dir,
     aggregate_records,
@@ -45,7 +47,7 @@ from ginigraph.sweep import (
     write_sweep_table,
 )
 from ginigraph.synthetic import SbmSpec, sbm_generate
-from ginigraph.trainer import TrainConfig
+from ginigraph.trainer import TrainConfig, train, write_training_log
 
 TINY_SBM = SbmSpec(
     block_sizes=(20, 20),
@@ -136,6 +138,24 @@ def test_sbm_masks_partition_all_nodes_and_are_deterministic():
     np.testing.assert_array_equal(graph.edges, again.edges)
     np.testing.assert_array_equal(graph.features, again.features)
     np.testing.assert_array_equal(graph.train_mask, again.train_mask)
+
+
+@pytest.mark.parametrize("pair_block", [1, 7, synthetic._PAIR_BLOCK])
+@pytest.mark.parametrize("block_sizes", [(1,), (2,), (3, 4), (40, 25, 30), (300, 120, 90)])
+def test_sbm_row_block_edge_draw_matches_one_whole_triangle_draw(
+    monkeypatch, block_sizes, pair_block
+):
+    monkeypatch.setattr(synthetic, "_PAIR_BLOCK", pair_block)
+    blocks = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    rng = np.random.default_rng(11)
+    edges = synthetic._draw_edges(blocks, 0.3, 0.05, rng)
+    # the reference: one rng.random call over the whole upper triangle
+    whole = np.random.default_rng(11)
+    i, j = np.triu_indices(blocks.size, k=1)
+    hit = whole.random(i.size) < np.where(blocks[i] == blocks[j], 0.3, 0.05)
+    assert edges.dtype == np.int64
+    np.testing.assert_array_equal(edges, np.column_stack([i[hit], j[hit]]))
+    assert rng.bit_generator.state == whole.bit_generator.state
 
 
 def test_sbm_spec_guards():
@@ -392,6 +412,44 @@ def test_run_sweep_writes_artifacts_and_aggregates(tmp_path):
             else:
                 assert abs(row.mean[metric] - other.mean[metric]) < 1e-9
                 assert abs(row.std[metric] - other.std[metric]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "axes, pretrainings",
+    [
+        (dict(beta2=[0.0, 0.5, 1.0]), 2),
+        (dict(beta3=[0.0, 1.0], sigma=[0.0, 0.3]), 4),
+        (dict(beta2=[0.0, 1.0], hidden=[3, 4]), 4),
+    ],
+)
+def test_sweep_shares_pretraining_and_keeps_every_run(tmp_path, monkeypatch, axes, pretrainings):
+    spec = tiny_sweep_spec(**axes)
+    calls = []
+    pretrain = trainer.pretrain
+
+    def counted(graph, config):
+        calls.append(config)
+        return pretrain(graph, config)
+
+    monkeypatch.setattr(trainer, "pretrain", counted)
+    monkeypatch.setattr(sweep, "pretrain", counted)
+    run_sweep(spec, tmp_path / "sweep")
+    # one pretraining per repetition and distinct rho, sigma and hidden
+    assert len(calls) == pretrainings
+    for point in spec.grid_points():
+        for rep in range(spec.repetitions):
+            seed = spec.base_seed + rep
+            graph, similarity, partition = _build_run_data(spec, point, seed)
+            alone = train(graph, similarity, partition, _point_config(spec, point, seed))
+            write_training_log(tmp_path / "alone.log.csv", alone.history)
+            slug = _point_slug(point, rep)
+            shared_log = (tmp_path / "sweep" / f"{slug}.log.csv").read_bytes()
+            assert shared_log == (tmp_path / "alone.log.csv").read_bytes()
+            record = json.loads((tmp_path / "sweep" / f"{slug}.json").read_text())
+            expected = alone.to_json_dict()
+            for result in (record["result"], expected):
+                del result["wall_seconds"]
+            assert json.dumps(record["result"]) == json.dumps(expected)
 
 
 def test_aggregate_records_counts_errors():

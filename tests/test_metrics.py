@@ -9,15 +9,23 @@ separate (168/440 vs 174/470).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ginigraph
 from ginigraph.errors import ContractError, DomainError
 from ginigraph.graph import GroupPartition, SimilaritySet
 from ginigraph.metrics import (
     MetricsReport,
+    _average_ranks,
     average_gdif,
     compute_report,
     embedding_gini,
@@ -266,6 +274,39 @@ def test_rank_auc_matches_pair_counting(seed):
 def test_rank_auc_requires_both_classes():
     with pytest.raises(DomainError):
         rank_auc([0.2, 0.4], [1, 1])
+
+
+SPECIAL_SCORES = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -2.5, 1e-300])
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit(seed, with_nan):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    scores = np.round(rng.normal(size=n), 1)  # ties
+    special = rng.random(n) < 0.4
+    scores[special] = SPECIAL_SCORES[rng.integers(0, SPECIAL_SCORES.size, size=int(special.sum()))]
+    if with_nan:
+        scores[rng.integers(0, n)] = np.nan
+    ranks = _average_ranks(scores)
+    assert ranks.dtype == np.float64
+    assert ranks.tobytes() == rankdata(scores).tobytes()
+
+
+def test_rank_auc_of_a_nan_score_is_nan():
+    assert np.isnan(rank_auc([0.2, np.nan, 0.7], [0, 1, 1]))
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    # scipy.stats took most of a process's start-up time and import memory
+    src = str(Path(ginigraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ginigraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_f1_score_fixture_and_degenerate():
