@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import kmeans, kmeans_elbow
-from .config import apply_env_seed, load_config
 from .errors import (
     ConfigError,
     ContractError,
@@ -48,6 +48,9 @@ from .sweep import SweepSpec, aggregate_dir, run_sweep, write_metrics_table, wri
 from .synthetic import SbmSpec, sbm_generate
 from .trainer import TrainConfig, train, write_training_log
 from .models import save_checkpoint
+
+# when set, overrides the seed of a train run from any source
+SEED_ENV_VAR = "GINIGRAPH_SEED"
 
 
 def _emit(payload: dict) -> None:
@@ -127,9 +130,20 @@ TRAIN_OVERRIDES = (
 )
 
 
+def apply_env_seed(config: TrainConfig) -> TrainConfig:
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return config
+    try:
+        seed = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    return dataclasses.replace(config, seed=seed)
+
+
 def cmd_train(args) -> int:
     graph, _ = load_graph(args.edges, args.features)
-    config = load_config(args.config) if args.config else TrainConfig()
+    config = read_json(args.config, TrainConfig.from_json_dict) if args.config else TrainConfig()
     overrides = {}
     for name in TRAIN_OVERRIDES:
         value = getattr(args, name)
@@ -324,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similarity", help="precomputed similarity CSV (else built)")
     p.add_argument("--sim-mode", choices=["topo", "attr"], default="topo")
     p.add_argument("--partition", help="id,group CSV (default: sensitive attribute)")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--config", help="JSON object of TrainConfig fields")
     p.add_argument("--backbone", choices=["gcn", "gin", "jk"])
     p.add_argument("--gradnorm", choices=["on", "off"])
     p.add_argument("--attention", choices=["on", "off"])
@@ -380,6 +394,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args) or 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

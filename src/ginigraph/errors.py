@@ -79,3 +79,13 @@ def check_field_types(settings, error: type[GiniGraphError]) -> None:
         value = getattr(settings, f.name)
         if not _fits(value, f.type):
             raise error(f"{f.name}: expected {f.type}, got {value!r}")
+
+
+def known_keys(raw, settings, what: str) -> dict:
+    """A copy of the JSON object raw, whose keys must be fields of settings."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(settings)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(raw)

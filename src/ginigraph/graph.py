@@ -376,13 +376,13 @@ def build_similarity(
 
 
 @contextmanager
-def open_text(path, error: type = DataFormatError):
-    """path opened for reading as UTF-8; a byte that is not UTF-8 raises error naming it."""
+def open_text(path):
+    """path opened for reading as UTF-8; a byte that is not UTF-8 raises DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _read_table(
@@ -550,15 +550,27 @@ def write_feature_table(path, features: Array, labels: Array, sensitive: Array) 
     _write_table(path, header, [np.arange(features.shape[0]), *codes, *features.T])
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object with these (key, value) pairs; ValueError on a repeated key."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path, parse=lambda value: value):
     """parse applied to the JSON value in the file at path.
 
-    A file that is not UTF-8 JSON, nests too deep, or that parse rejects with
-    DataFormatError raises DataFormatError naming the path.
+    A file that is not UTF-8 JSON, nests too deep, repeats a key within an
+    object, or that parse rejects with DataFormatError raises DataFormatError
+    naming the path.
     """
+    with open_text(path) as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        return parse(json.loads(text, object_pairs_hook=_unique_keys))
     except (ValueError, RecursionError, DataFormatError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

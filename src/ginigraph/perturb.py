@@ -24,6 +24,18 @@ class RewireResult:
     kept: int
 
 
+def check_rho(rho: float) -> None:
+    """ContractError unless rho, the share of edges to rewire, lies in [0, 1]."""
+    if not 0.0 <= rho <= 1.0:
+        raise ContractError("rho must lie in [0, 1]")
+
+
+def check_sigma(sigma: float) -> None:
+    """DomainError unless sigma, the noise scale, is finite and nonnegative."""
+    if not 0.0 <= sigma < np.inf:
+        raise DomainError(f"sigma must be finite and nonnegative, got {sigma!r}")
+
+
 def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
     """Replace one endpoint of floor(rho * |E|) random edges with a same-label node.
 
@@ -33,8 +45,7 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
     duplicate edge are rejected up to 20 times, after which the edge is kept
     unchanged and counted. The edge count never changes.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ContractError("rho must lie in [0, 1]")
+    check_rho(rho)
     edges = graph.edges.copy()
     m = edges.shape[0]
     budget = math.floor(rho * m)
@@ -73,8 +84,7 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
 
 def perturb_noise(features: Array, sigma: float, seed: int = 0) -> Array:
     """Additive elementwise Gaussian noise; sigma = 0 returns the input unchanged."""
-    if not 0.0 <= sigma < np.inf:
-        raise DomainError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    check_sigma(sigma)
     features = np.asarray(features, dtype=np.float64)
     if sigma == 0.0:
         return features.copy()

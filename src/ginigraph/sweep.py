@@ -28,10 +28,11 @@ from .errors import (
     GiniGraphError,
     check_field_types,
     is_finite_number,
+    known_keys,
 )
 from .graph import GroupPartition, build_similarity, read_json
 from .metrics import REPORT_FIELDS, MetricsReport
-from .perturb import perturb_noise, rewire_homophily
+from .perturb import check_rho, check_sigma, perturb_noise, rewire_homophily
 from .synthetic import SbmSpec, sbm_generate
 from .trainer import PRETRAIN_FIELDS, TrainConfig, pretrain, train, write_training_log
 
@@ -58,6 +59,8 @@ class SweepSpec:
         check_field_types(self, ConfigError)
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be nonnegative")
         if self.similarity_mode not in ("topo", "attr"):
             raise ConfigError("similarity_mode must be topo or attr")
         if not any(getattr(self, axis) for axis in GRID_AXES):
@@ -67,6 +70,12 @@ class SweepSpec:
             if values is not None and len(values) == 0:
                 raise ConfigError(f"axis {axis} must be a nonempty list when given")
         self.config.validate()
+        for point in self.grid_points():
+            _point_config(self, point, self.base_seed).validate()
+        for rho in self.rho or ():
+            check_rho(rho)
+        for sigma in self.sigma or ():
+            check_sigma(sigma)
         self.sbm.validate()
 
     def grid_points(self) -> list[dict]:
@@ -76,25 +85,15 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "SweepSpec":
-        kwargs = _known_keys(raw, cls, "sweep spec")
+        kwargs = known_keys(raw, cls, "sweep spec")
         if "config" in kwargs:
-            kwargs["config"] = TrainConfig(**_known_keys(kwargs["config"], TrainConfig, "config"))
+            kwargs["config"] = TrainConfig.from_json_dict(kwargs["config"])
         if "sbm" in kwargs:
-            sbm = _known_keys(kwargs["sbm"], SbmSpec, "sbm")
+            sbm = known_keys(kwargs["sbm"], SbmSpec, "sbm")
             if isinstance(sbm.get("block_sizes"), list):
                 sbm["block_sizes"] = tuple(sbm["block_sizes"])
             kwargs["sbm"] = SbmSpec(**sbm)
         return cls(**kwargs)
-
-
-def _known_keys(raw, settings, what: str) -> dict:
-    """A copy of the JSON object raw, whose keys must be fields of settings."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
-    unknown = set(raw) - {f.name for f in dataclasses.fields(settings)}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(raw)
 
 
 def _spell(value) -> str:

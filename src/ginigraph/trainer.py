@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import ConfigError, ContractError, DomainError, check_field_types
+from .errors import ConfigError, ContractError, DomainError, check_field_types, known_keys
 from .gradnorm import GradNormController
 from .graph import Graph, GroupPartition, SimilaritySet, _write_table, split_nodes
 from .losses import (
@@ -108,7 +108,7 @@ class TrainConfig:
                      "beta_lr", "temperature", "head_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("pretrain_epochs", "weight_decay", "delta", "beta2", "beta3"):
+        for name in ("pretrain_epochs", "seed", "weight_decay", "delta", "beta2", "beta3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if not 0 < self.topk_fraction <= 1:
@@ -116,6 +116,18 @@ class TrainConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_json_dict(cls, raw) -> "TrainConfig":
+        """The config a JSON object of TrainConfig fields sets; ConfigError when raw is not one.
+
+        Absent fields keep their defaults; every given field must hold its
+        annotated type. The value ranges are left to validate(), which runs
+        once any overrides are applied.
+        """
+        config = cls(**known_keys(raw, cls, "config"))
+        check_field_types(config, ConfigError)
+        return config
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ sweeps, config files, and the command-line surface."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,16 @@ from hypothesis import strategies as st
 
 from ginigraph import cli
 from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_SBM, BENCHMARK_VARIANTS, run_matrix
+from ginigraph.cli import SEED_ENV_VAR, apply_env_seed
 from ginigraph.clustering import kmeans, kmeans_elbow
-from ginigraph.config import SEED_ENV_VAR, load_config, parse_config_text
-from ginigraph.errors import ConfigError, ContractError, DomainError, NumericalError
+from ginigraph.errors import (
+    ConfigError,
+    ContractError,
+    DataFormatError,
+    DomainError,
+    GiniGraphError,
+    NumericalError,
+)
 from ginigraph import sweep, synthetic, trainer
 from ginigraph.graph import (
     Graph,
@@ -24,6 +33,7 @@ from ginigraph.graph import (
     build_similarity,
     load_graph,
     read_embedding_csv,
+    read_json,
     read_scores_csv,
     topo_similarity,
     write_embedding_csv,
@@ -574,59 +584,46 @@ def test_report_tables_write_the_recorded_bytes(tmp_path, table, fmt, thousands)
 # ---------------------------------------------------------------------------
 
 
-def test_parse_config_text_types_and_comments():
-    text = """
-    # a comment
-    backbone = gin
-    hidden = 32        # inline comment
-    learning_rate = 5e-4
-    gradnorm = off
-    attention = true
-    beta2 = 0.5
-    """
-    values = parse_config_text(text)
-    assert values == {
+def test_train_config_from_json_dict_reads_each_type():
+    raw = {
         "backbone": "gin",
         "hidden": 32,
         "learning_rate": 5e-4,
         "gradnorm": False,
         "attention": True,
-        "beta2": 0.5,
+        "beta2": 1,
     }
+    config = TrainConfig.from_json_dict(raw)
+    assert config == TrainConfig(
+        backbone="gin", hidden=32, learning_rate=5e-4, gradnorm=False, attention=True, beta2=1
+    )
+    assert TrainConfig.from_json_dict({}) == TrainConfig()
 
 
-def test_parse_config_text_errors_carry_line_numbers():
-    with pytest.raises(ConfigError, match=r"cfg:2: unknown key"):
-        parse_config_text("hidden = 4\nwidth = 2\n", source="cfg")
-    with pytest.raises(ConfigError, match=r":2: duplicate"):
-        parse_config_text("hidden = 4\nhidden = 8\n")
-    with pytest.raises(ConfigError, match="expected key=value"):
-        parse_config_text("just words\n")
-    with pytest.raises(ConfigError, match="bad value"):
-        parse_config_text("hidden = lots\n")
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config_text("gradnorm = maybe\n")
+def test_train_config_from_json_dict_rejects_other_values(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['width'\]"):
+        TrainConfig.from_json_dict({"hidden": 4, "width": 2})
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        TrainConfig.from_json_dict([["hidden", 4]])
+    with pytest.raises(ConfigError, match="hidden: expected int"):
+        TrainConfig.from_json_dict({"hidden": "lots"})
+    with pytest.raises(ConfigError, match="gradnorm: expected bool"):
+        TrainConfig.from_json_dict({"gradnorm": "off"})
+    path = tmp_path / "run.json"
+    path.write_text('{"hidden": 4, "hidden": 8}')
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: duplicate key 'hidden'")):
+        read_json(path, TrainConfig.from_json_dict)
 
 
-def test_load_config_applies_env_seed(tmp_path, monkeypatch):
-    path = tmp_path / "run.cfg"
-    path.write_text("seed = 3\nhidden = 8\n")
+def test_apply_env_seed_overrides_the_seed(monkeypatch):
+    config = TrainConfig(seed=3, hidden=8)
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert load_config(path).seed == 3
+    assert apply_env_seed(config) == config
     monkeypatch.setenv(SEED_ENV_VAR, "99")
-    config = load_config(path)
-    assert config.seed == 99 and config.hidden == 8
+    assert apply_env_seed(config) == TrainConfig(seed=99, hidden=8)
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
     with pytest.raises(ConfigError, match=SEED_ENV_VAR):
-        load_config(path)
-
-
-def test_load_config_validates(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    path = tmp_path / "run.cfg"
-    path.write_text("hidden = -4\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+        apply_env_seed(config)
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +806,40 @@ def test_cli_report_exits_cleanly_on_any_json(tmp_path_factory, payload, as_dir,
     assert cli.main([*argv, "--format", fmt]) in (0, 2, 4)
 
 
+def _fields(settings) -> list[str]:
+    return [f.name for f in dataclasses.fields(settings)]
+
+
+# near-valid settings objects, so the range checks and every grid point are reached
+NUMBERS = st.integers(-2, 20) | st.floats(-1.0, 2.0)
+SETTING_VALUES = NUMBERS | SCALARS | st.lists(NUMBERS | SCALARS, max_size=3)
+CONFIGS = st.dictionaries(
+    st.sampled_from(_fields(TrainConfig)),
+    NUMBERS | SCALARS | st.sampled_from(["gcn", "gin", "jk", "softmax", "topk", "all"]),
+    max_size=6,
+)
+SPECS = st.fixed_dictionaries(
+    {"beta2": st.lists(NUMBERS, max_size=3)},
+    optional={
+        **{name: SETTING_VALUES for name in _fields(SweepSpec) if name != "beta2"},
+        "config": CONFIGS,
+        "sbm": st.dictionaries(st.sampled_from(_fields(SbmSpec)), SETTING_VALUES, max_size=4),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=JSON_VALUES | CONFIGS | SPECS,
+    read=st.sampled_from([TrainConfig.from_json_dict, SweepSpec.from_json_dict]),
+)
+def test_settings_readers_raise_only_domain_errors_on_any_json(raw, read):
+    try:
+        read(raw).validate()
+    except GiniGraphError:
+        pass
+
+
 def test_cli_train_env_seed_overrides_flag(sbm_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "77")
     run_dir = tmp_path / "run_env"
@@ -903,8 +934,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 4
 
     # bad config key -> config error
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("width = 3\n")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"width": 3}')
     (tmp_path / "edges.txt").write_text("0 1\n")
     code, _ = run_cli(
         capsys, "train", "--edges", str(tmp_path / "edges.txt"),
@@ -941,7 +972,8 @@ def test_cli_audit_rejects_a_non_finite_embedding(sbm_dir, tmp_path, capsys):
     assert code == 4 and out == {}
 
 
-# each reached a TypeError traceback or ran with a wrong value before
+# each reached a TypeError traceback, ran with a wrong value, or trained the
+# valid grid points before recording the bad ones as errors
 INVALID_INPUTS = {
     "sweep-gradnorm-string": ("sweep", {"config": {"gradnorm": "off"}}),
     "sweep-max-epochs-string": ("sweep", {"config": {"max_epochs": "3"}}),
@@ -951,12 +983,25 @@ INVALID_INPUTS = {
     "sweep-repetitions-string": ("sweep", {"repetitions": "2"}),
     "sweep-axis-scalar": ("sweep", {"beta2": 1.0}),
     "sweep-hidden-axis-float": ("sweep", {"hidden": [2.5]}),
+    "sweep-hidden-axis-zero": ("sweep", {"hidden": [0, 3]}),
+    "sweep-beta2-axis-negative": ("sweep", {"beta2": [-1.0, 0.5]}),
+    "sweep-rho-axis-above-one": ("sweep", {"rho": [1.5]}),
+    "sweep-sigma-axis-negative": ("sweep", {"sigma": [-0.1]}),
+    "sweep-base-seed-negative": ("sweep", {"base_seed": -1}),
     "similarity-mask-cols-letter": ("similarity", ["--mask-cols", "a"]),
     "train-beta2-nan": ("train", ["--beta2", "nan"]),
-    "config-learning-rate-inf": ("config", "learning_rate = inf"),
-    "config-weight-decay-nan": ("config", "weight_decay = nan"),
-    "config-delta-nan": ("config", "delta = nan"),
-    "config-eo-threshold-nan": ("config", "eo_threshold = nan"),
+    "train-seed-negative": ("train", ["--seed", "-1"]),
+    "env-seed-negative": ("env", "-3"),
+    "generate-sbm-seed-negative": ("generate-sbm", ["--seed", "-1"]),
+    "cluster-seed-negative": ("cluster", ["--seed", "-1"]),
+    "perturb-seed-negative": ("perturb", ["--seed", "-1"]),
+    "config-learning-rate-inf": ("config", {"learning_rate": float("inf")}),
+    "config-weight-decay-nan": ("config", {"weight_decay": float("nan")}),
+    "config-delta-nan": ("config", {"delta": float("nan")}),
+    "config-eo-threshold-nan": ("config", {"eo_threshold": float("nan")}),
+    "config-unknown-key": ("config", {"width": 3}),
+    "config-hidden-string": ("config", {"hidden": "4"}),
+    "config-seed-negative": ("config", {"seed": -1}),
     "audit-delta-nan": ("audit", ["--delta", "nan"]),
     "audit-delta-inf": ("audit", ["--delta", "inf"]),
     "audit-threshold-nan": ("audit", ["--threshold", "nan"]),
@@ -964,8 +1009,9 @@ INVALID_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
-def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys):
+def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys, monkeypatch):
     kind, bad = INVALID_INPUTS[case]
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     if kind == "sweep":
         spec = {"beta2": [1.0], **bad, "config": {**TINY_TRAIN, **bad.get("config", {})}}
         path = tmp_path / "spec.json"
@@ -986,22 +1032,39 @@ def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys)
             "--features", str(sbm_dir / "features.csv"), "--scores", str(tmp_path / "scores.csv"),
             *bad,
         ]
+    elif kind == "generate-sbm":
+        argv = ["generate-sbm", "--nodes", "40", "--out-dir", str(tmp_path / "gen"), *bad]
+    elif kind == "cluster":
+        argv = ["cluster", *graph_args(sbm_dir), "--k-max", "2", *bad]
+    elif kind == "perturb":
+        argv = [
+            "perturb", *graph_args(sbm_dir), "--noise", "0.1",
+            "--out-dir", str(tmp_path / "noised"), *bad,
+        ]
     else:
         if kind == "config":
-            (tmp_path / "bad.cfg").write_text(bad + "\n")
-            bad = ["--config", str(tmp_path / "bad.cfg")]
+            (tmp_path / "bad.json").write_text(json.dumps(bad))
+            bad = ["--config", str(tmp_path / "bad.json")]
+        elif kind == "env":
+            monkeypatch.setenv(SEED_ENV_VAR, bad)
+            bad = []
         argv = ["train", *graph_args(sbm_dir), "--out-dir", str(tmp_path / "run"), *bad]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.out == ""
+    assert not list(tmp_path.glob("*/run_*.json"))
 
 
-@pytest.mark.parametrize(
-    "content",
-    [b"{bad", b"\xff\xfe", b"[" * 10**5 + b"]" * 10**5],
-    ids=["not-json", "not-utf8", "nested-too-deep"],
-)
+UNREADABLE_JSON = {
+    "not-json": b"{bad",
+    "not-utf8": b"\xff\xfe",
+    "nested-too-deep": b"[" * 10**5 + b"]" * 10**5,
+    "duplicate-key": b'{"repetitions": 1, "repetitions": 2}',
+}
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE_JSON.values()), ids=list(UNREADABLE_JSON))
 def test_cli_sweep_rejects_an_unreadable_spec_with_exit_4(tmp_path, capsys, content):
     path = tmp_path / "spec.json"
     path.write_bytes(content)
@@ -1012,6 +1075,19 @@ def test_cli_sweep_rejects_an_unreadable_spec_with_exit_4(tmp_path, capsys, cont
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("content", list(UNREADABLE_JSON.values()), ids=list(UNREADABLE_JSON))
+def test_cli_train_rejects_an_unreadable_config_with_exit_4(sbm_dir, tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content.replace(b"repetitions", b"hidden"))
+    argv = ["train", *graph_args(sbm_dir), "--config", str(path), "--out-dir", str(tmp_path / "run")]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("I/O error: ") and str(path) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     off = dict(
@@ -1019,8 +1095,8 @@ def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypa
         surrogate="softmax", seed="9", hidden="3", max_epochs="2", pretrain_epochs="1",
         top_k="4",
     )
-    cfg = tmp_path / "off.cfg"
-    cfg.write_text("gradnorm = off\nattention = off\nhidden = 3\n")
+    cfg = tmp_path / "off.json"
+    cfg.write_text('{"gradnorm": false, "attention": false, "hidden": 3}')
     on = dict(config=str(cfg), gradnorm="on", attention="on", max_epochs="1", pretrain_epochs="1")
     expected = (
         dict(

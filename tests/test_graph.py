@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginigraph.config import load_config
 from ginigraph.errors import ConfigError, ContractError, DataFormatError, DomainError
 from ginigraph.graph import (
     _SELECT_ROWS,
@@ -27,6 +26,7 @@ from ginigraph.graph import (
     read_edge_list,
     read_embedding_csv,
     read_feature_table,
+    read_json,
     read_partition_csv,
     read_scores_csv,
     read_similarity_csv,
@@ -39,7 +39,8 @@ from ginigraph.graph import (
     write_scores_csv,
     write_similarity_csv,
 )
-from ginigraph.trainer import EpochRecord, write_training_log
+from ginigraph.sweep import SweepSpec
+from ginigraph.trainer import EpochRecord, TrainConfig, write_training_log
 
 from conftest import build_random_graph, build_random_similarity
 
@@ -676,33 +677,45 @@ def test_tables_sort_rows_by_id_and_name_the_bad_line(tmp_path):
         read_similarity_csv(path, 3)
 
 
-# Every reader of an input file, with a valid input for it. A file that is not
-# UTF-8, or any other mutation of it, must end in the reader's domain error
-# (DataFormatError, exit 4; ConfigError for the config file, exit 2).
+# Every reader of an input file, with a valid input for it and the errors it
+# may raise. A file that is not UTF-8 must end in DataFormatError (exit 4);
+# any other mutation of it must end in one of the reader's errors: a data file
+# in DataFormatError, a settings file also in ConfigError (exit 2).
+SETTINGS_ERRORS = (DataFormatError, ConfigError)
 FILE_READERS = {
     "features": (
         "id,label,sensitive,f0,f1\n0,0,0,0.5,-1\n1,1,1,2,0\n2,-1,0,1e-3,3\n",
         read_feature_table,
+        DataFormatError,
     ),
-    "embedding": ("id,e0,e1\n0,0.5,-1\n1,2,0\n2,1e-3,3\n", read_embedding_csv),
-    "similarity": ("i,j,weight\n0,1,0.5\n1,2,1\n", lambda path: read_similarity_csv(path, 3)),
-    "scores": ("id,score\n0,0.25\n1,0.5\n2,0.75\n", read_scores_csv),
-    "partition": ("id,group\n0,1\n1,0\n2,1\n", read_partition_csv),
-    "edges": ("# i j\n0 1\n1 2 # comment\n0 2\n", read_edge_list),
-    "config": ("seed = 3\nmax_epochs = 5  # comment\nattention = off\n", load_config),
+    "embedding": ("id,e0,e1\n0,0.5,-1\n1,2,0\n2,1e-3,3\n", read_embedding_csv, DataFormatError),
+    "similarity": (
+        "i,j,weight\n0,1,0.5\n1,2,1\n",
+        lambda path: read_similarity_csv(path, 3),
+        DataFormatError,
+    ),
+    "scores": ("id,score\n0,0.25\n1,0.5\n2,0.75\n", read_scores_csv, DataFormatError),
+    "partition": ("id,group\n0,1\n1,0\n2,1\n", read_partition_csv, DataFormatError),
+    "edges": ("# i j\n0 1\n1 2 # comment\n0 2\n", read_edge_list, DataFormatError),
+    "config": (
+        '{"seed": 3, "max_epochs": 5, "attention": false, "beta2": 0.5}',
+        lambda path: read_json(path, TrainConfig.from_json_dict),
+        SETTINGS_ERRORS,
+    ),
+    "spec": (
+        '{"beta2": [0.5, 1], "base_seed": 2, "config": {"hidden": 4}, "sbm": {"block_sizes": [9]}}',
+        lambda path: read_json(path, SweepSpec.from_json_dict),
+        SETTINGS_ERRORS,
+    ),
 }
-
-
-def _reader_error(name: str) -> type:
-    return ConfigError if name == "config" else DataFormatError
 
 
 @pytest.mark.parametrize("name", sorted(FILE_READERS))
 def test_readers_name_the_path_of_a_non_utf8_file(tmp_path, name):
-    text, read = FILE_READERS[name]
+    text, read, _ = FILE_READERS[name]
     path = tmp_path / "input"
     path.write_bytes(text.encode()[:10] + b"\xff" + text.encode()[10:])
-    with pytest.raises(_reader_error(name), match=re.escape(f"{path}: not UTF-8")):
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: not UTF-8")):
         read(path)
 
 
@@ -715,7 +728,7 @@ def mutation_dir(tmp_path_factory):
 @given(edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_mutated_input_files_raise_only_domain_errors(mutation_dir, name, edits):
-    text, read = FILE_READERS[name]
+    text, read, errors = FILE_READERS[name]
     data = bytearray(text.encode())
     for position, byte in edits:
         data[position % len(data)] = byte
@@ -723,5 +736,5 @@ def test_mutated_input_files_raise_only_domain_errors(mutation_dir, name, edits)
     path.write_bytes(bytes(data))
     try:
         read(path)
-    except (DataFormatError, ConfigError) as exc:
-        assert isinstance(exc, _reader_error(name))
+    except SETTINGS_ERRORS as exc:
+        assert isinstance(exc, errors)
