@@ -999,7 +999,6 @@ INVALID_INPUTS = {
     "config-weight-decay-nan": ("config", {"weight_decay": float("nan")}),
     "config-delta-nan": ("config", {"delta": float("nan")}),
     "config-eo-threshold-nan": ("config", {"eo_threshold": float("nan")}),
-    "config-unknown-key": ("config", {"width": 3}),
     "config-hidden-string": ("config", {"hidden": "4"}),
     "config-seed-negative": ("config", {"seed": -1}),
     "audit-delta-nan": ("audit", ["--delta", "nan"]),
