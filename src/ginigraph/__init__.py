@@ -1,6 +1,6 @@
 """Fairness-aware graph learning: Gini-style audits and balanced GNN training."""
 
-from .autodiff import GradCheckReport, Tape, Tensor, finite_diff_check, tape_evaluator
+from .autodiff import Tape, Tensor
 from .clustering import kmeans, kmeans_elbow
 from .errors import (
     ConfigError,
@@ -19,14 +19,12 @@ from .graph import (
     attr_similarity,
     laplacian_apply,
     load_graph,
-    pair_distance,
     split_nodes,
     topo_similarity,
 )
 from .losses import (
     group_trace_tensors,
     group_welfare_loss,
-    nswp_value,
     smoothness_loss,
     surrogate_loss,
     utility_loss,
@@ -43,8 +41,6 @@ from .metrics import (
     group_traces,
     lipschitz_constant,
     rank_auc,
-    tail_bound,
-    tail_fraction,
     trace_form,
 )
 from .models import ModelParams, load_checkpoint, save_checkpoint
@@ -62,7 +58,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "GiniGraphError",
-    "GradCheckReport",
     "GradNormController",
     "Graph",
     "GroupPartition",
@@ -84,7 +79,6 @@ __all__ = [
     "equal_opportunity_gap",
     "evaluate",
     "f1_score",
-    "finite_diff_check",
     "gdif",
     "group_ginis",
     "group_trace_tensors",
@@ -96,8 +90,6 @@ __all__ = [
     "lipschitz_constant",
     "load_checkpoint",
     "load_graph",
-    "nswp_value",
-    "pair_distance",
     "perturb_noise",
     "pretrain",
     "rank_auc",
@@ -108,9 +100,6 @@ __all__ = [
     "smoothness_loss",
     "split_nodes",
     "surrogate_loss",
-    "tail_bound",
-    "tail_fraction",
-    "tape_evaluator",
     "topo_similarity",
     "trace_form",
     "train",

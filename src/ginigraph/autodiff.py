@@ -18,7 +18,6 @@ the first non-finite entry, which is how training detects divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -490,73 +489,3 @@ def quadratic_pair_form(z: Tensor, pairs: SimilaritySet) -> Tensor:
 
     return _unary(z, _ensure_finite(out, "quadratic-pair-form"), "quadratic-pair-form", back)
 
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Outcome of comparing an analytic gradient against central differences."""
-
-    max_rel_error: float
-    worst_index: tuple[int, int]
-    passed: bool
-    analytic: Array
-    numeric: Array
-
-
-def finite_diff_check(
-    evaluator: Callable[[Array], tuple[float, Array]],
-    point: Array,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
-    """Check an analytic gradient with central differences, coordinate by coordinate.
-
-    evaluator(x) must return (loss value, analytic gradient at x). The relative
-    error per coordinate is |analytic - numeric| / max(1, |analytic|); the
-    check passes when the worst coordinate is within tolerance.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if step <= 0:
-        raise ContractError("step must be positive")
-    _, analytic = evaluator(point)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != point.shape:
-        raise DimensionError("analytic gradient shape does not match the point")
-    numeric = np.zeros_like(point)
-    for idx in np.ndindex(point.shape):
-        bumped = point.copy()
-        bumped[idx] += step
-        f_plus, _ = evaluator(bumped)
-        bumped[idx] = point[idx] - step
-        f_minus, _ = evaluator(bumped)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericalError("non-finite loss during finite differencing")
-        numeric[idx] = (f_plus - f_minus) / (2.0 * step)
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    worst = np.unravel_index(np.argmax(rel), rel.shape) if rel.size else (0, 0)
-    max_rel = float(rel[worst]) if rel.size else 0.0
-    return GradCheckReport(
-        max_rel_error=max_rel,
-        worst_index=(int(worst[0]), int(worst[1])) if rel.size else (0, 0),
-        passed=max_rel <= tolerance,
-        analytic=analytic,
-        numeric=numeric,
-    )
-
-
-def tape_evaluator(build: Callable[[Tensor], Tensor]) -> Callable[[Array], tuple[float, Array]]:
-    """Lift build(leaf)->scalar into the (value, gradient) form finite_diff_check wants."""
-
-    def evaluator(x: Array) -> tuple[float, Array]:
-        tape = Tape()
-        leaf = tape.leaf(x, "x")
-        out = build(leaf)
-        tape.backward(out)
-        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
-        return float(out.values[0, 0]), grad.copy()
-
-    return evaluator

@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
     write_training_log(out / "log.csv", result.history)
     with open(out / "result.json", "w", encoding="utf-8") as fh:
         json.dump(result.to_json_dict(), fh, indent=2)
-    save_checkpoint(out / "checkpoint.txt", result.params)
+    save_checkpoint(out / "checkpoint.json", result.params)
     write_embedding_csv(out / "embeddings.csv", result.embeddings)
     write_scores_csv(out / "scores.csv", result.scores)
     _emit(result.to_json_dict())

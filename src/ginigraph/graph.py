@@ -246,12 +246,6 @@ class SimilaritySet:
     def num_pairs(self) -> int:
         return self.rows.size
 
-    def weight(self, i: int, j: int) -> float:
-        """Stored similarity between two distinct nodes (0.0 when absent)."""
-        if i == j:
-            raise ContractError("the diagonal is not part of the set")
-        return float(self.matrix[i, j])
-
     def pair_arrays(self) -> tuple[Array, Array, Array]:
         """(rows, cols, weights) views over the unordered pairs, i < j."""
         return self.rows, self.cols, self.weights
@@ -270,20 +264,6 @@ def laplacian_apply(similarity: SimilaritySet, z: Array) -> Array:
     if z.shape[0] != similarity.n:
         raise DimensionError("row count must match the similarity set")
     return similarity.degree[:, None] * z - np.asarray(similarity.matrix @ z)
-
-
-def pair_distance(similarity: SimilaritySet, i: int, j: int, delta: float = 1e-6) -> float:
-    """Similarity-derived distance 1 / (S[i,j] + delta).
-
-    delta may be 0 when the pair has positive stored weight; the combination
-    weight + delta == 0 is rejected because the distance would be infinite.
-    """
-    if not 0.0 <= delta < np.inf:
-        raise DomainError("delta must be finite and nonnegative")
-    w = similarity.weight(i, j)
-    if w + delta == 0.0:
-        raise DomainError(f"pair ({i},{j}) has zero similarity and delta is 0")
-    return 1.0 / (w + delta)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +395,13 @@ def _read_table(
                 )
             rows.append(line)
             lines.append(lineno)
+    # int() and float() also read '1_0' and non-ASCII digits, which no field may hold
+    text = ",".join(rows)
+    if not text.isascii() or "_" in text:
+        bad = next(r for r, line in enumerate(rows) if not line.isascii() or "_" in line)
+        raise DataFormatError(f"{path}:{lines[bad]}: malformed field")
     # one split over all rows, then one conversion per column
-    fields = ",".join(rows).split(",") if rows else []
+    fields = text.split(",") if rows else []
     try:
         ints = np.array(
             [list(map(int, fields[k::width])) for k in range(n_int)], dtype=np.int64
@@ -509,6 +494,8 @@ def _rescan_edge_list(path) -> NoReturn:
             parts = line.split()
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 'i j', got {raw!r}")
+            if not line.isascii() or "_" in line:
+                raise DataFormatError(f"{path}:{lineno}: node ids must be plain decimal integers")
             try:
                 a, b = int(parts[0]), int(parts[1])
             except ValueError as exc:

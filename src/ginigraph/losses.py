@@ -127,26 +127,6 @@ def group_welfare_loss(group_traces: list[Tensor]) -> Tensor:
     return ad.scale(total, -1.0 / (m * (m - 1)))
 
 
-def nswp_value(values) -> float:
-    """Plain-number version of the group welfare penalty (for audits/oracles).
-
-    Unlike the tape path, no floor is added: callers pass positive statistics
-    directly, so (2, 1) -> 0.5 holds exactly.
-    """
-    vals = [float(v) for v in values]
-    m = len(vals)
-    if m < 2:
-        raise ContractError("need at least two groups")
-    if min(vals) <= 0:
-        raise DomainError("group statistics must be positive")
-    total = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                total += (vals[i] / vals[j] - 1.0) * (vals[j] / vals[i] - 1.0)
-    return -total / (m * (m - 1))
-
-
 def combine_losses(terms: list[Tensor], betas) -> Tensor:
     """Weighted sum beta_1 L_1 + ... over matching lists."""
     if len(terms) != len(betas) or not terms:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import pair_trace_values
-from .errors import ContractError, DataFormatError, DomainError, check_field_types
+from .errors import ContractError, DataFormatError, DomainError, NumericalError, check_field_types
 from .graph import GroupPartition, SimilaritySet
 
 Array = np.ndarray
@@ -33,14 +33,6 @@ def _embedding(similarity: SimilaritySet, z: Array) -> Array:
     if z.ndim != 2 or z.shape[0] != similarity.n:
         raise ContractError("embeddings must be (n, c) matching the similarity set")
     return z
-
-
-def _pair_gaps(similarity: SimilaritySet, z: Array, order: int) -> Array:
-    z = _embedding(similarity, z)
-    diff = z[similarity.rows] - z[similarity.cols]
-    if order == 1:
-        return np.sum(np.abs(diff), axis=1)
-    return np.sqrt(np.sum(diff * diff, axis=1))
 
 
 def trace_form(similarity: SimilaritySet, z: Array) -> float:
@@ -83,7 +75,8 @@ def lipschitz_constant(
     """
     if not 0.0 <= delta < np.inf:
         raise DomainError("delta must be finite and nonnegative")
-    gaps = _pair_gaps(similarity, z, order=1)
+    z = _embedding(similarity, z)
+    gaps = np.sum(np.abs(z[similarity.rows] - z[similarity.cols]), axis=1)
     if gaps.size == 0:
         return 0.0
     return float(np.max(gaps * (similarity.weights + delta)))
@@ -124,26 +117,6 @@ def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) 
         _gini(z, *group.pair_arrays(), z[partition.members(g)])
         for g, group in enumerate(partition.within_pairs(similarity))
     ]
-
-
-def tail_fraction(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
-    """Fraction of stored pairs whose L2 gap is at least epsilon."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    gaps = _pair_gaps(similarity, z, order=2)
-    if gaps.size == 0:
-        return 0.0
-    return float(np.mean(gaps >= epsilon))
-
-
-def tail_bound(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
-    """Markov bound mean(gap)/epsilon on the tail fraction."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    gaps = _pair_gaps(similarity, z, order=2)
-    if gaps.size == 0:
-        return 0.0
-    return float(np.mean(gaps) / epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +261,13 @@ class MetricsReport:
         return report
 
 
+def _check_finite(**metrics) -> None:
+    """Raise NumericalError naming the first metric that finite inputs overflowed."""
+    for name, value in metrics.items():
+        if value is not None and not np.isfinite(value):
+            raise NumericalError(f"{name} is {value}: the inputs overflow it")
+
+
 def compute_report(
     z: Array,
     similarity: SimilaritySet,
@@ -324,6 +304,8 @@ def compute_report(
     else:
         gini = embedding_gini(similarity, z)
     lip = lipschitz_constant(similarity, z, delta)
+    # before the group ratios, which refuse a non-finite trace
+    _check_finite(individual_unfairness=if_value, gini=gini, lipschitz=lip)
     gd_trace = gd_gini = None
     sizes: tuple[int, ...] = ()
     traces: tuple[float, ...] = ()
@@ -340,6 +322,7 @@ def compute_report(
                 notes.append(f"group Gini skipped: {exc}")
     elif partition is not None:
         notes.append("single-group partition: group disparity metrics skipped")
+    _check_finite(gd_trace=gd_trace, gd_gini=gd_gini)
     return MetricsReport(
         auc=auc,
         f1=f1,

@@ -24,23 +24,23 @@ them as tape leaves.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ContractError, DataFormatError, DimensionError
-from .graph import Graph, SimilaritySet, normalized_adjacency
+from .errors import ContractError, DataFormatError, DimensionError, is_finite_number
+from .graph import Graph, SimilaritySet, normalized_adjacency, read_json
 
 Array = np.ndarray
 
 BACKBONES = ("gcn", "gin", "jk")
 LEAKY_SLOPE = 0.2
 
-CHECKPOINT_HEADER = "ginigraph-checkpoint v1"
+CHECKPOINT_FORMAT = "ginigraph-checkpoint v2"
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
@@ -81,6 +81,12 @@ def init_backbone(
     }
 
 
+def _head_layout(hidden: int) -> dict[str, tuple[int, int]]:
+    """Weight names and shapes of the attention head, in draw order."""
+    h = hidden
+    return {"W": (h, h), "a": (2 * h, 1), "w_out": (h, 1), "b_out": (1, 1)}
+
+
 def init_fair_head(
     hidden: int, rng: np.random.Generator, scale: float = 1.0
 ) -> dict[str, Array]:
@@ -93,10 +99,8 @@ def init_fair_head(
     if not scale > 0.0:
         raise ContractError("head init scale must be positive")
     return {
-        "W": scale * _glorot(rng, hidden, hidden),
-        "a": scale * _glorot(rng, 2 * hidden, 1),
-        "w_out": scale * _glorot(rng, hidden, 1),
-        "b_out": np.zeros((1, 1)),
+        name: np.zeros(shape) if name == "b_out" else scale * _glorot(rng, *shape)
+        for name, shape in _head_layout(hidden).items()
     }
 
 
@@ -211,94 +215,82 @@ class ModelParams:
     backbone: dict[str, Array]
     fair: dict[str, Array] = field(default_factory=dict)
 
+    @classmethod
+    def from_json_dict(cls, raw) -> "ModelParams":
+        """The weights save_checkpoint wrote; DataFormatError when raw is not that.
+
+        Each section maps names to matrices, lists of equal-length rows of
+        finite numbers, in the layout _check_layout asks for.
+        """
+        if not isinstance(raw, dict) or raw.get("format") != CHECKPOINT_FORMAT:
+            raise DataFormatError(f"not a {CHECKPOINT_FORMAT!r} object")
+        keys = sorted(raw)
+        if keys != ["backbone", "fair", "format", "variant"]:
+            raise DataFormatError(f"expected keys backbone, fair, format, variant; got {keys}")
+        if raw["variant"] not in BACKBONES:
+            raise DataFormatError(f"unknown variant {raw['variant']!r} (choose from {BACKBONES})")
+        sections = {}
+        for section in ("backbone", "fair"):
+            if not isinstance(raw[section], dict):
+                raise DataFormatError(f"{section} must be an object of matrices")
+            sections[section] = {name: _matrix(name, rows) for name, rows in raw[section].items()}
+        params = cls(raw["variant"], **sections)
+        _check_layout(params)
+        return params
+
 
 # ---------------------------------------------------------------------------
-# Checkpoints (versioned, human-readable)
+# Checkpoints (versioned JSON)
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Write weights as a text checkpoint with a versioned header line."""
+    """Write weights as a JSON checkpoint; floats print as repr, so a reload is exact."""
+    sections = {
+        section: {name: np.asarray(weights[name], np.float64).tolist() for name in sorted(weights)}
+        for section, weights in (("backbone", params.backbone), ("fair", params.fair))
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CHECKPOINT_HEADER + "\n")
-        fh.write(f"variant {params.variant}\n")
-        for section, weights in (("backbone", params.backbone), ("fair", params.fair)):
-            fh.write(f"section {section} {len(weights)}\n")
-            for name in sorted(weights):
-                mat = np.asarray(weights[name], dtype=np.float64)
-                fh.write(f"matrix {name} {mat.shape[0]} {mat.shape[1]}\n")
-                for row in mat:
-                    fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        json.dump({"format": CHECKPOINT_FORMAT, "variant": params.variant, **sections}, fh)
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a save_checkpoint file; a malformed one raises DataFormatError with the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_checkpoint(fh)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return read_json(path, ModelParams.from_json_dict)
 
 
-def _parse_checkpoint(fh) -> ModelParams:
-    """The checkpoint lines; raises ValueError on anything malformed."""
-    header = fh.readline().rstrip("\n")
-    if header != CHECKPOINT_HEADER:
-        raise ValueError(
-            f"unsupported checkpoint header {header!r} (expected {CHECKPOINT_HEADER!r})"
-        )
-    variant_line = fh.readline().split()
-    if len(variant_line) != 2 or variant_line[0] != "variant":
-        raise ValueError("missing variant line")
-    variant = variant_line[1]
-    if variant not in BACKBONES:
-        raise ValueError(f"unknown variant {variant!r} (choose from {BACKBONES})")
-    sections: dict[str, dict[str, Array]] = {}
-    for section in ("backbone", "fair"):
-        head = fh.readline().split()
-        if len(head) != 3 or head[:2] != ["section", section]:
-            raise ValueError(f"malformed {section} section header")
-        weights: dict[str, Array] = {}
-        for _ in range(int(head[2])):
-            mhead = fh.readline().split()
-            if len(mhead) != 4 or mhead[0] != "matrix":
-                raise ValueError("malformed matrix header")
-            mname, rows, cols = mhead[1], int(mhead[2]), int(mhead[3])
-            # islice stops at the end of the file, however many rows the header claims
-            data = [[float(v) for v in line.split()] for line in islice(fh, rows)]
-            if cols < 0 or len(data) != rows or any(len(row) != cols for row in data):
-                raise ValueError(f"matrix {mname} shape mismatch")
-            weights[mname] = np.array(data, dtype=np.float64).reshape(rows, cols)
-            if not np.all(np.isfinite(weights[mname])):
-                raise ValueError(f"matrix {mname} has non-finite values")
-        sections[section] = weights
-    params = ModelParams(variant=variant, backbone=sections["backbone"], fair=sections["fair"])
-    _check_layout(params)
-    return params
+def _matrix(name: str, rows) -> Array:
+    """rows, a JSON list of equal-length lists of finite numbers, as a float64 matrix."""
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, list) for row in rows)
+        and len({len(row) for row in rows}) == 1
+        and all(is_finite_number(v) for row in rows for v in row)
+    ):
+        raise DataFormatError(f"matrix {name} is not a list of equal-length rows of finite numbers")
+    return np.array(rows, dtype=np.float64)
 
 
 def _check_layout(params: ModelParams) -> None:
-    """Raise ValueError unless the matrices have the layout of a fresh model.
+    """Raise DataFormatError unless the matrices have the layout of a fresh model.
 
-    The names and shapes must be those init_backbone and init_fair_head give
+    The names and shapes must be those of _backbone_layout and _head_layout
     for the input width of the first layer and the hidden width of w_out; the
     fair section may be empty.
     """
     first = params.backbone.get("U1" if params.variant == "gin" else "W1")
     out = params.backbone.get("w_out")
     if first is None or out is None or min(first.shape[0], out.shape[0]) < 1:
-        raise ValueError(f"backbone lacks the {params.variant} input or output layer")
+        raise DataFormatError(f"backbone lacks the {params.variant} input or output layer")
     in_dim, hidden = first.shape[0], out.shape[0]
     _match_layout("backbone", params.backbone, _backbone_layout(params.variant, in_dim, hidden))
     if params.fair:
-        # the backbone matched, so hidden x hidden weights exist: this draw is bounded
-        head = init_fair_head(hidden, np.random.default_rng(0))
-        _match_layout("fair", params.fair, {name: m.shape for name, m in head.items()})
+        _match_layout("fair", params.fair, _head_layout(hidden))
 
 
 def _match_layout(section: str, weights: dict[str, Array], expected: dict) -> None:
     shapes = {name: m.shape for name, m in sorted(weights.items())}
     if shapes != expected:
-        raise ValueError(
+        raise DataFormatError(
             f"{section} matrices {shapes} do not match the layout {dict(sorted(expected.items()))}"
         )

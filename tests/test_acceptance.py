@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import build_random_graph, build_random_similarity
+from oracles import nswp_value, tail_bound, tail_fraction
 from ginigraph.autodiff import Tape
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 from ginigraph.errors import DimensionError
@@ -23,7 +24,6 @@ from ginigraph.losses import (
     combine_losses,
     group_trace_tensors,
     group_welfare_loss,
-    nswp_value,
     smoothness_loss,
     surrogate_loss,
     utility_loss,
@@ -34,8 +34,6 @@ from ginigraph.metrics import (
     gdif,
     lipschitz_constant,
     rank_auc,
-    tail_bound,
-    tail_fraction,
     trace_form,
 )
 from ginigraph.models import (

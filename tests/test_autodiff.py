@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginigraph import autodiff as ad
-from ginigraph.autodiff import Tape, finite_diff_check, tape_evaluator
+from ginigraph.autodiff import Tape
 from ginigraph.errors import ContractError, DimensionError, DomainError, NumericalError
 from ginigraph.graph import SimilaritySet
+
+from oracles import finite_diff_check, tape_evaluator
 
 
 def checked(build, point, tol=1e-6, step=1e-6):

@@ -3,11 +3,16 @@ sweeps, config files, and the command-line surface."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
+import os
 import re
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from ginigraph.graph import (
     read_scores_csv,
     topo_similarity,
     write_embedding_csv,
+    write_partition_csv,
     write_scores_csv,
 )
 from ginigraph.metrics import REPORT_FIELDS, MetricsReport
@@ -696,12 +702,12 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
     assert code == 0
     assert result["epochs_run"] == 4
     assert len(head_calls) == 4 + 1  # one per epoch, then one final forward
-    for name in ("log.csv", "result.json", "checkpoint.txt", "embeddings.csv", "scores.csv"):
+    for name in ("log.csv", "result.json", "checkpoint.json", "embeddings.csv", "scores.csv"):
         assert (run_dir / name).exists()
     # the written outputs are one forward pass of the saved model
     graph, _ = load_graph(sbm_dir / "edges.txt", sbm_dir / "features.csv")
     h, scores = trainer.embed(
-        load_checkpoint(run_dir / "checkpoint.txt"), graph,
+        load_checkpoint(run_dir / "checkpoint.json"), graph,
         build_similarity(graph, "attr", 5), attention=True,
     )
     np.testing.assert_array_equal(read_embedding_csv(run_dir / "embeddings.csv"), h)
@@ -972,6 +978,32 @@ def test_cli_audit_rejects_a_non_finite_embedding(sbm_dir, tmp_path, capsys):
     assert code == 4 and out == {}
 
 
+# finite inputs whose metric overflows: embedding scale, audit flags, the metric
+OVERFLOWING_AUDITS = {
+    "delta-1e308": (1.0, ["--delta", "1e308"], "lipschitz"),
+    "embedding-1e200": (1e200, [], "individual_unfairness"),
+    "embedding-1e200-with-groups": (
+        1e200, ["--features", "{data}/features.csv"], "individual_unfairness"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning precedes exit 3
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_AUDITS))
+def test_cli_audit_exits_3_when_finite_inputs_overflow_a_metric(case, sbm_dir, tmp_path, capsys):
+    scale, flags, metric = OVERFLOWING_AUDITS[case]
+    sim_path, emb_path, out = tmp_path / "sim.csv", tmp_path / "emb.csv", tmp_path / "audit.csv"
+    run_cli(capsys, "similarity", *graph_args(sbm_dir), "--top-k", "5", "--out", str(sim_path))
+    write_embedding_csv(emb_path, scale * np.random.default_rng(0).normal(size=(40, 2)))
+    code = cli.main([
+        "audit", "--embeddings", str(emb_path), "--similarity", str(sim_path), "--out", str(out),
+        *(flag.format(data=sbm_dir) for flag in flags),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"numerical failure: {metric} is inf")
+
+
 # each reached a TypeError traceback, ran with a wrong value, or trained the
 # valid grid points before recording the bad ones as errors
 INVALID_INPUTS = {
@@ -1114,6 +1146,128 @@ def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypa
         assert code == 0
         config = json.loads((run_dir / "result.json").read_text())["config"]
         assert {name: config[name] for name in want} == want
+
+
+# Flag values for the main() fuzz: small ints, signed zero, non-finite and
+# extreme floats, and text that int() or float() reads or refuses
+FUZZ_INTS = ("0", "1", "3", "-1", "-0", "1_0", "\u0662", "1e308", "x")
+FUZZ_FLOATS = ("0", "1", "-1", "-0", "0.5", "nan", "inf", "-inf", "1e308", "1_0", "x")
+# given every time: the flags argparse requires, and --nodes (its default is 1000)
+ALWAYS_GIVEN = ("--nodes", "--k-max", "--embeddings", "--spec", "--results")
+
+
+def _sizes(cap: int) -> tuple[str, ...]:
+    """Values of a flag that sizes the work: ints up to cap, and text int() refuses."""
+    return (*map(str, range(-1, cap + 1)), "1e308", "x")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A tiny graph and every file a command reads, written once by the CLI itself."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data"
+    # train's sizes when no flag overrides them
+    (root / "config.json").write_text(json.dumps(
+        {"hidden": 3, "top_k": 4, "max_epochs": 2, "pretrain_epochs": 2, "patience": 2}
+    ))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([
+            "generate-sbm", "--nodes", "16", "--p-in", "0.5", "--p-out", "0.1",
+            "--feature-dim", "3", "--out-dir", str(data),
+        ]) == 0
+        graph = ["--edges", str(data / "edges.txt"), "--features", str(data / "features.csv")]
+        assert cli.main(["similarity", *graph, "--top-k", "4", "--out", str(root / "sim.csv")]) == 0
+        assert cli.main([
+            "train", *graph, "--config", str(root / "config.json"), "--out-dir", str(root / "run"),
+        ]) == 0
+    write_partition_csv(root / "groups.csv", np.arange(16) % 3)
+    # finite, but its unfairness overflows
+    write_embedding_csv(root / "huge.csv", 1e200 * np.random.default_rng(0).normal(size=(16, 3)))
+    (root / "spec.json").write_text(json.dumps({
+        "beta2": [0.0, 1.0], "base_seed": 1, "config": TINY_TRAIN,
+        "sbm": {"block_sizes": [8, 8], "p_within": 0.5, "p_between": 0.1, "feature_dim": 3},
+    }))
+    return root
+
+
+def _fuzz_flags(root: Path) -> dict[str, tuple[list[str], dict[str, tuple[str, ...]]]]:
+    """Per command: its fixed arguments, and the values of each flag drawn for it."""
+    data, missing = root / "data", str(root / "missing")
+    graph = ["--edges", str(data / "edges.txt"), "--features", str(data / "features.csv")]
+    run, sim, groups = root / "run", str(root / "sim.csv"), str(root / "groups.csv")
+    out, out_dir = ["--out", str(root / "out.csv")], ["--out-dir", str(root / "out")]
+    return {
+        "ingest": (graph, {"--out-dir": out_dir[1:]}),
+        "similarity": (graph + out, {
+            "--mode": ("topo", "attr", "x"), "--top-k": _sizes(8),
+            "--mask-cols": ("0", "0,2", "3", "-1", "x", "1_0", ""),
+        }),
+        "generate-sbm": (out_dir, {
+            "--nodes": _sizes(40), "--blocks": FUZZ_INTS, "--p-in": FUZZ_FLOATS,
+            "--p-out": FUZZ_FLOATS, "--feature-dim": _sizes(8), "--label-signal": FUZZ_FLOATS,
+            "--group-signal": FUZZ_FLOATS, "--ratio": FUZZ_FLOATS, "--seed": FUZZ_INTS,
+        }),
+        "cluster": (graph, {"--k-max": _sizes(5), "--seed": FUZZ_INTS, "--out": out[1:]}),
+        "train": (graph + out_dir + ["--config", str(root / "config.json")], {
+            "--hidden": _sizes(8), "--top-k": _sizes(8), "--max-epochs": _sizes(3),
+            "--pretrain-epochs": _sizes(3), "--similarity": (sim, missing),
+            "--sim-mode": ("topo", "attr"), "--partition": (groups, missing),
+            "--backbone": ("gcn", "gin", "jk"), "--gradnorm": ("on", "off"),
+            "--attention": ("on", "off"), "--beta2": FUZZ_FLOATS, "--beta3": FUZZ_FLOATS,
+            "--surrogate": ("none", "softmax", "topk"), "--seed": FUZZ_INTS,
+        }),
+        "audit": (["--similarity", sim], {
+            "--embeddings": (str(run / "embeddings.csv"), str(root / "huge.csv")),
+            "--features": graph[3:], "--partition": (groups, missing),
+            "--scores": (str(run / "scores.csv"),), "--threshold": FUZZ_FLOATS,
+            "--delta": FUZZ_FLOATS, "--out": out[1:], "--format": ("csv", "json", "x"),
+        }),
+        "perturb": (graph + out_dir, {
+            "--homophily": FUZZ_FLOATS, "--noise": FUZZ_FLOATS, "--seed": FUZZ_INTS,
+        }),
+        "sweep": (out_dir, {"--spec": (str(root / "spec.json"), sim, missing)}),
+        "report": (out, {
+            "--results": (str(run / "result.json"), str(run), missing),
+            "--format": ("csv", "json"),
+        }),
+    }
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["audit", "cluster", "generate-sbm", "ingest", "perturb", "report", "similarity", "sweep",
+     "train"],
+)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_cli_main_exits_cleanly_on_any_flag_values(fuzz_files, command, data):
+    fixed, optional = _fuzz_flags(fuzz_files)[command]
+    argv = [command, *fixed]
+    for flag, values in optional.items():
+        if flag in ALWAYS_GIVEN or data.draw(st.booleans(), label=flag):
+            argv += [flag, data.draw(st.sampled_from(values), label=flag)]
+    if command in ("audit", "report") and data.draw(st.booleans(), label="--thousands"):
+        argv.append("--thousands")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.dict(os.environ),
+        warnings.catch_warnings(),
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+    ):
+        os.environ.pop(SEED_ENV_VAR, None)
+        warnings.simplefilter("ignore", RuntimeWarning)  # the program runs with numpy's default
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), stderr.getvalue()
+    if code == 0:
+        json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from ginigraph.graph import (
     laplacian_apply,
     load_graph,
     normalized_adjacency,
-    pair_distance,
     read_edge_list,
     read_embedding_csv,
     read_feature_table,
@@ -39,6 +38,7 @@ from ginigraph.graph import (
     write_scores_csv,
     write_similarity_csv,
 )
+from ginigraph.models import load_checkpoint
 from ginigraph.sweep import SweepSpec
 from ginigraph.trainer import EpochRecord, TrainConfig, write_training_log
 
@@ -140,11 +140,7 @@ def test_similarity_set_normalizes_and_validates():
     s = SimilaritySet(4, rows=[2, 0], cols=[1, 3], weights=[0.5, 1.0])
     np.testing.assert_array_equal(s.rows, [0, 1])
     np.testing.assert_array_equal(s.cols, [3, 2])
-    assert s.weight(1, 2) == 0.5
-    assert s.weight(2, 1) == 0.5
-    assert s.weight(0, 1) == 0.0
-    with pytest.raises(ContractError):
-        s.weight(1, 1)
+    np.testing.assert_array_equal(s.matrix[[1, 2, 0, 1], [2, 1, 1, 1]], [[0.5, 0.5, 0.0, 0.0]])
     with pytest.raises(ContractError):
         SimilaritySet(3, [0], [0], [0.5])
     with pytest.raises(ContractError):
@@ -235,18 +231,6 @@ def test_laplacian_apply_matches_dense(rng):
     dense = s.matrix.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     np.testing.assert_allclose(laplacian_apply(s, z), lap @ z, rtol=1e-12)
-
-
-def test_pair_distance_fixture_and_guards():
-    s = SimilaritySet(3, [0], [1], [0.5])
-    assert pair_distance(s, 0, 1, delta=0.0) == 2.0
-    assert pair_distance(s, 1, 0, delta=0.0) == 2.0
-    np.testing.assert_allclose(pair_distance(s, 0, 1, delta=0.5), 1.0)
-    with pytest.raises(DomainError):
-        pair_distance(s, 0, 2, delta=0.0)  # absent pair, zero delta
-    for delta in (-1.0, np.nan, np.inf):
-        with pytest.raises(DomainError):
-            pair_distance(s, 0, 1, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +449,10 @@ def test_edge_list_parse_edge_cases(tmp_path, rng):
         path.write_text("0 1\n" + text)
         with pytest.raises(DataFormatError, match=":2: non-integer endpoint"):
             read_edge_list(path)
+    for text in ("1_0 2\n", "\u0662 3\n"):  # int() reads these, numpy does not
+        path.write_text("0 1\n" + text)
+        with pytest.raises(DataFormatError, match=":2: node ids must be plain decimal integers"):
+            read_edge_list(path)
     for text in ("# only a comment\n\n", ""):
         path.write_text(text)
         edges, dropped = read_edge_list(path)
@@ -507,6 +495,10 @@ def test_feature_table_rejects_bad_rows(tmp_path):
     path.write_text("node,label,sensitive,f0\n")
     with pytest.raises(DataFormatError, match="header"):
         read_feature_table(path)
+    for row in ("0,1,0,1_0.5", "\u0660,1,0,1.0"):  # int() and float() read both
+        path.write_text(f"id,label,sensitive,f0\n{row}\n")
+        with pytest.raises(DataFormatError, match=":2: malformed field"):
+            read_feature_table(path)
 
 
 def test_load_graph_checks_edge_bounds(tmp_path, rng):
@@ -706,6 +698,13 @@ FILE_READERS = {
         '{"beta2": [0.5, 1], "base_seed": 2, "config": {"hidden": 4}, "sbm": {"block_sizes": [9]}}',
         lambda path: read_json(path, SweepSpec.from_json_dict),
         SETTINGS_ERRORS,
+    ),
+    "checkpoint": (
+        '{"format": "ginigraph-checkpoint v2", "variant": "gcn", "backbone": {"W1": [[0.5]],'
+        ' "W2": [[-1.0]], "b_out": [[0.0]], "w_out": [[2.0]]}, "fair": {"W": [[1e-3]],'
+        ' "a": [[0.25], [-0.5]], "b_out": [[0.0]], "w_out": [[3.0]]}}',
+        load_checkpoint,
+        DataFormatError,
     ),
 }
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginigraph import autodiff as ad
-from ginigraph.autodiff import Tape, finite_diff_check
+from ginigraph.autodiff import Tape
 from ginigraph.errors import ContractError, DomainError
 from ginigraph.graph import GroupPartition, SimilaritySet
 from ginigraph.losses import (
@@ -16,7 +16,6 @@ from ginigraph.losses import (
     combine_losses,
     group_trace_tensors,
     group_welfare_loss,
-    nswp_value,
     pair_gap_tensor,
     smoothness_loss,
     surrogate_loss,
@@ -25,6 +24,7 @@ from ginigraph.losses import (
 from ginigraph.metrics import trace_form
 
 from conftest import build_random_similarity
+from oracles import finite_diff_check, nswp_value
 
 
 def np_gaps(similarity, z):

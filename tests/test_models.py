@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ginigraph import autodiff as ad
-from ginigraph.autodiff import Tape, finite_diff_check
+from ginigraph.autodiff import Tape
 from ginigraph.errors import ContractError, DataFormatError, DimensionError
 from ginigraph.graph import normalized_adjacency
 from ginigraph.models import (
@@ -28,6 +28,7 @@ from ginigraph.models import (
 )
 
 from conftest import build_random_similarity
+from oracles import finite_diff_check
 
 
 def np_elu(x):
@@ -264,7 +265,8 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
         backbone=init_backbone("gin", 6, 4, rng),
         fair=init_fair_head(4, rng),
     )
-    path = tmp_path / "model.txt"
+    params.fair["W"][0] = [5e-324, -0.0, np.finfo(np.float64).max, 1.0 / 3.0]
+    path = tmp_path / "model.json"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
     assert loaded.variant == "gin"
@@ -272,76 +274,81 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
     for section, other in (("backbone", loaded.backbone), ("fair", loaded.fair)):
         mine = getattr(params, section)
         assert set(mine) == set(other)
-        for name in mine:
-            np.testing.assert_array_equal(mine[name], other[name])
+        for name, value in mine.items():
+            assert (value.shape, value.tobytes()) == (other[name].shape, other[name].tobytes())
 
 
 def test_checkpoint_without_fair_head(tmp_path, rng):
     params = ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng))
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model.json"
     save_checkpoint(path, params)
     assert load_checkpoint(path).fair == {}
 
 
-def test_checkpoint_rejects_bad_header(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text("some-other-format v9\n")
-    with pytest.raises(DataFormatError, match="header"):
+def test_checkpoint_rejects_bad_header(tmp_path, rng):
+    path = tmp_path / "model.json"
+    path.write_text("ginigraph-checkpoint v1\nvariant gcn\nsection backbone 0\nsection fair 0\n")
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
-    path.write_text("ginigraph-checkpoint v1\nvariant gcn\nsection backbone 1\nbogus\n")
-    with pytest.raises(DataFormatError):
+    save_checkpoint(path, ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng)))
+    path.write_text(path.read_text().replace("checkpoint v2", "checkpoint v9"))
+    with pytest.raises(DataFormatError, match="not a 'ginigraph-checkpoint v2' object"):
         load_checkpoint(path)
 
 
 GCN_3_2 = {"W1": (3, 2), "W2": (2, 2), "w_out": (2, 1), "b_out": (1, 1)}
 HEAD_2 = {"W": (2, 2), "a": (4, 1), "w_out": (2, 1), "b_out": (1, 1)}
+W1_ROW = '"W1": [[0.5, 0.5]'
 
 
-@pytest.mark.parametrize(
-    "old, new, layout",
-    [
-        ("variant gcn", "variant foo", None),
-        ("section backbone 4", "section backbone four", None),
-        ("matrix W1 3 2", "matrix W1 3 x", None),
-        ("ROW", "0.5 abc", None),
-        ("ROW", "nan 0.5", None),
-        ("ROW", "0.5", None),
-        ("ROW", None, None),
-        ("section fair 0", "section head 0", None),
-        ("variant gcn", "variant gin", None),
-        (None, None, ({"W1": (1, 2)}, {})),
-        (None, None, ({**GCN_3_2, "W2": (2, 3)}, {})),
-        (None, None, ({**GCN_3_2, "w_out": (3, 1)}, {})),
-        (None, None, ({**GCN_3_2, "P1": (2, 2)}, {})),
-        (None, None, (GCN_3_2, {**HEAD_2, "a": (2, 1)})),
-        (None, None, (GCN_3_2, {"W": (3, 3), "a": (6, 1), "w_out": (3, 1), "b_out": (1, 1)})),
-    ],
-    ids=[
-        "variant", "count", "shape", "value", "nan", "short-row", "truncated", "section",
-        "other-variant", "only-W1", "W2-shape", "hidden-mismatch", "extra-matrix",
-        "head-shape", "head-width",
-    ],
-)
-def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, rng, old, new, layout):
-    path = tmp_path / "model.txt"
-    if layout is None:
-        params = ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng))
-    else:
-        backbone, fair = ({name: np.ones(shape) for name, shape in part.items()} for part in layout)
-        params = ModelParams(variant="gcn", backbone=backbone, fair=fair)
-    save_checkpoint(path, params)
-    if old is not None:
-        lines = path.read_text().splitlines()
-        at = lines.index("matrix W1 3 2") + 1 if old == "ROW" else lines.index(old)
-        lines = lines[: at + 1] if new is None else lines[:at] + [new] + lines[at + 1 :]
-        path.write_text("\n".join(lines) + "\n")
+def _swap(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+# edits of the checkpoint text of the GCN_3_2 layout with every weight 0.5
+CHECKPOINT_EDITS = {
+    "variant": _swap('"variant": "gcn"', '"variant": "foo"'),
+    "shape": _swap('"W1": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]', '"W1": [0.5, 0.5, 0.5]'),
+    "value": _swap(W1_ROW, '"W1": [[0.5, "abc"]'),
+    "nan": _swap(W1_ROW, '"W1": [[NaN, 0.5]'),
+    "Infinity": _swap(W1_ROW, '"W1": [[Infinity, 0.5]'),
+    "bool": _swap(W1_ROW, '"W1": [[true, 0.5]'),
+    "short-row": _swap(W1_ROW, '"W1": [[0.5]'),
+    "truncated": lambda text: text[: len(text) // 2],
+    "section": _swap('"fair": {}', '"head": {}'),
+    "other-variant": _swap('"variant": "gcn"', '"variant": "gin"'),
+    "duplicate-key": _swap('"variant": "gcn"', '"variant": "gcn", "variant": "gcn"'),
+}
+CHECKPOINT_LAYOUTS = {
+    "only-W1": ({"W1": (1, 2)}, {}),
+    "W2-shape": ({**GCN_3_2, "W2": (2, 3)}, {}),
+    "hidden-mismatch": ({**GCN_3_2, "w_out": (3, 1)}, {}),
+    "extra-matrix": ({**GCN_3_2, "P1": (2, 2)}, {}),
+    "head-shape": (GCN_3_2, {**HEAD_2, "a": (2, 1)}),
+    "head-width": (GCN_3_2, {"W": (3, 3), "a": (6, 1), "w_out": (3, 1), "b_out": (1, 1)}),
+}
+
+
+@pytest.mark.parametrize("case", [*CHECKPOINT_EDITS, *CHECKPOINT_LAYOUTS])
+def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, case):
+    path = tmp_path / "model.json"
+    layout = CHECKPOINT_LAYOUTS.get(case, (GCN_3_2, {}))
+    backbone, fair = (
+        {name: np.full(shape, 0.5) for name, shape in part.items()} for part in layout
+    )
+    save_checkpoint(path, ModelParams("gcn", backbone, fair))
+    if case in CHECKPOINT_EDITS:
+        text = path.read_text()
+        edited = CHECKPOINT_EDITS[case](text)
+        assert edited != text
+        path.write_text(edited)
     with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
 def test_checkpoint_layouts_of_every_variant_load(tmp_path, rng):
     for variant in BACKBONES:
-        path = tmp_path / f"{variant}.txt"
+        path = tmp_path / f"{variant}.json"
         params = ModelParams(variant, init_backbone(variant, 5, 3, rng), init_fair_head(3, rng))
         save_checkpoint(path, params)
         assert load_checkpoint(path).backbone["w_out"].shape[0] == 3
