@@ -28,6 +28,7 @@ from .graph import (
     GroupPartition,
     build_similarity,
     graph_summary,
+    is_plain_text,
     load_graph,
     read_embedding_csv,
     read_feature_table,
@@ -51,6 +52,21 @@ from .models import save_checkpoint
 
 # when set, overrides the seed of a train run from any source
 SEED_ENV_VAR = "GINIGRAPH_SEED"
+
+
+def _plain(parse):
+    """parse, refusing text that is_plain_text refuses, as the file readers do."""
+
+    def read(text: str):
+        if not is_plain_text(text):
+            raise ValueError(f"not a plain ASCII number: {text!r}")
+        return parse(text)
+
+    read.__name__ = parse.__name__  # argparse names the type in its message
+    return read
+
+
+plain_int, plain_float = _plain(int), _plain(float)
 
 
 def _emit(payload: dict) -> None:
@@ -77,7 +93,7 @@ def cmd_ingest(args) -> int:
 def cmd_similarity(args) -> int:
     graph, _ = load_graph(args.edges, args.features)
     try:
-        mask_cols = tuple(int(c) for c in args.mask_cols.split(",")) if args.mask_cols else ()
+        mask_cols = tuple(plain_int(c) for c in args.mask_cols.split(",")) if args.mask_cols else ()
     except ValueError as exc:
         raise ConfigError(f"--mask-cols must be comma-separated integers: {exc}") from exc
     similarity = build_similarity(graph, args.mode, args.top_k, mask_cols)
@@ -135,7 +151,7 @@ def apply_env_seed(config: TrainConfig) -> TrainConfig:
     if raw is None:
         return config
     try:
-        seed = int(raw)
+        seed = plain_int(raw)
     except ValueError as exc:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
     return dataclasses.replace(config, seed=seed)
@@ -308,28 +324,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similarity", help="build a pairwise similarity set")
     _add_graph_inputs(p)
     p.add_argument("--mode", choices=["topo", "attr"], default="topo")
-    p.add_argument("--top-k", type=int, default=100)
+    p.add_argument("--top-k", type=plain_int, default=100)
     p.add_argument("--mask-cols", help="comma-separated feature columns to zero (attr mode)")
     p.add_argument("--out", required=True, help="output similarity CSV")
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("generate-sbm", help="sample the synthetic benchmark graph")
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--p-in", type=float, default=0.05)
-    p.add_argument("--p-out", type=float, default=0.005)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--label-signal", type=float, default=1.0)
-    p.add_argument("--group-signal", type=float, default=0.6)
-    p.add_argument("--ratio", type=float, default=0.78, help="majority sensitive share")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=plain_int, default=1000)
+    p.add_argument("--blocks", type=plain_int, default=2)
+    p.add_argument("--p-in", type=plain_float, default=0.05)
+    p.add_argument("--p-out", type=plain_float, default=0.005)
+    p.add_argument("--feature-dim", type=plain_int, default=8)
+    p.add_argument("--label-signal", type=plain_float, default=1.0)
+    p.add_argument("--group-signal", type=plain_float, default=0.6)
+    p.add_argument("--ratio", type=plain_float, default=0.78, help="majority sensitive share")
+    p.add_argument("--seed", type=plain_int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_generate_sbm)
 
     p = sub.add_parser("cluster", help="k-means groups with elbow-selected k")
     _add_graph_inputs(p)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k-max", type=plain_int, required=True)
+    p.add_argument("--seed", type=plain_int, default=0)
     p.add_argument("--out", help="write id,group assignments CSV")
     p.set_defaults(func=cmd_cluster)
 
@@ -342,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backbone", choices=["gcn", "gin", "jk"])
     p.add_argument("--gradnorm", choices=["on", "off"])
     p.add_argument("--attention", choices=["on", "off"])
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--beta3", type=float)
+    p.add_argument("--beta2", type=plain_float)
+    p.add_argument("--beta3", type=plain_float)
     p.add_argument("--surrogate", choices=["none", "softmax", "topk"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--pretrain-epochs", type=int)
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--seed", type=plain_int)
+    p.add_argument("--hidden", type=plain_int)
+    p.add_argument("--max-epochs", type=plain_int)
+    p.add_argument("--pretrain-epochs", type=plain_int)
+    p.add_argument("--top-k", type=plain_int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -359,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="node table CSV for labels and groups")
     p.add_argument("--partition", help="id,group CSV overriding the sensitive column")
     p.add_argument("--scores", help="id,score CSV for utility metrics")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=1e-6)
+    p.add_argument("--threshold", type=plain_float, default=0.5)
+    p.add_argument("--delta", type=plain_float, default=1e-6)
     p.add_argument("--out", help="also write the report here")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--thousands", action="store_true")
@@ -369,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="rewire toward homophily or add feature noise")
     _add_graph_inputs(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--homophily", type=float, metavar="RHO")
-    group.add_argument("--noise", type=float, metavar="SIGMA")
-    p.add_argument("--seed", type=int, default=0)
+    group.add_argument("--homophily", type=plain_float, metavar="RHO")
+    group.add_argument("--noise", type=plain_float, metavar="SIGMA")
+    p.add_argument("--seed", type=plain_int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_perturb)
 

@@ -63,8 +63,7 @@ class Graph:
                 raise ContractError("edge endpoint out of range")
             if np.any(self.edges[:, 0] >= self.edges[:, 1]):
                 raise ContractError("edges must be stored as i < j")
-            keys = self.edges[:, 0] * n + self.edges[:, 1]
-            if np.unique(keys).size != keys.size:
+            if self.adjacency().nnz != 2 * self.num_edges:
                 raise ContractError("duplicate edges")
         masks = [self.train_mask, self.val_mask, self.test_mask]
         joined = np.concatenate(masks) if any(m.size for m in masks) else np.zeros(0, np.int64)
@@ -84,14 +83,7 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency matrix."""
-        n = self.n
-        if self.num_edges == 0:
-            return sp.csr_matrix((n, n))
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * self.num_edges)
-        return sp.csr_matrix(
-            (data, (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n)
-        )
+        return _pair_matrix(self.n, self.edges[:, 0], self.edges[:, 1], np.ones(self.num_edges))
 
     def homophily(self) -> float:
         """Fraction of edges whose two endpoints share a (non-missing) label."""
@@ -103,6 +95,16 @@ class Graph:
         if not np.any(both):
             return 0.0
         return float(np.mean(li[both] == lj[both]))
+
+
+def _pair_matrix(n: int, rows: Array, cols: Array, weights: Array) -> sp.csr_matrix:
+    """The symmetric n x n CSR of the undirected pairs (rows[p], cols[p]).
+
+    The COO -> CSR conversion sorts the entries and sums repeated pairs, in
+    either orientation, into one entry per orientation.
+    """
+    both = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    return sp.csr_matrix((np.concatenate([weights, weights]), both), shape=(n, n))
 
 
 def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
@@ -227,12 +229,7 @@ class SimilaritySet:
                 raise ContractError("diagonal similarities are not stored")
         if not np.all((weights > 0.0) & (weights <= 1.0)):
             raise DomainError("similarity weights must lie in (0, 1]")
-        # the COO -> CSR conversion sorts the entries and sums repeated ones
-        self.matrix = sp.csr_matrix(
-            (np.concatenate([weights, weights]),
-             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(n, n),
-        )
+        self.matrix = _pair_matrix(n, rows, cols, weights)
         if self.matrix.nnz != 2 * rows.size:
             raise ContractError("duplicate similarity pairs")
         upper = sp.triu(self.matrix, 1)
@@ -296,9 +293,9 @@ def _cosine_topk(vectors: Array, top_k: int) -> SimilaritySet:
     no pairs) and released once the n x n score matrix is formed. In that
     matrix the diagonal and nonpositive scores become 0, each row's
     argpartition picks its top_k, and a pick with score 0 is dropped. The
-    picks of both ends of a pair merge into one key lo * n + hi; a pair
-    survives if either end picks it, which is symmetrization by max because
-    cosine scores are symmetric.
+    picks of both ends of a pair merge in the upper triangle of their pair
+    matrix; a pair survives if either end picks it, which is symmetrization
+    by max because cosine scores are symmetric.
     """
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors /= np.where(norms > 0, norms, 1.0)
@@ -307,17 +304,17 @@ def _cosine_topk(vectors: Array, top_k: int) -> SimilaritySet:
     n = scores.shape[0]
     np.fill_diagonal(scores, 0.0)
     k = min(top_k, n - 1)  # n = 1 gives k = 0, kth = -1 (the only column) and no picks
-    keys = [np.zeros(0, dtype=np.int64)]
+    picks = [np.zeros((2, 0), dtype=np.int64)]
     for start in range(0, n, _SELECT_ROWS):
         block = scores[start : start + _SELECT_ROWS]
         block[block <= 0.0] = 0.0
         rows = np.repeat(np.arange(start, start + block.shape[0]), k)
         cols = np.argpartition(-block, kth=k - 1, axis=1)[:, :k].ravel()
         picked = scores[rows, cols] > 0.0
-        rows, cols = rows[picked], cols[picked]
-        keys.append(np.minimum(rows, cols) * n + np.maximum(rows, cols))
-    i, j = np.divmod(np.unique(np.concatenate(keys)), n)
-    return SimilaritySet(n, i, j, np.minimum(scores[i, j], 1.0))
+        picks.append(np.stack([rows[picked], cols[picked]]))
+    rows, cols = np.concatenate(picks, axis=1)
+    upper = sp.triu(_pair_matrix(n, rows, cols, np.ones(rows.size)), 1)
+    return SimilaritySet(n, upper.row, upper.col, np.minimum(scores[upper.row, upper.col], 1.0))
 
 
 def topo_similarity(graph: Graph, top_k: int = 100) -> SimilaritySet:
@@ -365,6 +362,15 @@ def open_text(path):
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def is_plain_text(text: str) -> bool:
+    """True when text is ASCII and holds no '_'.
+
+    int() and float() also read '1_0' and non-ASCII digits such as '\u0662',
+    which no number in a file or on the command line may hold.
+    """
+    return text.isascii() and "_" not in text
+
+
 def _read_table(
     path, columns: str, n_int: int, open_ended: bool = False
 ) -> tuple[Array, Array, Array]:
@@ -395,10 +401,9 @@ def _read_table(
                 )
             rows.append(line)
             lines.append(lineno)
-    # int() and float() also read '1_0' and non-ASCII digits, which no field may hold
     text = ",".join(rows)
-    if not text.isascii() or "_" in text:
-        bad = next(r for r, line in enumerate(rows) if not line.isascii() or "_" in line)
+    if not is_plain_text(text):
+        bad = next(r for r, line in enumerate(rows) if not is_plain_text(line))
         raise DataFormatError(f"{path}:{lines[bad]}: malformed field")
     # one split over all rows, then one conversion per column
     fields = text.split(",") if rows else []
@@ -460,11 +465,12 @@ def _id_order(path, ids: Array, lines: Array) -> Array:
     return order
 
 
-def read_edge_list(path) -> tuple[Array, int]:
+def read_edge_list(path, n: int) -> tuple[Array, int]:
     """Read whitespace-separated 'i j' lines (0-based, '#' comments allowed).
 
-    Duplicate edges and self-loops are dropped with a count returned so callers
-    can warn. Returns (edges sorted as i < j, dropped_count).
+    Every endpoint must be a node id below n. Duplicate edges and self-loops
+    are dropped with a count returned so callers can warn. Returns (edges
+    sorted as i < j, dropped_count).
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -473,19 +479,19 @@ def read_edge_list(path) -> tuple[Array, int]:
         try:
             pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
         except (ValueError, DeprecationWarning):
-            _rescan_edge_list(path)
+            _rescan_edge_list(path, n)
     if pairs.size == 0:
         return np.zeros((0, 2), dtype=np.int64), 0
-    if pairs.shape[1] != 2 or pairs.min() < 0:
-        _rescan_edge_list(path)
-    loops = pairs[:, 0] == pairs[:, 1]
-    pairs = np.sort(pairs[~loops], axis=1)
-    edges = np.unique(pairs, axis=0)
-    return edges, int(loops.sum()) + pairs.shape[0] - edges.shape[0]
+    if pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
+        _rescan_edge_list(path, n)
+    # the upper triangle drops self-loops and merges repeats and reversals
+    upper = sp.triu(_pair_matrix(n, pairs[:, 0], pairs[:, 1], np.ones(len(pairs))), 1)
+    edges = np.column_stack([upper.row, upper.col]).astype(np.int64)
+    return edges, len(pairs) - upper.nnz
 
 
-def _rescan_edge_list(path) -> NoReturn:
-    """Find the first malformed line of an edge list that failed to load, and raise."""
+def _rescan_edge_list(path, n: int) -> NoReturn:
+    """Find the first line of an edge list that is malformed or names an id >= n, and raise."""
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -494,7 +500,7 @@ def _rescan_edge_list(path) -> NoReturn:
             parts = line.split()
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 'i j', got {raw!r}")
-            if not line.isascii() or "_" in line:
+            if not is_plain_text(line):
                 raise DataFormatError(f"{path}:{lineno}: node ids must be plain decimal integers")
             try:
                 a, b = int(parts[0]), int(parts[1])
@@ -504,6 +510,10 @@ def _rescan_edge_list(path) -> NoReturn:
                 raise DataFormatError(f"{path}:{lineno}: negative node id")
             if max(a, b) > np.iinfo(np.int64).max:
                 raise DataFormatError(f"{path}:{lineno}: node id exceeds int64")
+            if max(a, b) >= n:
+                raise DataFormatError(
+                    f"{path}:{lineno}: node id {max(a, b)} exceeds the largest id {n - 1}"
+                )
     raise DataFormatError(f"{path}: node ids must be plain decimal integers")
 
 
@@ -565,12 +575,7 @@ def read_json(path, parse=lambda value: value):
 def load_graph(edge_path, feature_path) -> tuple[Graph, int]:
     """Load a Graph from an edge list and a node table; returns (graph, dropped_edges)."""
     features, labels, sensitive = read_feature_table(feature_path)
-    edges, dropped = read_edge_list(edge_path)
-    n = features.shape[0]
-    if edges.size and edges.max() >= n:
-        raise DataFormatError(
-            f"{edge_path}: edge endpoint {int(edges.max())} exceeds node count {n}"
-        )
+    edges, dropped = read_edge_list(edge_path, features.shape[0])
     return Graph(edges=edges, features=features, labels=labels, sensitive=sensitive), dropped
 
 

@@ -40,7 +40,7 @@ Array = np.ndarray
 BACKBONES = ("gcn", "gin", "jk")
 LEAKY_SLOPE = 0.2
 
-CHECKPOINT_FORMAT = "ginigraph-checkpoint v2"
+CHECKPOINT_FORMAT = "ginigraph-checkpoint v3"
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
@@ -209,11 +209,16 @@ def as_leaves(tape: Tape, weights: dict[str, Array]) -> dict[str, Tensor]:
 
 @dataclass
 class ModelParams:
-    """Trained weights: encoder variant, encoder dict, fairness head dict."""
+    """Trained weights: encoder variant, encoder dict, fairness head dict.
+
+    attention tells whether the fairness head scores its messages
+    (fair_head_embed's attention flag); it is part of the trained model.
+    """
 
     variant: str
     backbone: dict[str, Array]
     fair: dict[str, Array] = field(default_factory=dict)
+    attention: bool = True
 
     @classmethod
     def from_json_dict(cls, raw) -> "ModelParams":
@@ -225,16 +230,20 @@ class ModelParams:
         if not isinstance(raw, dict) or raw.get("format") != CHECKPOINT_FORMAT:
             raise DataFormatError(f"not a {CHECKPOINT_FORMAT!r} object")
         keys = sorted(raw)
-        if keys != ["backbone", "fair", "format", "variant"]:
-            raise DataFormatError(f"expected keys backbone, fair, format, variant; got {keys}")
+        if keys != ["attention", "backbone", "fair", "format", "variant"]:
+            raise DataFormatError(
+                f"expected keys attention, backbone, fair, format, variant; got {keys}"
+            )
         if raw["variant"] not in BACKBONES:
             raise DataFormatError(f"unknown variant {raw['variant']!r} (choose from {BACKBONES})")
+        if not isinstance(raw["attention"], bool):
+            raise DataFormatError(f"attention must be true or false, got {raw['attention']!r}")
         sections = {}
         for section in ("backbone", "fair"):
             if not isinstance(raw[section], dict):
                 raise DataFormatError(f"{section} must be an object of matrices")
             sections[section] = {name: _matrix(name, rows) for name, rows in raw[section].items()}
-        params = cls(raw["variant"], **sections)
+        params = cls(raw["variant"], **sections, attention=raw["attention"])
         _check_layout(params)
         return params
 
@@ -250,8 +259,9 @@ def save_checkpoint(path, params: ModelParams) -> None:
         section: {name: np.asarray(weights[name], np.float64).tolist() for name in sorted(weights)}
         for section, weights in (("backbone", params.backbone), ("fair", params.fair))
     }
+    header = {"format": CHECKPOINT_FORMAT, "variant": params.variant, "attention": params.attention}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": CHECKPOINT_FORMAT, "variant": params.variant, **sections}, fh)
+        json.dump({**header, **sections}, fh)
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -3,8 +3,8 @@
 Each grid point is trained `repetitions` times on freshly generated benchmark
 graphs (seed = base_seed + repetition). Per-run results land as JSON files in
 the output directory; the aggregate table (mean and population std of AUC,
-IF, GD, IF-Gini, GD-Gini) is recomputed from those files, so an independent
-pass over the run artifacts reproduces the table exactly.
+IF, GD, IF-Gini, GD-Gini) covers the runs of this sweep, and an independent
+pass over the run artifacts of a fresh directory reproduces it exactly.
 
 Grid axes: beta2, beta3 (loss weights), rho (homophily rewiring), sigma
 (feature noise), hidden (encoder width). rho/sigma perturb the generated
@@ -142,6 +142,10 @@ class SweepRow:
 def run_sweep(spec: SweepSpec, out_dir) -> list[SweepRow]:
     """Execute the whole grid, writing per-run JSON and log files.
 
+    Returns the aggregate of this call's runs only; files that earlier sweeps
+    left in out_dir are overwritten when a run has the same name and otherwise
+    ignored (aggregate_dir reads them all).
+
     Runs that share rho, sigma and every config field pretrain reads
     (trainer.PRETRAIN_FIELDS) differ only in the fairness stage, so they share
     one generated graph, similarity set and pretraining; each run's
@@ -151,6 +155,7 @@ def run_sweep(spec: SweepSpec, out_dir) -> list[SweepRow]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage1 = attrgetter(*PRETRAIN_FIELDS)
+    records: dict[str, dict] = {}
     groups: dict[tuple, list] = {}
     for point in spec.grid_points():
         for rep in range(spec.repetitions):
@@ -174,7 +179,9 @@ def run_sweep(spec: SweepSpec, out_dir) -> list[SweepRow]:
                 record["error"] = f"{type(exc).__name__}: {exc}"
             with open(out / f"{slug}.json", "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2)
-    return aggregate_dir(out)
+            records[slug] = record
+    # in file-name order, the order aggregate_dir reads a fresh directory in
+    return aggregate_records([records[slug] for slug in sorted(records)])
 
 
 def aggregate_records(records: list[dict]) -> list[SweepRow]:

@@ -419,8 +419,8 @@ def train(
             if stale >= config.patience:
                 break
 
-    params = ModelParams(config.backbone, backbone_weights, fair_weights)
-    embeddings, scores = embed(params, graph, similarity, attention=config.attention)
+    params = ModelParams(config.backbone, backbone_weights, fair_weights, config.attention)
+    embeddings, scores = embed(params, graph, similarity)
     return RunResult(
         config=config,
         params=params,
@@ -443,9 +443,11 @@ def embed(
     params: ModelParams,
     graph: Graph,
     similarity: SimilaritySet | None = None,
-    attention: bool = True,
 ) -> tuple[Array, Array]:
-    """Forward pass without tracing: returns (embeddings, sigmoid scores)."""
+    """Forward pass without tracing: returns (embeddings, sigmoid scores).
+
+    The fairness head, when params has one, runs with params.attention.
+    """
     tape = Tape(tracing=False)
     operators = graph_operators(graph)
     leaves = as_leaves(tape, params.backbone)
@@ -454,7 +456,7 @@ def embed(
         if similarity is None:
             raise ContractError("fair head requires a similarity set")
         fair_leaves = as_leaves(tape, params.fair)
-        h = fair_head_embed(z, fair_leaves, attention_edges(similarity), tape, attention)
+        h = fair_head_embed(z, fair_leaves, attention_edges(similarity), tape, params.attention)
         logits = readout_logits(h, fair_leaves)
     else:
         h = z

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -42,6 +43,7 @@ from ginigraph.graph import (
     read_scores_csv,
     topo_similarity,
     write_embedding_csv,
+    write_feature_table,
     write_partition_csv,
     write_scores_csv,
 )
@@ -708,7 +710,7 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
     graph, _ = load_graph(sbm_dir / "edges.txt", sbm_dir / "features.csv")
     h, scores = trainer.embed(
         load_checkpoint(run_dir / "checkpoint.json"), graph,
-        build_similarity(graph, "attr", 5), attention=True,
+        build_similarity(graph, "attr", 5),
     )
     np.testing.assert_array_equal(read_embedding_csv(run_dir / "embeddings.csv"), h)
     np.testing.assert_array_equal(read_scores_csv(run_dir / "scores.csv"), scores)
@@ -737,6 +739,23 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
         capsys, "report", "--results", str(run_dir / "result.json"), "--out", str(table)
     )
     assert code == 0 and table.exists()
+
+
+def test_cli_train_attention_off_reloads_bit_for_bit(sbm_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    run_dir = tmp_path / "run"
+    code, _ = run_cli(
+        capsys, "train", *graph_args(sbm_dir),
+        "--sim-mode", "attr", "--attention", "off", "--hidden", "4", "--top-k", "5",
+        "--pretrain-epochs", "4", "--max-epochs", "4", "--seed", "2", "--out-dir", str(run_dir),
+    )
+    assert code == 0
+    params = load_checkpoint(run_dir / "checkpoint.json")
+    assert params.attention is False
+    graph, _ = load_graph(sbm_dir / "edges.txt", sbm_dir / "features.csv")
+    h, scores = trainer.embed(params, graph, build_similarity(graph, "attr", 5))
+    np.testing.assert_array_equal(read_embedding_csv(run_dir / "embeddings.csv"), h)
+    np.testing.assert_array_equal(read_scores_csv(run_dir / "scores.csv"), scores)
 
 
 def test_cli_report_rejects_malformed_result_files(tmp_path, capsys):
@@ -922,6 +941,26 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     assert table2.read_text().splitlines()[0].startswith("beta2,")
 
 
+def test_cli_sweeps_into_one_directory_report_their_own_runs(tmp_path, capsys):
+    base = {
+        "repetitions": 1, "base_seed": 5, "similarity_mode": "attr", "config": dict(TINY_TRAIN),
+        "sbm": {"block_sizes": [20, 20], "p_within": 0.25, "p_between": 0.05, "feature_dim": 4},
+    }
+    spec_path, out_dir = tmp_path / "spec.json", tmp_path / "sweep"
+    for axes in ({"beta2": [0.5]}, {"beta3": [0.25, 0.75]}):
+        spec_path.write_text(json.dumps({**base, **axes}))
+        code, info = run_cli(capsys, "sweep", "--spec", str(spec_path), "--out-dir", str(out_dir))
+        assert code == 0 and info["points"] == info["runs"] == len(*axes.values())
+    header, *rows = (out_dir / "table.csv").read_text().splitlines()
+    assert header.startswith("beta3,n_runs,") and [row[:5] for row in rows] == ["0.25,", "0.75,"]
+    # report aggregates every run record in the directory, both sweeps' alike
+    code, _ = run_cli(
+        capsys, "report", "--results", str(out_dir), "--out", str(tmp_path / "all.csv")
+    )
+    assert code == 0
+    assert len((tmp_path / "all.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # missing input file -> I/O error
     code, _ = run_cli(
@@ -960,6 +999,53 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "--features", str(tmp_path / "feat.csv"), "--k-max", "2",
     )
     assert code == 3
+
+    # numbers typed on the command line follow the file readers' rule: no '_'
+    # and no non-ASCII digit, which int() and float() would read
+    rng = np.random.default_rng(0)
+    write_feature_table(tmp_path / "wide.csv", rng.normal(size=(4, 11)), [0, 1, 0, 1], [0, 0, 1, 1])
+    (tmp_path / "path.txt").write_text("0 1\n1 2\n2 3\n")
+    wide = ["--edges", str(tmp_path / "path.txt"), "--features", str(tmp_path / "wide.csv")]
+    sim, emb = str(tmp_path / "sim.csv"), tmp_path / "emb.csv"
+    assert run_cli(capsys, "similarity", *wide, "--top-k", "2", "--out", sim)[0] == 0
+    write_embedding_csv(emb, rng.normal(size=(4, 2)))
+    attr = ["similarity", *wide, "--mode", "attr", "--out", str(tmp_path / "attr.csv")]
+    monkeypatch.setenv(SEED_ENV_VAR, "1_1")  # only train reads it
+    for argv in (
+        [*attr, "--mask-cols", "1_0"],
+        [*attr, "--mask-cols", "\u0661", "--top-k", "\u0665"],
+        ["train", *wide, "--hidden", "2", "--top-k", "2", "--max-epochs", "1",
+         "--pretrain-epochs", "1", "--out-dir", str(tmp_path / "run")],
+        ["audit", "--embeddings", str(emb), "--similarity", sim, "--delta", "\u0661e-3"],
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the flag value
+            code = exc.code
+        assert code == 2, argv
+        assert capsys.readouterr().out == ""
+    assert not (tmp_path / "attr.csv").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("node", ["4", str(2**62)])
+def test_cli_ingest_names_the_line_of_an_edge_beyond_the_node_table(tmp_path, capsys, node):
+    (tmp_path / "feat.csv").write_text(
+        "id,label,sensitive,f0\n" + "".join(f"{i},{i % 2},0,1.0\n" for i in range(4))
+    )
+    (tmp_path / "edges.txt").write_text(f"0 1\n# a comment\n2 {node}\n")
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "ingest", "--edges", str(tmp_path / "edges.txt"),
+            "--features", str(tmp_path / "feat.csv"), "--out-dir", str(tmp_path / "out"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == "" and not (tmp_path / "out").exists()
+    assert f"edges.txt:3: node id {node} exceeds the largest id 3" in captured.err
+    assert peak < 2**20  # no array sized by the id
 
 
 def test_cli_audit_rejects_a_non_finite_embedding(sbm_dir, tmp_path, capsys):
@@ -1151,14 +1237,16 @@ def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypa
 # Flag values for the main() fuzz: small ints, signed zero, non-finite and
 # extreme floats, and text that int() or float() reads or refuses
 FUZZ_INTS = ("0", "1", "3", "-1", "-0", "1_0", "\u0662", "1e308", "x")
-FUZZ_FLOATS = ("0", "1", "-1", "-0", "0.5", "nan", "inf", "-inf", "1e308", "1_0", "x")
+FUZZ_FLOATS = ("0", "1", "-1", "-0", "0.5", "nan", "inf", "-inf", "1e308", "1_0", "\u0662", "x")
+# int() or float() read these, and no command may
+REFUSED_NUMBERS = ("1_0", "\u0662")
 # given every time: the flags argparse requires, and --nodes (its default is 1000)
 ALWAYS_GIVEN = ("--nodes", "--k-max", "--embeddings", "--spec", "--results")
 
 
 def _sizes(cap: int) -> tuple[str, ...]:
-    """Values of a flag that sizes the work: ints up to cap, and text int() refuses."""
-    return (*map(str, range(-1, cap + 1)), "1e308", "x")
+    """Values of a flag that sizes the work: ints up to cap, and text the CLI refuses."""
+    return (*map(str, range(-1, cap + 1)), "1e308", "x", *REFUSED_NUMBERS)
 
 
 @pytest.fixture(scope="module")
@@ -1200,7 +1288,7 @@ def _fuzz_flags(root: Path) -> dict[str, tuple[list[str], dict[str, tuple[str, .
         "ingest": (graph, {"--out-dir": out_dir[1:]}),
         "similarity": (graph + out, {
             "--mode": ("topo", "attr", "x"), "--top-k": _sizes(8),
-            "--mask-cols": ("0", "0,2", "3", "-1", "x", "1_0", ""),
+            "--mask-cols": ("0", "0,2", "3", "-1", "x", "1_0", "\u0662", ""),
         }),
         "generate-sbm": (out_dir, {
             "--nodes": _sizes(40), "--blocks": FUZZ_INTS, "--p-in": FUZZ_FLOATS,
@@ -1247,9 +1335,11 @@ def _refuse_constant(name):
 def test_cli_main_exits_cleanly_on_any_flag_values(fuzz_files, command, data):
     fixed, optional = _fuzz_flags(fuzz_files)[command]
     argv = [command, *fixed]
+    drawn = []
     for flag, values in optional.items():
         if flag in ALWAYS_GIVEN or data.draw(st.booleans(), label=flag):
-            argv += [flag, data.draw(st.sampled_from(values), label=flag)]
+            drawn.append(data.draw(st.sampled_from(values), label=flag))
+            argv += [flag, drawn[-1]]
     if command in ("audit", "report") and data.draw(st.booleans(), label="--thousands"):
         argv.append("--thousands")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -1266,6 +1356,8 @@ def test_cli_main_exits_cleanly_on_any_flag_values(fuzz_files, command, data):
         except SystemExit as exc:  # argparse refuses the command line
             code = exc.code
     assert code in (0, 2, 3, 4), stderr.getvalue()
+    if any(value in REFUSED_NUMBERS for value in drawn):
+        assert code != 0, argv
     if code == 0:
         json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
 

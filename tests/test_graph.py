@@ -52,12 +52,17 @@ from conftest import build_random_graph, build_random_similarity
 
 def test_graph_validation_rejects_bad_edges():
     base = dict(features=np.zeros((3, 2)), labels=[0, 1, 1], sensitive=[0, 0, 1])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="out of range"):
         Graph(edges=[[0, 3]], **base)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="i < j"):
         Graph(edges=[[2, 1]], **base)
-    with pytest.raises(ContractError):
-        Graph(edges=[[0, 1], [0, 1]], **base)
+    with pytest.raises(ContractError, match="i < j"):
+        Graph(edges=[[1, 1]], **base)
+    for edges in ([[0, 1], [0, 1]], [[0, 1], [1, 2], [0, 1]]):
+        with pytest.raises(ContractError, match="duplicate"):
+            Graph(edges=edges, **base)
+    empty = Graph(edges=np.zeros((0, 2)), **base).adjacency()
+    assert empty.shape == (3, 3) and empty.nnz == 0 and empty.dtype == np.float64
 
 
 def test_graph_masks_must_be_disjoint():
@@ -412,11 +417,11 @@ def test_topo_similarity_is_symmetric_in_storage(seed):
 def test_edge_list_round_trip_and_dedup(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# comment\n0 1\n2 1   # trailing comment\n1 0\n3 3\n\n2 4\n")
-    edges, dropped = read_edge_list(path)
+    edges, dropped = read_edge_list(path, 5)
     np.testing.assert_array_equal(edges, [[0, 1], [1, 2], [2, 4]])
     assert dropped == 2  # one duplicate (1 0) and one self-loop (3 3)
     write_edge_list(path, edges)
-    again, dropped2 = read_edge_list(path)
+    again, dropped2 = read_edge_list(path, 5)
     np.testing.assert_array_equal(again, edges)
     assert dropped2 == 0
 
@@ -425,46 +430,46 @@ def test_edge_list_rejects_malformed_lines(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1 2\n")
     with pytest.raises(DataFormatError, match=":1"):
-        read_edge_list(path)
+        read_edge_list(path, 30)
     path.write_text("0 x\n")
     with pytest.raises(DataFormatError):
-        read_edge_list(path)
+        read_edge_list(path, 30)
     path.write_text("-1 2\n")
     with pytest.raises(DataFormatError):
-        read_edge_list(path)
+        read_edge_list(path, 30)
 
 
 def test_edge_list_parse_edge_cases(tmp_path, rng):
     path = tmp_path / "edges.txt"
     path.write_text("0 1 2\n1 2 3\n")  # every line has three columns
     with pytest.raises(DataFormatError, match=":1: expected 'i j'"):
-        read_edge_list(path)
+        read_edge_list(path, 30)
     path.write_text("0 1\n# comment\n\n2 3 4\n")
     with pytest.raises(DataFormatError, match=":4: expected 'i j'"):
-        read_edge_list(path)
+        read_edge_list(path, 30)
     path.write_text("0 1\n1 99999999999999999999\n")
     with pytest.raises(DataFormatError, match=":2: node id exceeds int64"):
-        read_edge_list(path)
+        read_edge_list(path, 30)
     for text in ("1.5 2\n", "1e3 2\n"):  # numpy would parse these through a float
         path.write_text("0 1\n" + text)
         with pytest.raises(DataFormatError, match=":2: non-integer endpoint"):
-            read_edge_list(path)
+            read_edge_list(path, 30)
     for text in ("1_0 2\n", "\u0662 3\n"):  # int() reads these, numpy does not
         path.write_text("0 1\n" + text)
         with pytest.raises(DataFormatError, match=":2: node ids must be plain decimal integers"):
-            read_edge_list(path)
+            read_edge_list(path, 30)
     for text in ("# only a comment\n\n", ""):
         path.write_text(text)
-        edges, dropped = read_edge_list(path)
+        edges, dropped = read_edge_list(path, 30)
         assert edges.shape == (0, 2) and edges.dtype == np.int64 and dropped == 0
     path.write_text("3 3\n4 4\n")
-    edges, dropped = read_edge_list(path)
+    edges, dropped = read_edge_list(path, 30)
     assert edges.shape == (0, 2) and dropped == 2
     # random lines with repeats, reversals and self-loops against a set of pairs
     raw = rng.integers(0, 30, size=(400, 2))
     path.write_text("".join(f"{a}\t{b}  # e\n" for a, b in raw))
     kept = sorted({(min(a, b), max(a, b)) for a, b in raw.tolist() if a != b})
-    edges, dropped = read_edge_list(path)
+    edges, dropped = read_edge_list(path, 30)
     np.testing.assert_array_equal(edges, kept)
     assert dropped == len(raw) - len(kept)
 
@@ -503,8 +508,8 @@ def test_feature_table_rejects_bad_rows(tmp_path):
 
 def test_load_graph_checks_edge_bounds(tmp_path, rng):
     write_feature_table(tmp_path / "features.csv", rng.normal(size=(3, 2)), [0, 1, 1], [0, 0, 1])
-    (tmp_path / "edges.txt").write_text("0 5\n")
-    with pytest.raises(DataFormatError, match="exceeds"):
+    (tmp_path / "edges.txt").write_text("0 1\n0 5\n")
+    with pytest.raises(DataFormatError, match=":2: node id 5 exceeds the largest id 2"):
         load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
     (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
     graph, dropped = load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
@@ -548,7 +553,7 @@ WRITERS = {
     "edges": (
         lambda path: write_edge_list(path, [[0, 1], [0, 3], [2, 3]]),
         f"{EDGE_HEADER}\n0 1\n0 3\n2 3\n",
-        lambda path: read_edge_list(path)[:1],
+        lambda path: read_edge_list(path, 4)[:1],
         (np.array([[0, 1], [0, 3], [2, 3]]),),
     ),
     "features": (
@@ -688,7 +693,9 @@ FILE_READERS = {
     ),
     "scores": ("id,score\n0,0.25\n1,0.5\n2,0.75\n", read_scores_csv, DataFormatError),
     "partition": ("id,group\n0,1\n1,0\n2,1\n", read_partition_csv, DataFormatError),
-    "edges": ("# i j\n0 1\n1 2 # comment\n0 2\n", read_edge_list, DataFormatError),
+    "edges": (
+        "# i j\n0 1\n1 2 # comment\n0 2\n", lambda path: read_edge_list(path, 3), DataFormatError
+    ),
     "config": (
         '{"seed": 3, "max_epochs": 5, "attention": false, "beta2": 0.5}',
         lambda path: read_json(path, TrainConfig.from_json_dict),
@@ -700,9 +707,9 @@ FILE_READERS = {
         SETTINGS_ERRORS,
     ),
     "checkpoint": (
-        '{"format": "ginigraph-checkpoint v2", "variant": "gcn", "backbone": {"W1": [[0.5]],'
-        ' "W2": [[-1.0]], "b_out": [[0.0]], "w_out": [[2.0]]}, "fair": {"W": [[1e-3]],'
-        ' "a": [[0.25], [-0.5]], "b_out": [[0.0]], "w_out": [[3.0]]}}',
+        '{"format": "ginigraph-checkpoint v3", "variant": "gcn", "attention": false,'
+        ' "backbone": {"W1": [[0.5]], "W2": [[-1.0]], "b_out": [[0.0]], "w_out": [[2.0]]},'
+        ' "fair": {"W": [[1e-3]], "a": [[0.25], [-0.5]], "b_out": [[0.0]], "w_out": [[3.0]]}}',
         load_checkpoint,
         DataFormatError,
     ),

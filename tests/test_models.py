@@ -264,12 +264,13 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
         variant="gin",
         backbone=init_backbone("gin", 6, 4, rng),
         fair=init_fair_head(4, rng),
+        attention=False,
     )
     params.fair["W"][0] = [5e-324, -0.0, np.finfo(np.float64).max, 1.0 / 3.0]
     path = tmp_path / "model.json"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
-    assert loaded.variant == "gin"
+    assert loaded.variant == "gin" and loaded.attention is False
     assert loaded.backbone["w_out"].shape[0] == 4
     for section, other in (("backbone", loaded.backbone), ("fair", loaded.fair)):
         mine = getattr(params, section)
@@ -291,9 +292,13 @@ def test_checkpoint_rejects_bad_header(tmp_path, rng):
     with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
     save_checkpoint(path, ModelParams(variant="gcn", backbone=init_backbone("gcn", 3, 2, rng)))
-    path.write_text(path.read_text().replace("checkpoint v2", "checkpoint v9"))
-    with pytest.raises(DataFormatError, match="not a 'ginigraph-checkpoint v2' object"):
-        load_checkpoint(path)
+    v3 = path.read_text()
+    # a v2 file is the v3 layout without the attention flag
+    v2 = v3.replace("checkpoint v3", "checkpoint v2").replace('"attention": true, ', "")
+    for text in (v2, v3.replace("checkpoint v3", "checkpoint v9")):
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="not a 'ginigraph-checkpoint v3' object"):
+            load_checkpoint(path)
 
 
 GCN_3_2 = {"W1": (3, 2), "W2": (2, 2), "w_out": (2, 1), "b_out": (1, 1)}
@@ -318,6 +323,9 @@ CHECKPOINT_EDITS = {
     "section": _swap('"fair": {}', '"head": {}'),
     "other-variant": _swap('"variant": "gcn"', '"variant": "gin"'),
     "duplicate-key": _swap('"variant": "gcn"', '"variant": "gcn", "variant": "gcn"'),
+    "attention-string": _swap('"attention": true', '"attention": "on"'),
+    "attention-number": _swap('"attention": true', '"attention": 1'),
+    "attention-missing": _swap('"attention": true, ', ""),
 }
 CHECKPOINT_LAYOUTS = {
     "only-W1": ({"W1": (1, 2)}, {}),

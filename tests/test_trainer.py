@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -453,7 +455,7 @@ def test_evaluate_matches_independent_metric_calls(fixture_data):
     config = quick_config(max_epochs=10)
     result = train(graph, similarity, partition, config)
     masked = train_masked(graph, config)
-    h, scores = embed(result.params, masked, similarity, attention=config.attention)
+    h, scores = embed(result.params, masked, similarity)
     index = masked.test_mask
     manual = compute_report(
         h[index],
@@ -480,6 +482,6 @@ def test_embed_requires_similarity_for_fair_head(fixture_data):
 def test_attention_off_changes_embeddings(fixture_data):
     graph, similarity, partition = fixture_data
     result = train(graph, similarity, partition, quick_config(max_epochs=5))
-    on, _ = embed(result.params, graph, similarity, attention=True)
-    off, _ = embed(result.params, graph, similarity, attention=False)
+    on, _ = embed(replace(result.params, attention=True), graph, similarity)
+    off, _ = embed(replace(result.params, attention=False), graph, similarity)
     assert not np.allclose(on, off)
