@@ -6,6 +6,12 @@ attention off, no group term, no individual term) over a set of seeds and
 prints the directional comparison table: IF and GD reductions of the full run
 against the vanilla run, the AUC cost, and the ablation directions.
 
+Each row carries two digests: history_sha256, over every logged value at
+full precision (the fields and format of perfbench's history digest), and
+outputs_sha256, over the final embeddings and scores. Comparing those fields
+of two --out files, written with the same options by two checkouts, checks
+that their runs are bitwise equal.
+
 Example:
     python3 scripts/run_benchmark.py --seeds 5 --out results/benchmark.json
 """
@@ -13,6 +19,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -20,7 +27,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
+from ginigraph.trainer import LOG_COLUMNS
+
+
+def history_sha256(history) -> str:
+    """sha256 over every logged value at full precision, one line per epoch."""
+    digest = hashlib.sha256()
+    for record in history:
+        digest.update(",".join(repr(float(getattr(record, c))) for c in LOG_COLUMNS).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def outputs_sha256(result) -> str:
+    """sha256 over the bytes of the final embeddings, then the scores."""
+    digest = hashlib.sha256()
+    for values in (result.embeddings, result.scores):
+        digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
 
 
 def collect(seeds, overrides=None, variants=None):
@@ -42,6 +69,8 @@ def collect(seeds, overrides=None, variants=None):
             "epochs": result.epochs_run,
             "seconds": round(result.wall_seconds, 2),
             "final_betas": [final.beta1, final.beta2, final.beta3],
+            "history_sha256": history_sha256(result.history),
+            "outputs_sha256": outputs_sha256(result),
         }
         rows.setdefault(name, []).append(r)
         print(

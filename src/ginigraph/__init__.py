@@ -23,9 +23,7 @@ from .graph import (
     topo_similarity,
 )
 from .losses import (
-    group_trace_tensors,
     group_welfare_loss,
-    smoothness_loss,
     surrogate_loss,
     utility_loss,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "f1_score",
     "gdif",
     "group_ginis",
-    "group_trace_tensors",
     "group_traces",
     "group_welfare_loss",
     "kmeans",
@@ -97,7 +94,6 @@ __all__ = [
     "run_sweep",
     "save_checkpoint",
     "sbm_generate",
-    "smoothness_loss",
     "split_nodes",
     "surrogate_loss",
     "topo_similarity",

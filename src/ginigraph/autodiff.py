@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, DimensionError, DomainError, NumericalError
-from .graph import SimilaritySet, laplacian_apply
+from .graph import GroupPairs, SimilaritySet, laplacian_apply
 
 Array = np.ndarray
 
@@ -131,11 +131,19 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    """Add g to t's gradient; the first write stores a copy of g.
+
+    g must have t's shape exactly: a copy, unlike an add into zeros, would
+    keep a broadcastable shape such as (1, 1) instead of refusing it.
+    """
     if t.constant:
         return
+    if g.shape != t.values.shape:
+        raise ContractError(f"gradient of shape {g.shape} for a value of shape {t.values.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -173,11 +181,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, tape, op="matmul", backward=backward)
 
 
-def spmm(mat: sp.spmatrix, x: Tensor) -> Tensor:
-    """Multiply a constant sparse matrix by a tensor: out = mat @ x."""
+def spmm(mat: sp.csr_matrix, x: Tensor) -> Tensor:
+    """Multiply a constant sparse matrix by a tensor: out = mat @ x.
+
+    The backward multiplies by mat.T, a CSC view over mat's own arrays, so
+    no sweep copies the matrix.
+    """
     if mat.shape[1] != x.shape[0]:
         raise DimensionError(f"spmm mismatch: {mat.shape} @ {x.shape}")
-    mat = mat.tocsr()
     out = _ensure_finite(np.asarray(mat @ x.values), "spmm")
     if x.constant:
         return Tensor(out, x.tape, op="spmm", constant=True)
@@ -280,19 +291,6 @@ def broadcast_add(x: Tensor, s: Tensor) -> Tensor:
     return Tensor(out, x.tape, op="broadcast-add", backward=backward)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[0]):
-        raise DimensionError(f"slice [{start}:{stop}] out of range for {x.shape}")
-    out = x.values[start:stop].copy()
-
-    def back(g: Array) -> Array:
-        gx = np.zeros_like(x.values)
-        gx[start:stop] = g
-        return gx
-
-    return _unary(x, out, "slice-rows", back)
-
-
 def _scatter_rows(index: Array, values: Array, num_rows: int) -> Array:
     """out[index[e]] += values[e] for e in order, as one flattened bincount.
 
@@ -352,12 +350,6 @@ def sigmoid_values(v: Array) -> Array:
     ez = np.exp(v[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    v = x.values
-    out = np.where(v > 0, v, slope * v)
-    return _unary(x, out, "leaky-relu", lambda g: g * np.where(v > 0, 1.0, slope))
 
 
 def elu(x: Tensor) -> Tensor:
@@ -425,67 +417,134 @@ def segment_softmax(x: Tensor, segments: Array, num_segments: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Edge-weighted sparse product (message passing with per-edge weights)
+# Similarity-gated attention: one fused op on a per-run plan
 # ---------------------------------------------------------------------------
 
 
-def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
-    """out = A(w) @ x, where A has the fixed CSR pattern and the entry weights w (nnz,1).
+class AttentionPlan:
+    """The per-run constants of attention over a symmetric message pattern.
 
-    w[p] is the weight at CSR position p: row r for indptr[r] <= p < indptr[r+1],
-    column indices[p]; the pattern's own data is not read. The backward gives
-    dx = A(w)^T g and dw_p = g[r] . x[indices[p]]; the rows x[indices] are
-    gathered once, by the first sweep over this graph.
+    edges is the pattern's canonical CSR: entry p is the message i <- j, with
+    i the row of p, j = indices[p] and the gate S_ij = data[p]. It must be
+    symmetric, with no empty row. Built once, the plan holds:
+
+    - centers (the row of each entry), counts (entries per row) and gates;
+    - transpose, the permutation that puts edges^T's entry q at edges' entry
+      transpose[q]; the pattern is symmetric, so edges^T has edges' indptr and
+      indices, and weighted(w[transpose]) is the transpose of weighted(w);
+    - center_sum and neighbour_sum, n x E selection matrices: center_sum @ v
+      sums v over each row's entries and neighbour_sum @ v over each column's,
+      in entry order, so bitwise equal to a bincount;
+    - uniform, the weights 1/count on each row's entries: the head's product
+      when attention is off.
     """
-    _same_tape(weights, x)
-    if weights.shape != (pattern.nnz, 1):
-        raise DimensionError(f"edge weights must be ({pattern.nnz},1), got {weights.shape}")
-    if x.shape[0] != pattern.shape[1]:
-        raise DimensionError(f"edge_spmm mismatch: {pattern.shape} @ {x.shape}")
-    mat = sp.csr_matrix(
-        (weights.values[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
-    )
-    out = _ensure_finite(mat @ x.values, "edge-spmm")
-    neighbors = None
+
+    def __init__(self, edges: sp.csr_matrix):
+        n, nnz = edges.shape[0], edges.nnz
+        self.edges = edges
+        self.counts = np.diff(edges.indptr)
+        self.centers = np.repeat(np.arange(n), self.counts)
+        self.gates = edges.data
+        self.transpose = np.lexsort((self.centers, edges.indices))
+        if not (
+            np.all(self.counts > 0)
+            and np.array_equal(edges.indices[self.transpose], self.centers)
+            and np.array_equal(self.centers[self.transpose], edges.indices)
+        ):
+            raise ContractError("attention needs a canonical symmetric pattern with no empty row")
+        ones = np.ones(nnz)
+        self.center_sum = sp.csr_matrix((ones, np.arange(nnz), edges.indptr), shape=(n, nnz))
+        self.neighbour_sum = sp.csr_matrix((ones, self.transpose, edges.indptr), shape=(n, nnz))
+        self.uniform = self.weighted((1.0 / self.counts)[self.centers])
+
+    def weighted(self, weights: Array) -> sp.csr_matrix:
+        """The pattern with entry p weighted by weights[p]."""
+        edges = self.edges
+        return sp.csr_matrix((weights, edges.indices, edges.indptr), shape=edges.shape)
+
+
+def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan, slope: float) -> Tensor:
+    """A(alpha) t: the rows of t aggregated over the plan's pattern with attention weights.
+
+    Entry (i, j) scores LeakyReLU((t a_c)_i + (t a_n)_j) * S_ij, with
+    a = [a_c; a_n] (GAT's decomposed form of a^T [t_i || t_j]) and the given
+    negative slope; alpha is the softmax of the scores over each row. The
+    forward and every gradient are bitwise those of the chain of separate
+    ops: gathers, add, LeakyReLU, the gate product, a segment softmax and
+    the weighted sparse product.
+    """
+    _same_tape(t, a)
+    h = t.shape[1]
+    if a.shape != (2 * h, 1):
+        raise DimensionError(f"score vector must have shape ({2 * h}, 1), got {a.shape}")
+    if t.shape[0] != plan.edges.shape[0]:
+        raise DimensionError(f"attention over {plan.edges.shape[0]} nodes, got {t.shape[0]} rows")
+    edges, centers = plan.edges, plan.centers
+    a_c, a_n = a.values[:h].copy(), a.values[h:].copy()
+    u = (t.values @ a_c)[centers, 0] + (t.values @ a_n)[edges.indices, 0]
+    slope_factor = np.where(u > 0, 1.0, slope)
+    score = np.where(u > 0, u, slope * u) * plan.gates
+    shifted = np.exp(score - np.maximum.reduceat(score, edges.indptr[:-1])[centers])
+    alpha = shifted / (plan.center_sum @ shifted)[centers]
+    out = _ensure_finite(plan.weighted(alpha) @ t.values, "attention")
+    neighbours = transposed = None
 
     def backward(g: Array) -> None:
-        nonlocal neighbors
-        if neighbors is None:
-            neighbors = x.values[pattern.indices]
-        # g[r] for each position: row r repeated once per entry of that row
-        dw = np.einsum("ij,ij->i", np.repeat(g, np.diff(pattern.indptr), axis=0), neighbors)
-        _accumulate(weights, dw[:, None])
-        _accumulate(x, mat.T @ g)
+        nonlocal neighbours, transposed
+        if neighbours is None:  # built by the first sweep, reused by the others
+            neighbours = t.values[edges.indices]
+            transposed = plan.weighted(alpha[plan.transpose])
+        # g[i] for each entry: row i repeated once per entry of that row
+        d_alpha = np.einsum("ij,ij->i", np.repeat(g, plan.counts, axis=0), neighbours)
+        d_score = alpha * (d_alpha - (plan.center_sum @ (alpha * d_alpha))[centers])
+        d_u = d_score * plan.gates * slope_factor
+        d_center = (plan.center_sum @ d_u).reshape(-1, 1)
+        d_neighbour = (plan.neighbour_sum @ d_u).reshape(-1, 1)
+        _accumulate(a, np.vstack([t.values.T @ d_center, t.values.T @ d_neighbour]))
+        _accumulate(t, transposed @ g + d_neighbour @ a_n.T + d_center @ a_c.T)
 
-    return Tensor(out, x.tape, op="edge-spmm", backward=backward)
+    return Tensor(out, t.tape, op="attention", backward=backward)
 
 
 # ---------------------------------------------------------------------------
-# Fused sparse quadratic form
+# Laplacian quadratic forms over pair sets
 # ---------------------------------------------------------------------------
 
 
-def pair_trace_values(z: Array, rows: Array, cols: Array, weights: Array) -> float:
-    """sum_p w_p ||z[rows_p] - z[cols_p]||_2^2 on plain arrays."""
-    diff = z[rows] - z[cols]
-    return float(np.sum(weights * np.sum(diff * diff, axis=1)))
+def pair_trace_values(z: Array, pairs: SimilaritySet, selections=()) -> list[float]:
+    """Traces sum_p w_p ||z[i_p] - z[j_p]||_2^2 on plain arrays, from one pass over the pairs.
+
+    The first sums over all of the set's stored pairs; one more follows per
+    selection (an index array over the stored pairs), each summing only the
+    selected pairs' terms, in stored order.
+    """
+    diff = z[pairs.rows] - z[pairs.cols]
+    terms = pairs.weights * np.sum(diff * diff, axis=1)
+    return [float(np.sum(terms))] + [float(np.sum(terms[s])) for s in selections]
 
 
-def quadratic_pair_form(z: Tensor, pairs: SimilaritySet) -> Tensor:
-    """sum_p w_p * ||z[i_p] - z[j_p]||_2^2 over the set's unordered pairs, as a scalar.
+def quadratic_pair_forms(
+    z: Tensor, pairs: SimilaritySet, groups: GroupPairs | None = None
+) -> list[Tensor]:
+    """Tr(Z^T L Z) over the set's pairs, then over each group's pairs, as 1x1 tensors.
 
-    This is Tr(Z^T L Z) for the Laplacian L = D - S of the same pairs. The
-    forward sums pair by pair (pair_trace_values, the expression of
-    metrics.trace_form); the backward is the one sparse product 2 g L Z on the
-    set's own CSR matrix and degree vector (graph.laplacian_apply), so the
-    dense Laplacian is never materialized.
+    groups is GroupPartition.within_pairs(pairs): trace g sums the stored
+    pairs groups.selections[g] picks. One pass forms every pair's term
+    (pair_trace_values, the expression of metrics.trace_form); each trace's
+    backward is the one sparse product 2 g L Z on its own set's CSR matrix
+    and degree vector (graph.laplacian_apply), so the dense Laplacian is
+    never materialized.
     """
     if z.shape[0] != pairs.n:
         raise DimensionError(f"pair set over {pairs.n} nodes, embeddings have {z.shape[0]} rows")
-    out = np.array([[pair_trace_values(z.values, *pairs.pair_arrays())]])
+    if groups is not None and groups.similarity is not pairs:
+        raise ContractError("group pairs were selected from another similarity set")
+    selections, subsets = (groups.selections, groups.sets) if groups is not None else ((), ())
+    values = pair_trace_values(z.values, pairs, selections)
 
-    def back(g: Array) -> Array:
-        return (2.0 * g[0, 0]) * laplacian_apply(pairs, z.values)
+    def trace(value: float, subset: SimilaritySet) -> Tensor:
+        out = _ensure_finite(np.array([[value]]), "quadratic-pair-form")
+        return _unary(z, out, "quadratic-pair-form",
+                      lambda g: (2.0 * g[0, 0]) * laplacian_apply(subset, z.values))
 
-    return _unary(z, _ensure_finite(out, "quadratic-pair-form"), "quadratic-pair-form", back)
-
+    return [trace(v, subset) for v, subset in zip(values, (pairs, *subsets))]

@@ -107,9 +107,12 @@ def _pair_matrix(n: int, rows: Array, cols: Array, weights: Array) -> sp.csr_mat
     return sp.csr_matrix((np.concatenate([weights, weights]), both), shape=(n, n))
 
 
-def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
-    """Symmetric renormalized adjacency with self-loops: D^-1/2 (A + I) D^-1/2."""
-    a_hat = graph.adjacency() + sp.identity(graph.n, format="csr")
+def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetric renormalized adjacency with self-loops: D^-1/2 (A + I) D^-1/2.
+
+    adjacency is a graph's Graph.adjacency(); the result is exactly symmetric.
+    """
+    a_hat = adjacency + sp.identity(adjacency.shape[0], format="csr")
     deg = np.asarray(a_hat.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
     d = sp.diags(inv_sqrt)
@@ -170,22 +173,23 @@ class GroupPartition:
     def sizes(self) -> Array:
         return np.bincount(self.group_ids, minlength=self.m)
 
-    def within_pairs(self, similarity: "SimilaritySet") -> tuple["SimilaritySet", ...]:
-        """Per group, the stored pairs with both ends in it, as a SimilaritySet.
-
-        Each set keeps the global n and indices; its pairs keep the stored
-        order, which is that of similarity.restrict(members(g)), so sums over
-        them match.
-        """
+    def pair_selections(self, similarity: "SimilaritySet") -> tuple[Array, ...]:
+        """Per group, the indices of the stored pairs with both ends in it, ascending."""
         if self.group_ids.size != similarity.n:
             raise ContractError("partition size must match the similarity set")
+        group = self.group_ids[similarity.rows]
+        group[group != self.group_ids[similarity.cols]] = -1
+        return tuple(np.flatnonzero(group == g) for g in range(self.m))
+
+    def within_pairs(self, similarity: "SimilaritySet") -> "GroupPairs":
+        """Per group, the stored pairs with both ends in it (see GroupPairs)."""
+        selections = self.pair_selections(similarity)
         rows, cols, weights = similarity.pair_arrays()
-        group = self.group_ids[rows]
-        group[group != self.group_ids[cols]] = -1
-        return tuple(
+        sets = tuple(
             SimilaritySet(similarity.n, rows[keep], cols[keep], weights[keep])
-            for keep in (group == g for g in range(self.m))
+            for keep in selections
         )
+        return GroupPairs(similarity, sets, selections)
 
     def restrict(self, index: Array) -> "GroupPartition":
         """Partition of the sub-population index, with empty groups dropped."""
@@ -197,6 +201,21 @@ class GroupPartition:
         values = np.asarray(values)
         _, ids = np.unique(values, return_inverse=True)
         return cls(ids)
+
+
+@dataclass(frozen=True)
+class GroupPairs:
+    """The pairs of one similarity set that fall within each group, built once per run.
+
+    selections[g] indexes group g's pairs among similarity's stored pairs,
+    ascending (GroupPartition.pair_selections); sets[g] holds the same pairs
+    as a SimilaritySet with the global n and indices, in stored order, which
+    is that of similarity.restrict(members(g)), so sums over them match.
+    """
+
+    similarity: "SimilaritySet"
+    sets: tuple["SimilaritySet", ...]
+    selections: tuple[Array, ...]
 
 
 # ---------------------------------------------------------------------------

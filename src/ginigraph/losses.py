@@ -1,18 +1,18 @@
-"""The three training objectives and their differentiable surrogates.
+"""The training objectives and their differentiable surrogates.
 
 - utility: mean binary cross-entropy of node logits on an index set, computed
   through softplus so large logits cannot overflow.
 - smoothness: the similarity-weighted Laplacian quadratic form
-  sum_pairs w ||z_i - z_j||_2^2 (gradient 2 L Z, one sparse product on the
-  similarity set's CSR matrix).
+  sum_pairs w ||z_i - z_j||_2^2, which the trainer takes, together with the
+  per-group traces, from autodiff.quadratic_pair_forms: one pass over the
+  pairs per epoch, and each trace's gradient 2 L Z one sparse product.
 - tail surrogates: smooth stand-ins that focus on the largest pairwise gaps
   instead of their mean (softmax weighting with a temperature, or the mean of
   the top fraction of gaps).
 - group welfare: a Nash-social-welfare style penalty on per-group smoothness
   traces; each ordered pair (g, h) contributes -(t_g/t_h - 1)(t_h/t_g - 1),
   which is (r - 1)^2 / r >= 0 for the ratio r, zero iff the traces match.
-  The traces are built first (group_trace_tensors), so a caller can read
-  them off the tape as well.
+  It takes the trace tensors, so a caller can read them off the tape as well.
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Ten
         ad.hadamard(y_neg, ad.softplus(z)),
     )
     return ad.mean_all(terms)
-
-
-def smoothness_loss(z: Tensor, similarity: SimilaritySet) -> Tensor:
-    """Laplacian quadratic form over the similarity pairs, as a tape scalar."""
-    return ad.quadratic_pair_form(z, similarity)
 
 
 def pair_gap_tensor(z: Tensor, similarity: SimilaritySet) -> Tensor:
@@ -100,16 +95,12 @@ def surrogate_loss(
 # ---------------------------------------------------------------------------
 
 
-def group_trace_tensors(z: Tensor, ctx: tuple[SimilaritySet, ...]) -> list[Tensor]:
-    """Per-group smoothness traces, as 1x1 tensors; each equals metrics.trace_form."""
-    return [ad.quadratic_pair_form(z, group) for group in ctx]
-
-
 def group_welfare_loss(group_traces: list[Tensor]) -> Tensor:
     """Nash-welfare penalty on trace ratios, averaged over ordered group pairs.
 
-    group_traces are the per-group traces of group_trace_tensors; each gets
-    TRACE_FLOOR added first, so a group with no spread cannot divide by zero.
+    group_traces are the per-group traces of autodiff.quadratic_pair_forms;
+    each gets TRACE_FLOOR added first, so a group with no spread cannot
+    divide by zero.
     """
     m = len(group_traces)
     if m < 2:

@@ -38,9 +38,9 @@ def _embedding(similarity: SimilaritySet, z: Array) -> Array:
 def trace_form(similarity: SimilaritySet, z: Array) -> float:
     """Tr(Z^T L Z) = sum over unordered pairs of w * ||z_i - z_j||_2^2.
 
-    The forward of autodiff.quadratic_pair_form over the same pairs, bit for bit.
+    The first trace of autodiff.quadratic_pair_forms over the same pairs, bit for bit.
     """
-    return pair_trace_values(_embedding(similarity, z), *similarity.pair_arrays())
+    return pair_trace_values(_embedding(similarity, z), similarity)[0]
 
 
 def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> float:
@@ -106,8 +106,13 @@ def average_gdif(values) -> float:
 
 
 def group_traces(similarity: SimilaritySet, z: Array, partition: GroupPartition) -> list[float]:
-    """Per-group Laplacian quadratic form over partition.within_pairs."""
-    return [trace_form(group, z) for group in partition.within_pairs(similarity)]
+    """Per-group Laplacian quadratic form over partition.within_pairs.
+
+    Group g's trace sums the pairs partition.pair_selections picks for g, as
+    the group traces of autodiff.quadratic_pair_forms do, bit for bit.
+    """
+    selections = partition.pair_selections(similarity)
+    return pair_trace_values(_embedding(similarity, z), similarity, selections)[1:]
 
 
 def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) -> list[float]:
@@ -115,7 +120,7 @@ def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) 
     z = _embedding(similarity, z)
     return [
         _gini(z, *group.pair_arrays(), z[partition.members(g)])
-        for g, group in enumerate(partition.within_pairs(similarity))
+        for g, group in enumerate(partition.within_pairs(similarity).sets)
     ]
 
 

@@ -8,15 +8,17 @@ Three interchangeable two-round encoders produce node embeddings of width c:
 - jk:  two propagation rounds whose outputs are combined through per-round
   projections (equivalent to concatenation followed by one projection)
 
+The encoders' first propagation of constant features, A_hat X (A X for
+gin), is a per-run constant of graph_operators, computed once as SGC does.
+
 On top of any encoder sits a fairness head: a linear transform T = Z W, an
 attention score LeakyReLU(a^T [T_i || T_j]) multiplied by the pairwise
 similarity inside the softmax, and aggregation of the neighbors' T rows
-weighted by those softmax coefficients alpha. The head's one operator is the
-CSR of S + I (attention_edges), 1.0 on the diagonal for the self-loop term
-only; the SimilaritySet never stores it. The score is computed in GAT's
-decomposed form (T a_c)_i + (T a_n)_j, with a = [a_c; a_n], so only one number
-per node is gathered onto each entry; the aggregation is one sparse product
-A(alpha) T on that CSR pattern, alpha in CSR order.
+weighted by those softmax coefficients alpha. The head runs on a plan built
+once per run (attention_edges): the CSR of S + I, 1.0 on the diagonal for
+the self-loop term only (the SimilaritySet never stores it), with the index
+arrays and selection matrices derived from it. Scores, softmax and the
+aggregation A(alpha) T are one fused tape op, autodiff.attention_aggregate.
 
 Parameters live in plain dicts of float64 arrays; each training epoch wraps
 them as tape leaves.
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ContractError, DataFormatError, DimensionError, is_finite_number
+from .errors import ContractError, DataFormatError, is_finite_number
 from .graph import Graph, SimilaritySet, normalized_adjacency, read_json
 
 Array = np.ndarray
@@ -104,32 +106,62 @@ def init_fair_head(
     }
 
 
-def graph_operators(graph: Graph) -> dict[str, sp.csr_matrix]:
-    """Sparse propagation matrices shared by every epoch."""
-    return {"adj": graph.adjacency(), "norm_adj": normalized_adjacency(graph)}
+def graph_operators(graph: Graph) -> dict[str, Array | sp.csr_matrix]:
+    """The encoders' per-run constants, built once from one adjacency.
+
+    features is the graph's X; adj and norm_adj are A and A_hat; adj_x and
+    norm_adj_x are X's first propagation by each, A X and A_hat X.
+    """
+    adj = graph.adjacency()
+    norm_adj = normalized_adjacency(adj)
+    return {
+        "features": graph.features,
+        "adj": adj,
+        "norm_adj": norm_adj,
+        "adj_x": adj @ graph.features,
+        "norm_adj_x": norm_adj @ graph.features,
+    }
+
+
+def _first_propagation(x: Tensor, operators: dict, name: str) -> Tensor:
+    """operators[name] @ x, read from graph_operators when x is a constant.
+
+    x must hold the features the operators propagated (ContractError
+    otherwise); a non-constant x is multiplied on the tape, so it gets its
+    gradient.
+    """
+    if not np.array_equal(x.values, operators["features"]):
+        raise ContractError("x must hold the features graph_operators propagated")
+    if x.constant:
+        return x.tape.leaf(operators[f"{name}_x"], constant=True)
+    return ad.spmm(operators[name], x)
 
 
 def backbone_embed(
     variant: str,
     leaves: dict[str, Tensor],
     x: Tensor,
-    operators: dict[str, sp.csr_matrix],
+    operators: dict[str, Array | sp.csr_matrix],
 ) -> Tensor:
-    """Run one encoder over feature tensor x, returning (n, hidden) embeddings."""
+    """Run one encoder over feature tensor x, returning (n, hidden) embeddings.
+
+    operators are graph_operators of the graph whose features x holds; the
+    first round reads their propagation when x is a constant.
+    """
     if variant == "gcn":
-        h1 = ad.elu(ad.spmm(operators["norm_adj"], x) @ leaves["W1"])
+        h1 = ad.elu(_first_propagation(x, operators, "norm_adj") @ leaves["W1"])
         return ad.elu(ad.spmm(operators["norm_adj"], h1) @ leaves["W2"])
     if variant == "gin":
         h = x
         for r in (1, 2):
-            mixed = ad.add(
-                ad.add(h, ad.broadcast_scale(h, leaves[f"eps{r}"])),
-                ad.spmm(operators["adj"], h),
+            own = ad.add(h, ad.broadcast_scale(h, leaves[f"eps{r}"]))
+            neighbours = (
+                _first_propagation(x, operators, "adj") if r == 1 else ad.spmm(operators["adj"], h)
             )
-            h = ad.elu(ad.elu(mixed @ leaves[f"U{r}"]) @ leaves[f"V{r}"])
+            h = ad.elu(ad.elu(ad.add(own, neighbours) @ leaves[f"U{r}"]) @ leaves[f"V{r}"])
         return h
     if variant == "jk":
-        h1 = ad.elu(ad.spmm(operators["norm_adj"], x) @ leaves["W1"])
+        h1 = ad.elu(_first_propagation(x, operators, "norm_adj") @ leaves["W1"])
         h2 = ad.elu(ad.spmm(operators["norm_adj"], h1) @ leaves["W2"])
         return ad.elu(ad.add(h1 @ leaves["P1"], h2 @ leaves["P2"]))
     raise ContractError(f"unknown backbone '{variant}'")
@@ -145,57 +177,37 @@ def readout_logits(z: Tensor, leaves: dict[str, Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def attention_edges(similarity: SimilaritySet) -> sp.csr_matrix:
-    """The message pattern S + I as canonical CSR, built once per run.
+def attention_edges(similarity: SimilaritySet) -> ad.AttentionPlan:
+    """The head's plan over the message pattern S + I, built once per run.
 
-    Row i lists i's neighbours and i itself, columns ascending; data holds the
-    pair similarities, with 1.0 on the diagonal.
+    The pattern's CSR (plan.edges) lists in row i i's neighbours and i
+    itself, columns ascending; its data holds the pair similarities, with
+    1.0 on the diagonal.
     """
-    return similarity.matrix + sp.identity(similarity.n, format="csr")
+    return ad.AttentionPlan(similarity.matrix + sp.identity(similarity.n, format="csr"))
 
 
 def fair_head_embed(
     z0: Tensor,
     leaves: dict[str, Tensor],
-    edges: sp.csr_matrix,
+    edges: ad.AttentionPlan,
     tape: Tape,
     attention: bool = True,
 ) -> Tensor:
     """Similarity-gated attention round on top of base embeddings.
 
-    edges is the attention_edges CSR: entry p is the message i <- j with i
-    the row of p, j = indices[p] and S_ij = data[p]. With attention on, its
-    score is LeakyReLU(a^T [T_i || T_j]) * S_ij, softmax-normalized over i's
-    row into alpha_ij. a^T [T_i || T_j] is evaluated as (T a_c)_i + (T a_n)_j:
-    two per-node scores gathered onto the entries. With attention off, every
-    entry of row i receives equal weight alpha_ij. The output is
-    elu(sum_j alpha_ij T_j), one sparse product A(alpha) T on the same pattern.
+    edges is the attention_edges plan. With attention on, the message i <- j
+    of each pattern entry scores LeakyReLU(a^T [T_i || T_j]) * S_ij, and a
+    softmax over i's row turns the scores into alpha_ij
+    (autodiff.attention_aggregate). With attention off, every entry of row i
+    receives equal weight alpha_ij. The output is elu(sum_j alpha_ij T_j),
+    with T = z0 W.
     """
     t = z0 @ leaves["W"]
-    hidden = t.shape[1]
-    if leaves["a"].shape != (2 * hidden, 1):
-        raise DimensionError("score vector must have shape (2*hidden, 1)")
-    n = edges.shape[0]
-    counts = np.diff(edges.indptr)
-    centers = np.repeat(np.arange(n), counts)
     if attention:
-        center_score = t @ ad.slice_rows(leaves["a"], 0, hidden)
-        neighbor_score = t @ ad.slice_rows(leaves["a"], hidden, 2 * hidden)
-        raw = ad.leaky_relu(
-            ad.add(
-                ad.gather_rows(center_score, centers),
-                ad.gather_rows(neighbor_score, edges.indices),
-            ),
-            LEAKY_SLOPE,
-        )
-        gated = ad.hadamard(raw, tape.leaf(edges.data[:, None], "sim", constant=True))
-        alpha = ad.segment_softmax(gated, centers, n)
-        return ad.elu(ad.edge_spmm(alpha, t, edges))
-    # constant weights: a plain sparse product, with no edge-weight gradient
-    uniform = sp.csr_matrix(
-        ((1.0 / counts)[centers], edges.indices, edges.indptr), shape=edges.shape
-    )
-    return ad.elu(ad.spmm(uniform, t))
+        return ad.elu(ad.attention_aggregate(t, leaves["a"], edges, LEAKY_SLOPE))
+    # constant weights: a plain sparse product, with no score gradient
+    return ad.elu(ad.spmm(edges.uniform, t))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ runs one backward sweep per term and steps on sum_i beta_i g_i from those
 sweeps, which by linearity is the gradient of the total; with fixed betas one
 sweep of the total suffices.
 
+What does not change between epochs is built once per run: the graph
+operators with the features' first propagation (stage 1, and the closing
+forward passes), the attention plan and the within-group pairs with their
+selections among the stored pairs (stage 2). The IF and group traces come
+from one pass over the pairs per epoch.
+
 Every run is deterministic given (config, graph, similarity): randomness only
 enters through seeded weight initialization.
 """
@@ -35,14 +41,7 @@ from .autodiff import Tape
 from .errors import ConfigError, ContractError, DomainError, check_field_types, known_keys
 from .gradnorm import GradNormController
 from .graph import Graph, GroupPartition, SimilaritySet, _write_table, split_nodes
-from .losses import (
-    combine_losses,
-    group_trace_tensors,
-    group_welfare_loss,
-    smoothness_loss,
-    surrogate_loss,
-    utility_loss,
-)
+from .losses import combine_losses, group_welfare_loss, surrogate_loss, utility_loss
 from .metrics import MetricsReport, average_gdif, compute_report, rank_auc
 from .models import (
     BACKBONES,
@@ -235,8 +234,13 @@ def _ensure_masks(graph: Graph, seed: int) -> Graph:
 PRETRAIN_FIELDS = ("backbone", "hidden", "pretrain_epochs", "learning_rate", "weight_decay", "seed")
 
 
-def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array]:
-    """Train the encoder on utility loss only; returns (weights, embeddings)."""
+def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array, dict]:
+    """Train the encoder on utility loss only; returns (weights, embeddings, operators).
+
+    operators are the graph_operators, with the first propagation of the
+    features, built once: they serve every epoch, the closing forward pass
+    and the caller's own forward passes on the same graph.
+    """
     config.validate()
     graph = _ensure_masks(graph, config.seed)
     if graph.train_mask.size == 0:
@@ -260,7 +264,8 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
             config.weight_decay,
         )
         tape.release()
-    return weights, embed(ModelParams(config.backbone, weights), graph)[0]
+    encoder = ModelParams(config.backbone, weights)
+    return weights, embed(encoder, graph, operators=operators)[0], operators
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +329,14 @@ def train(
     similarity: SimilaritySet,
     partition: GroupPartition | None,
     config: TrainConfig,
-    pretrained: tuple[dict[str, Array], Array] | None = None,
+    pretrained: tuple[dict[str, Array], Array, dict] | None = None,
 ) -> RunResult:
     """Full two-stage run; see the module docstring for the schedule.
 
     pretrained is what pretrain(graph, config) returns, for a caller that
     trains several configs which differ only in the fairness stage; the run
-    then skips stage 1, and wall_seconds excludes it.
+    then skips stage 1, and wall_seconds excludes it. The closing forward
+    pass is embed's, on the pretraining's operators and the head's plan.
     """
     started = time.monotonic()
     config.validate()
@@ -341,15 +347,16 @@ def train(
     if pretrained is None:
         pretrained = pretrain(graph, config)
     backbone_weights = {name: w.copy() for name, w in pretrained[0].items()}
-    z0_values = pretrained[1]
+    z0_values, operators = pretrained[1:]
     rng = np.random.default_rng(config.seed + 1)
     fair_weights = init_fair_head(config.hidden, rng, scale=config.head_scale)
-    edges = attention_edges(similarity)
+    plan = attention_edges(similarity)
 
-    grouped = partition is not None and partition.m >= 2
-    ctx = partition.within_pairs(similarity) if grouped else None
+    groups = None
+    if partition is not None and partition.m >= 2:
+        groups = partition.within_pairs(similarity)
     betas = np.array([1.0, config.beta2, config.beta3])
-    if betas[2] > 0 and ctx is None:
+    if betas[2] > 0 and groups is None:
         warnings.warn("group welfare term disabled: fewer than two groups")
         betas[2] = 0.0
     active = np.flatnonzero(betas > 0)
@@ -370,22 +377,24 @@ def train(
         tape = Tape()
         leaves = as_leaves(tape, fair_weights)
         z0 = tape.leaf(z0_values, "z0", constant=True)
-        h = fair_head_embed(z0, leaves, edges, tape, attention=config.attention)
+        h = fair_head_embed(z0, leaves, plan, tape, attention=config.attention)
         logits = readout_logits(h, leaves)
 
         terms = [utility_loss(logits, graph.labels, graph.train_mask, tape)]
-        # the smoothness trace and the group traces are on the tape every
-        # epoch for the log; only the loss terms that use them backpropagate
-        smoothness = smoothness_loss(h, similarity)
-        if 1 in active:
-            terms.append(
-                smoothness
-                if config.surrogate == "none"
-                else surrogate_loss(
-                    h, similarity, config.surrogate, config.temperature, config.topk_fraction
-                )
+        # recorded before the traces: a sweep of the fixed-beta total then
+        # adds the group traces' gradient into h before the surrogate's, an
+        # order of summation the training outputs' bits depend on
+        surrogate = None
+        if 1 in active and config.surrogate != "none":
+            surrogate = surrogate_loss(
+                h, similarity, config.surrogate, config.temperature, config.topk_fraction
             )
-        group_traces = group_trace_tensors(h, ctx) if ctx else []
+        # the smoothness trace and the group traces are on the tape every
+        # epoch for the log, from one pass over the pairs; only the loss terms
+        # that use them backpropagate
+        smoothness, *group_traces = ad.quadratic_pair_forms(h, similarity, groups)
+        if 1 in active:
+            terms.append(smoothness if surrogate is None else surrogate)
         if 2 in active:
             terms.append(group_welfare_loss(group_traces))
 
@@ -404,7 +413,7 @@ def train(
         val_auc = _val_auc(ad.sigmoid_values(logits.values[:, 0]), graph.labels, graph.val_mask)
         # both traces are trace_form's, bit for bit (the group ones unfloored)
         if_value = float(smoothness.values[0, 0])
-        gd = average_gdif([t.values[0, 0] for t in group_traces]) if ctx else float("nan")
+        gd = average_gdif([t.values[0, 0] for t in group_traces]) if group_traces else float("nan")
         tape.release()
         history.append(
             EpochRecord(epoch, *map(float, losses), *map(float, betas), val_auc, if_value, gd)
@@ -420,7 +429,7 @@ def train(
                 break
 
     params = ModelParams(config.backbone, backbone_weights, fair_weights, config.attention)
-    embeddings, scores = embed(params, graph, similarity)
+    embeddings, scores = embed(params, graph, similarity, operators, plan)
     return RunResult(
         config=config,
         params=params,
@@ -443,25 +452,25 @@ def embed(
     params: ModelParams,
     graph: Graph,
     similarity: SimilaritySet | None = None,
+    operators: dict | None = None,
+    plan: ad.AttentionPlan | None = None,
 ) -> tuple[Array, Array]:
     """Forward pass without tracing: returns (embeddings, sigmoid scores).
 
     The fairness head, when params has one, runs with params.attention.
+    operators and plan are graph_operators(graph) and
+    attention_edges(similarity), built here unless the caller holds them.
     """
+    if params.fair and similarity is None:
+        raise ContractError("fair head requires a similarity set")
     tape = Tape(tracing=False)
-    operators = graph_operators(graph)
     leaves = as_leaves(tape, params.backbone)
-    z = backbone_embed(params.variant, leaves, tape.leaf(graph.features), operators)
+    x = tape.leaf(graph.features, constant=True)
+    h = backbone_embed(params.variant, leaves, x, operators or graph_operators(graph))
     if params.fair:
-        if similarity is None:
-            raise ContractError("fair head requires a similarity set")
-        fair_leaves = as_leaves(tape, params.fair)
-        h = fair_head_embed(z, fair_leaves, attention_edges(similarity), tape, params.attention)
-        logits = readout_logits(h, fair_leaves)
-    else:
-        h = z
-        logits = readout_logits(z, leaves)
-    return h.values.copy(), ad.sigmoid_values(logits.values[:, 0])
+        leaves = as_leaves(tape, params.fair)
+        h = fair_head_embed(h, leaves, plan or attention_edges(similarity), tape, params.attention)
+    return h.values.copy(), ad.sigmoid_values(readout_logits(h, leaves).values[:, 0])
 
 
 def evaluate(

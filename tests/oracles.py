@@ -1,8 +1,9 @@
 """Reference computations the tests check the program against.
 
 None of these runs in the program itself: the finite-difference gradient
-check, the plain-number Nash-welfare penalty and the Markov tail statistics
-are oracles of the acceptance suite and of the unit tests.
+check, the one-set-at-a-time trace tensors, the attention head as a chain of
+separate tape ops, the plain-number Nash-welfare penalty and the Markov tail
+statistics are oracles of the acceptance suite and of the unit tests.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
+from ginigraph import autodiff as ad
 from ginigraph.autodiff import Tape, Tensor
 from ginigraph.errors import ContractError, DimensionError, DomainError, NumericalError
-from ginigraph.graph import SimilaritySet
+from ginigraph.graph import GroupPairs, SimilaritySet
 
 Array = np.ndarray
 
@@ -88,6 +91,93 @@ def tape_evaluator(build: Callable[[Tensor], Tensor]) -> Callable[[Array], tuple
         return float(out.values[0, 0]), grad.copy()
 
     return evaluator
+
+
+# ---------------------------------------------------------------------------
+# Trace tensors, one pair set at a time
+# ---------------------------------------------------------------------------
+
+
+def smoothness_loss(z: Tensor, similarity: SimilaritySet) -> Tensor:
+    """Laplacian quadratic form over the similarity pairs, as a tape scalar."""
+    return ad.quadratic_pair_forms(z, similarity)[0]
+
+
+def group_trace_tensors(z: Tensor, ctx: GroupPairs) -> list[Tensor]:
+    """Per-group smoothness traces, one pass per group's set; each equals metrics.trace_form."""
+    return [smoothness_loss(z, group) for group in ctx.sets]
+
+
+# ---------------------------------------------------------------------------
+# The attention head as a chain of separate tape ops
+# ---------------------------------------------------------------------------
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    if not (0 <= start < stop <= x.shape[0]):
+        raise DimensionError(f"slice [{start}:{stop}] out of range for {x.shape}")
+    out = x.values[start:stop].copy()
+
+    def back(g: Array) -> Array:
+        gx = np.zeros_like(x.values)
+        gx[start:stop] = g
+        return gx
+
+    return ad._unary(x, out, "slice-rows", back)
+
+
+def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    v = x.values
+    out = np.where(v > 0, v, slope * v)
+    return ad._unary(x, out, "leaky-relu", lambda g: g * np.where(v > 0, 1.0, slope))
+
+
+def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
+    """out = A(w) @ x, where A has the fixed CSR pattern and the entry weights w (nnz,1).
+
+    The backward gives dx = A(w)^T g and dw_p = g[r] . x[indices[p]] for the
+    entry p in row r.
+    """
+    ad._same_tape(weights, x)
+    if weights.shape != (pattern.nnz, 1):
+        raise DimensionError(f"edge weights must be ({pattern.nnz},1), got {weights.shape}")
+    if x.shape[0] != pattern.shape[1]:
+        raise DimensionError(f"edge_spmm mismatch: {pattern.shape} @ {x.shape}")
+    mat = sp.csr_matrix(
+        (weights.values[:, 0], pattern.indices, pattern.indptr), shape=pattern.shape
+    )
+    out = ad._ensure_finite(mat @ x.values, "edge-spmm")
+
+    def backward(g: Array) -> None:
+        rows = np.repeat(g, np.diff(pattern.indptr), axis=0)
+        dw = np.einsum("ij,ij->i", rows, x.values[pattern.indices])
+        ad._accumulate(weights, dw[:, None])
+        ad._accumulate(x, mat.T @ g)
+
+    return Tensor(out, x.tape, op="edge-spmm", backward=backward)
+
+
+def attention_chain(t: Tensor, a: Tensor, edges: sp.csr_matrix, slope: float) -> Tensor:
+    """What autodiff.attention_aggregate computes, as the chain of ops it fuses.
+
+    Per-node scores t a_c and t a_n gathered onto the entries of the CSR
+    pattern edges, LeakyReLU, the gate product with edges.data, the softmax
+    over each row and the weighted sparse product.
+    """
+    hidden, n = t.shape[1], edges.shape[0]
+    centers = np.repeat(np.arange(n), np.diff(edges.indptr))
+    center_score = t @ slice_rows(a, 0, hidden)
+    neighbor_score = t @ slice_rows(a, hidden, 2 * hidden)
+    raw = leaky_relu(
+        ad.add(
+            ad.gather_rows(center_score, centers),
+            ad.gather_rows(neighbor_score, edges.indices),
+        ),
+        slope,
+    )
+    gated = ad.hadamard(raw, t.tape.leaf(edges.data[:, None], "sim", constant=True))
+    alpha = ad.segment_softmax(gated, centers, n)
+    return edge_spmm(alpha, t, edges)
 
 
 # ---------------------------------------------------------------------------

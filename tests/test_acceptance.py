@@ -14,20 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import build_random_graph, build_random_similarity
-from oracles import nswp_value, tail_bound, tail_fraction
+from oracles import group_trace_tensors, nswp_value, smoothness_loss, tail_bound, tail_fraction
 from ginigraph.autodiff import Tape
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 from ginigraph.errors import DimensionError
 from ginigraph.graph import GroupPartition, SimilaritySet, laplacian_apply, topo_similarity
 from ginigraph.gradnorm import GradNormController
-from ginigraph.losses import (
-    combine_losses,
-    group_trace_tensors,
-    group_welfare_loss,
-    smoothness_loss,
-    surrogate_loss,
-    utility_loss,
-)
+from ginigraph.losses import combine_losses, group_welfare_loss, surrogate_loss, utility_loss
 from ginigraph.metrics import (
     average_gdif,
     embedding_gini,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -14,9 +15,18 @@ from hypothesis import strategies as st
 from ginigraph import autodiff as ad
 from ginigraph.autodiff import Tape
 from ginigraph.errors import ContractError, DimensionError, DomainError, NumericalError
-from ginigraph.graph import SimilaritySet
+from ginigraph.graph import GroupPartition, SimilaritySet, laplacian_apply
+from ginigraph.metrics import group_traces, trace_form
 
-from oracles import finite_diff_check, tape_evaluator
+from conftest import build_random_similarity
+from oracles import (
+    attention_chain,
+    edge_spmm,
+    finite_diff_check,
+    leaky_relu,
+    slice_rows,
+    tape_evaluator,
+)
 
 
 def checked(build, point, tol=1e-6, step=1e-6):
@@ -64,7 +74,7 @@ def test_nonlinearities_forward(rng):
     x = tape.leaf(np.array([[-2.0, -0.5, 0.0, 0.5, 2.0]]))
     v = x.values
     np.testing.assert_allclose(
-        ad.leaky_relu(x, 0.2).values, np.where(v > 0, v, 0.2 * v)
+        leaky_relu(x, 0.2).values, np.where(v > 0, v, 0.2 * v)
     )
     np.testing.assert_allclose(ad.elu(x).values, np.where(v > 0, v, np.expm1(v)))
     np.testing.assert_allclose(ad.softplus(x).values, np.log1p(np.exp(v)))
@@ -129,7 +139,7 @@ def test_matmul_chain_gradient(rng):
 @pytest.mark.parametrize(
     "op",
     [
-        lambda x: ad.sum_all(ad.leaky_relu(x, 0.2)),
+        lambda x: ad.sum_all(leaky_relu(x, 0.2)),
         lambda x: ad.sum_all(ad.elu(x)),
         lambda x: ad.sum_all(ad.softplus(x)),
         lambda x: ad.mean_all(ad.hadamard(x, x)),
@@ -172,7 +182,7 @@ def test_gather_and_slice_gradients(rng):
     checked(build, rng.normal(size=(3, 4)))
 
     def build_slice(x):
-        part = ad.slice_rows(x, 1, 3)
+        part = slice_rows(x, 1, 3)
         return ad.sum_all(ad.hadamard(part, part))
 
     checked(build_slice, rng.normal(size=(4, 2)))
@@ -203,7 +213,7 @@ def test_edge_spmm_matches_dense_product(rng):
     dense = np.zeros((4, 4))
     dense[PATTERN_ROWS, PATTERN.indices] = w[:, 0]
     tape = Tape()
-    out = ad.edge_spmm(tape.leaf(w), tape.leaf(x), PATTERN)
+    out = edge_spmm(tape.leaf(w), tape.leaf(x), PATTERN)
     np.testing.assert_allclose(out.values, dense @ x, rtol=1e-12, atol=1e-15)
 
 
@@ -212,13 +222,13 @@ def test_edge_spmm_gradients(rng):
     w = rng.normal(size=(PATTERN.nnz, 1))
 
     def build_weights(v):
-        out = ad.edge_spmm(v, v.tape.leaf(x), PATTERN)
+        out = edge_spmm(v, v.tape.leaf(x), PATTERN)
         return ad.sum_all(ad.hadamard(out, out))
 
     checked(build_weights, w)
 
     def build_x(v):
-        out = ad.edge_spmm(v.tape.leaf(w), v, PATTERN)
+        out = edge_spmm(v.tape.leaf(w), v, PATTERN)
         return ad.sum_all(ad.hadamard(out, out))
 
     checked(build_x, x)
@@ -227,9 +237,183 @@ def test_edge_spmm_gradients(rng):
 def test_edge_spmm_rejects_mismatched_shapes():
     tape = Tape()
     with pytest.raises(DimensionError):
-        ad.edge_spmm(tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((4, 2))), PATTERN)
+        edge_spmm(tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((4, 2))), PATTERN)
     with pytest.raises(DimensionError):
-        ad.edge_spmm(tape.leaf(np.ones((PATTERN.nnz, 1))), tape.leaf(np.ones((5, 2))), PATTERN)
+        edge_spmm(tape.leaf(np.ones((PATTERN.nnz, 1))), tape.leaf(np.ones((5, 2))), PATTERN)
+
+
+# ---------------------------------------------------------------------------
+# The fused attention op against the chain it replaces
+# ---------------------------------------------------------------------------
+
+# Node 4 has only its self-loop. Row 0's neighbours 1 and 2 have equal gates,
+# so equal rows t_1 = t_2 tie their scores exactly.
+TIES = SimilaritySet(5, [0, 0, 1, 2], [1, 2, 2, 3], [0.5, 0.5, 0.9, 0.3])
+
+
+def attention_plan(similarity):
+    return ad.AttentionPlan(similarity.matrix + sp.identity(similarity.n, format="csr"))
+
+
+def attention_case(rng, case):
+    if case == "random":
+        similarity = build_random_similarity(rng, 9, density=0.4)
+        t = rng.normal(size=(9, 4))
+    else:
+        similarity = TIES
+        t = rng.normal(size=(5, 3))
+        t[2] = t[1]
+        t[3] = 0.0  # entry (3, 3) scores exactly 0, the LeakyReLU kink
+    return similarity, t, rng.normal(size=(2 * t.shape[1], 1))
+
+
+@pytest.mark.parametrize("case", ["random", "ties"])
+def test_attention_aggregate_is_the_op_chain_bit_for_bit(rng, case):
+    similarity, t, a = attention_case(rng, case)
+    plan = attention_plan(similarity)
+    assert np.array_equal(plan.edges.indptr[1:] - plan.edges.indptr[:-1], plan.counts)
+    cotangents = [rng.normal(size=t.shape) for _ in range(3)]
+    ops = {
+        "fused": lambda tl, al: ad.attention_aggregate(tl, al, plan, 0.2),
+        "chain": lambda tl, al: attention_chain(tl, al, plan.edges, 0.2),
+    }
+    results = {}
+    for name, op in ops.items():
+        tape = Tape()
+        t_leaf, a_leaf = tape.leaf(t), tape.leaf(a)
+        out = op(t_leaf, a_leaf)
+        arrays = [out.values]
+        # several sweeps over one forward, as a GradNorm epoch runs them
+        for cotangent in cotangents:
+            tape.backward(ad.sum_all(ad.hadamard(out, tape.leaf(cotangent, constant=True))))
+            arrays += [t_leaf.grad.copy(), a_leaf.grad.copy()]
+        results[name] = arrays
+    for fused, chain in zip(results["fused"], results["chain"]):
+        assert fused.shape == chain.shape and fused.tobytes() == chain.tobytes()
+
+
+def test_attention_aggregate_gradients(rng):
+    similarity, _, a = attention_case(rng, "random")
+    plan = attention_plan(similarity)
+    t = smooth_point(rng, 9, 4)
+    weights = rng.normal(size=t.shape)
+
+    def weighted_sum(out):
+        return ad.sum_all(ad.hadamard(out, out.tape.leaf(weights, constant=True)))
+
+    checked(lambda x: weighted_sum(ad.attention_aggregate(x, x.tape.leaf(a), plan, 0.2)),
+            t, tol=1e-4)
+    checked(lambda x: weighted_sum(ad.attention_aggregate(x.tape.leaf(t), x, plan, 0.2)),
+            a, tol=1e-4)
+
+
+def test_attention_aggregate_rejects_rows_of_another_graph():
+    tape = Tape()
+    with pytest.raises(DimensionError):
+        ad.attention_aggregate(
+            tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((6, 1))), attention_plan(TIES), 0.2
+        )
+
+
+def test_attention_plan_needs_a_canonical_symmetric_pattern():
+    with pytest.raises(ContractError):  # asymmetric
+        ad.AttentionPlan(sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]])))
+    with pytest.raises(ContractError):  # row 1 is empty
+        ad.AttentionPlan(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    unsorted = sp.csr_matrix(
+        (np.ones(3), np.array([1, 0, 0]), np.array([0, 2, 3])), shape=(2, 2)
+    )
+    with pytest.raises(ContractError):  # row 0 lists its columns out of order
+        ad.AttentionPlan(unsorted)
+
+
+# ---------------------------------------------------------------------------
+# Every backward hands each operand a gradient of that operand's shape
+# ---------------------------------------------------------------------------
+
+
+def tape_ops() -> set[str]:
+    """The public functions of autodiff that record tensors on a tape."""
+    return {
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+        and "Tensor" in str(inspect.signature(fn).return_annotation)
+    }
+
+
+def _leaves(tape, rng, *shapes):
+    return [tape.leaf(rng.uniform(0.5, 1.5, size=shape)) for shape in shapes]
+
+
+SPARSE = sp.random(3, 4, density=0.6, random_state=3, format="csr")
+PARTITION = GroupPartition(np.array([0, 0, 0, 1, 1]))
+
+OP_BUILDERS = {
+    "matmul": lambda tape, rng: ad.matmul(*_leaves(tape, rng, (3, 4), (4, 2))),
+    "spmm": lambda tape, rng: ad.spmm(SPARSE, *_leaves(tape, rng, (4, 2))),
+    "add": lambda tape, rng: ad.add(*_leaves(tape, rng, (3, 2), (3, 2))),
+    "subtract": lambda tape, rng: ad.subtract(*_leaves(tape, rng, (3, 2), (3, 2))),
+    "hadamard": lambda tape, rng: ad.hadamard(*_leaves(tape, rng, (3, 2), (3, 2))),
+    "divide": lambda tape, rng: ad.divide(*_leaves(tape, rng, (3, 2), (3, 2))),
+    "scale": lambda tape, rng: ad.scale(*_leaves(tape, rng, (3, 2)), 2.0),
+    "add_const": lambda tape, rng: ad.add_const(*_leaves(tape, rng, (3, 2)), 1.0),
+    "broadcast_scale": lambda tape, rng: ad.broadcast_scale(*_leaves(tape, rng, (3, 2), (1, 1))),
+    "broadcast_add": lambda tape, rng: ad.broadcast_add(*_leaves(tape, rng, (3, 2), (1, 1))),
+    "gather_rows": lambda tape, rng: ad.gather_rows(*_leaves(tape, rng, (4, 2)), [0, 2, 2, 1]),
+    "sum_all": lambda tape, rng: ad.sum_all(*_leaves(tape, rng, (3, 2))),
+    "mean_all": lambda tape, rng: ad.mean_all(*_leaves(tape, rng, (3, 2))),
+    "row_sum": lambda tape, rng: ad.row_sum(*_leaves(tape, rng, (3, 2))),
+    "elu": lambda tape, rng: ad.elu(*_leaves(tape, rng, (3, 2))),
+    "softplus": lambda tape, rng: ad.softplus(*_leaves(tape, rng, (3, 2))),
+    "sqrt": lambda tape, rng: ad.sqrt(*_leaves(tape, rng, (3, 2))),
+    "segment_softmax": lambda tape, rng: ad.segment_softmax(
+        *_leaves(tape, rng, (5, 1)), [0, 0, 1, 1, 2], 3
+    ),
+    "attention_aggregate": lambda tape, rng: ad.attention_aggregate(
+        *_leaves(tape, rng, (5, 3), (6, 1)), attention_plan(TIES), 0.2
+    ),
+    "quadratic_pair_forms": lambda tape, rng: ad.quadratic_pair_forms(
+        *_leaves(tape, rng, (5, 2)), TIES, PARTITION.within_pairs(TIES)
+    ),
+}
+
+
+def test_every_tape_op_has_a_shape_check():
+    assert set(OP_BUILDERS) == tape_ops()
+
+
+@pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+def test_every_backward_hands_each_operand_its_own_shape(rng, monkeypatch, op):
+    handed = []
+    accumulate = ad._accumulate
+
+    def recording(t, g):
+        handed.append((t.values.shape, np.shape(g)))
+        accumulate(t, g)
+
+    monkeypatch.setattr(ad, "_accumulate", recording)
+    tape = Tape()
+    outs = OP_BUILDERS[op](tape, rng)
+    leaves = list(tape._nodes)  # the operands, recorded before the op's outputs
+    for out in outs if isinstance(outs, list) else [outs]:
+        tape.backward(ad.sum_all(out))
+        assert all(leaf.grad is not None for leaf in leaves if leaf.op == "leaf")
+    assert handed and all(value == grad for value, grad in handed)
+
+
+def test_accumulate_copies_the_first_write_and_refuses_another_shape():
+    tape = Tape()
+    x = tape.leaf(np.zeros((3, 2)))
+    g = np.ones((3, 2))
+    ad._accumulate(x, g)
+    g[0, 0] = 5.0
+    ad._accumulate(x, g)
+    np.testing.assert_array_equal(x.grad, [[6.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+    with pytest.raises(ContractError):
+        ad._accumulate(x, np.ones((1, 1)))
 
 
 def test_scatter_rows_is_bitwise_equal_to_add_at(rng):
@@ -293,7 +477,7 @@ def test_quadratic_pair_form_equals_dense_trace(rng):
         lap = dense_laplacian(n, rows, cols, weights)
         expected = float(np.trace(z.T @ lap @ z))
         tape = Tape()
-        out = ad.quadratic_pair_form(tape.leaf(z), SimilaritySet(n, rows, cols, weights))
+        out = ad.quadratic_pair_forms(tape.leaf(z), SimilaritySet(n, rows, cols, weights))[0]
         np.testing.assert_allclose(out.values[0, 0], expected, rtol=1e-12)
 
 
@@ -305,7 +489,7 @@ def test_quadratic_pair_form_backward_is_two_l_z(rng):
     z = rng.normal(size=(n, 4))
     tape = Tape()
     leaf = tape.leaf(z)
-    tape.backward(ad.quadratic_pair_form(leaf, SimilaritySet(n, rows, cols, weights)))
+    tape.backward(ad.quadratic_pair_forms(leaf, SimilaritySet(n, rows, cols, weights))[0])
     lap = dense_laplacian(n, rows, cols, weights)
     np.testing.assert_allclose(leaf.grad, 2.0 * lap @ z, rtol=1e-10, atol=1e-12)
 
@@ -319,15 +503,43 @@ def test_quadratic_pair_form_gradient_on_a_group_subset(rng):
     in_group = np.isin(rows, [1, 2, 3, 5]) & np.isin(cols, [1, 2, 3, 5])
     group = SimilaritySet(7, rows[in_group], cols[in_group], weights[in_group])
     report = checked(
-        lambda z: ad.quadratic_pair_form(z, group), rng.normal(size=(7, 3)), tol=1e-4
+        lambda z: ad.quadratic_pair_forms(z, group)[0], rng.normal(size=(7, 3)), tol=1e-4
     )
     assert not report.analytic[[0, 4, 6]].any()
+
+
+def test_quadratic_pair_forms_equal_trace_form_per_set_bit_for_bit(rng):
+    # every pair of 7 nodes; group 2 = {6} has no pair inside it
+    n = 7
+    rows, cols = np.triu_indices(n, k=1)
+    similarity = SimilaritySet(n, rows, cols, rng.uniform(0.1, 1.0, size=rows.size))
+    partition = GroupPartition(np.array([0, 1, 0, 0, 1, 1, 2]))
+    groups = partition.within_pairs(similarity)
+    assert [group.num_pairs for group in groups.sets] == [3, 3, 0]
+    z = rng.normal(size=(n, 3))
+    tape = Tape()
+    leaf = tape.leaf(z)
+    traces = ad.quadratic_pair_forms(leaf, similarity, groups)
+    expected = [trace_form(similarity, z)] + [trace_form(group, z) for group in groups.sets]
+    assert [t.values[0, 0] for t in traces] == expected
+    assert group_traces(similarity, z, partition) == expected[1:]
+    # each trace keeps its own backward, 2 L Z on its own pair set
+    for trace, pairs in zip(traces, (similarity, *groups.sets)):
+        tape.backward(trace)
+        assert np.array_equal(leaf.grad, 2.0 * laplacian_apply(pairs, z))
 
 
 def test_quadratic_pair_form_rejects_a_set_of_another_size(rng):
     tape = Tape()
     with pytest.raises(DimensionError):
-        ad.quadratic_pair_form(tape.leaf(rng.normal(size=(4, 2))), SimilaritySet(5, [0], [1], [1.0]))
+        ad.quadratic_pair_forms(
+            tape.leaf(rng.normal(size=(4, 2))), SimilaritySet(5, [0], [1], [1.0])
+        )
+    # group pairs selected from another set, even an equal one
+    pairs = SimilaritySet(5, [0], [1], [1.0])
+    groups = PARTITION.within_pairs(SimilaritySet(5, [0], [1], [1.0]))
+    with pytest.raises(ContractError, match="another similarity set"):
+        ad.quadratic_pair_forms(tape.leaf(rng.normal(size=(5, 2))), pairs, groups)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -340,10 +552,10 @@ def test_quadratic_pair_form_nonnegative(seed):
     if not keep.any():
         keep[0] = True
     tape = Tape()
-    out = ad.quadratic_pair_form(
+    out = ad.quadratic_pair_forms(
         tape.leaf(rng.normal(size=(n, 3))),
         SimilaritySet(n, i[keep], j[keep], rng.uniform(0.01, 1.0, size=int(keep.sum()))),
-    )
+    )[0]
     assert out.values[0, 0] >= 0.0
 
 

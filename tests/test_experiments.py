@@ -1400,6 +1400,20 @@ def test_benchmark_summary_without_vanilla_or_fixed():
     assert "comparison" not in summarize({"full": rows["full"]})
 
 
+def test_benchmark_rows_digest_the_history_and_outputs_bitwise():
+    script = load_benchmark_script()
+    overrides = dict(pretrain_epochs=2, max_epochs=2, patience=2)
+    first, again = (script.collect((0,), overrides, ["vanilla"])["vanilla"][0] for _ in range(2))
+    assert first["history_sha256"] == again["history_sha256"]
+    assert first["outputs_sha256"] == again["outputs_sha256"]
+    ((_, _, result),) = run_matrix((0,), overrides, ["vanilla"])
+    assert script.history_sha256(result.history) == first["history_sha256"]
+    moved = dataclasses.replace(result.history[-1], gd=np.nextafter(result.history[-1].gd, 2.0))
+    assert script.history_sha256([*result.history[:-1], moved]) != first["history_sha256"]
+    result.scores[0] = np.nextafter(result.scores[0], 2.0)
+    assert script.outputs_sha256(result) != first["outputs_sha256"]
+
+
 def test_run_matrix_logs_equal_unshared_runs(tmp_path):
     overrides = dict(pretrain_epochs=3, max_epochs=2, patience=2)
     runs = list(run_matrix((0,), overrides, variants=["full", "no_attention"]))

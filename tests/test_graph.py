@@ -98,8 +98,18 @@ def test_normalized_adjacency_rows_behave():
         labels=[0, 1],
         sensitive=[0, 0],
     )
-    a_hat = normalized_adjacency(graph).toarray()
+    a_hat = normalized_adjacency(graph.adjacency()).toarray()
     np.testing.assert_allclose(a_hat, np.full((2, 2), 0.5))
+
+
+def test_normalized_adjacency_is_exactly_symmetric(rng, graph_factory):
+    # spmm multiplies by A and A_hat themselves in the backward, as their own
+    # transposes: the values and the sum order must both agree
+    graph = graph_factory(rng, 30, p=0.2)
+    for mat in (graph.adjacency(), normalized_adjacency(graph.adjacency())):
+        assert (mat != mat.T).nnz == 0
+        g = rng.normal(size=(30, 4))
+        assert np.array_equal(mat @ g, mat.T @ g)
 
 
 def test_split_nodes_covers_labeled_and_is_deterministic(rng):
@@ -217,8 +227,10 @@ def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
     s = build_random_similarity(rng, 12)
     part = GroupPartition.from_values(rng.integers(0, 3, size=12))
     pairs = part.within_pairs(s)
-    assert len(pairs) == part.m
-    for g, group in enumerate(pairs):
+    assert pairs.similarity is s
+    assert len(pairs.sets) == len(pairs.selections) == part.m
+    stored = s.pair_arrays()
+    for g, (group, selection) in enumerate(zip(pairs.sets, pairs.selections)):
         assert group.n == s.n
         rows, cols, weights = group.pair_arrays()
         members = part.members(g)
@@ -226,6 +238,9 @@ def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
         np.testing.assert_array_equal(rows, members[sub.rows])
         np.testing.assert_array_equal(cols, members[sub.cols])
         np.testing.assert_array_equal(weights, sub.weights)
+        # the selection picks the same pairs among the stored ones, in order
+        for mine, full in zip((rows, cols, weights), stored):
+            np.testing.assert_array_equal(mine, full[selection])
     with pytest.raises(ContractError):
         GroupPartition(np.zeros(11, dtype=int)).within_pairs(s)
 

@@ -14,17 +14,15 @@ from ginigraph.graph import GroupPartition, SimilaritySet
 from ginigraph.losses import (
     TRACE_FLOOR,
     combine_losses,
-    group_trace_tensors,
     group_welfare_loss,
     pair_gap_tensor,
-    smoothness_loss,
     surrogate_loss,
     utility_loss,
 )
 from ginigraph.metrics import trace_form
 
 from conftest import build_random_similarity
-from oracles import finite_diff_check, nswp_value
+from oracles import finite_diff_check, group_trace_tensors, nswp_value, smoothness_loss
 
 
 def np_gaps(similarity, z):
@@ -253,7 +251,7 @@ def test_group_welfare_floors_zero_traces(rng):
     z_values[3:] = rng.normal(size=(3, 2))
     traces = group_trace_tensors(tape.leaf(z_values), ctx)
     # the traces are unfloored and equal trace_form; the penalty floors them
-    assert [t.values[0, 0] for t in traces] == [trace_form(g, z_values) for g in ctx]
+    assert [t.values[0, 0] for t in traces] == [trace_form(g, z_values) for g in ctx.sets]
     assert traces[0].values[0, 0] == 0.0
     loss = group_welfare_loss(traces)
     floored = [t.values[0, 0] + TRACE_FLOOR for t in traces]

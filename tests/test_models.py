@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def _setup(rng, graph_factory, variant, hidden=4):
 
 def test_gcn_forward_matches_oracle(rng, graph_factory):
     graph, w, ops, z = _setup(rng, graph_factory, "gcn")
-    a_hat = normalized_adjacency(graph).toarray()
+    a_hat = normalized_adjacency(graph.adjacency()).toarray()
     h1 = np_elu(a_hat @ graph.features @ w["W1"])
     expected = np_elu(a_hat @ h1 @ w["W2"])
     np.testing.assert_allclose(z.values, expected, rtol=1e-12)
@@ -120,11 +121,42 @@ def test_gin_forward_matches_oracle(rng, graph_factory):
 
 def test_jk_forward_matches_oracle(rng, graph_factory):
     graph, w, ops, z = _setup(rng, graph_factory, "jk")
-    a_hat = normalized_adjacency(graph).toarray()
+    a_hat = normalized_adjacency(graph.adjacency()).toarray()
     h1 = np_elu(a_hat @ graph.features @ w["W1"])
     h2 = np_elu(a_hat @ h1 @ w["W2"])
     expected = np_elu(h1 @ w["P1"] + h2 @ w["P2"])
     np.testing.assert_allclose(z.values, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", BACKBONES)
+def test_backbone_reads_only_the_features_its_operators_propagated(rng, graph_factory, variant):
+    graph = graph_factory(rng, 9, dim=5)
+    weights = init_backbone(variant, 5, 4, rng)
+    ops = graph_operators(graph)
+    tape = Tape()
+    with pytest.raises(ContractError, match="features"):
+        backbone_embed(
+            variant, as_leaves(tape, weights), tape.leaf(graph.features + 1.0, constant=True), ops
+        )
+    # a constant x reads the cached first propagation, a non-constant one is
+    # multiplied on the tape: the same values, and x gets its full gradient
+    cached = backbone_embed(
+        variant, as_leaves(tape, weights), tape.leaf(graph.features, constant=True), ops
+    )
+
+    def evaluator(features):
+        tape = Tape()
+        x = tape.leaf(features)
+        z = backbone_embed(
+            variant, as_leaves(tape, weights), x, graph_operators(replace(graph, features=features))
+        )
+        out = ad.sum_all(ad.hadamard(z, z))
+        tape.backward(out)
+        return float(out.values[0, 0]), x.grad, z.values
+
+    assert np.array_equal(evaluator(graph.features)[2], cached.values)
+    report = finite_diff_check(lambda f: evaluator(f)[:2], graph.features, step=1e-6)
+    assert report.passed, report
 
 
 def test_gin_zero_weights_give_zero_embeddings(rng, graph_factory):
@@ -181,7 +213,7 @@ def manual_fair_head(z0, weights, edges, attention=True):
 
 def test_attention_edges_include_self_loops(rng):
     s = build_random_similarity(rng, 7)
-    edges = attention_edges(s)
+    edges = attention_edges(s).edges
     assert edges.nnz == 2 * s.num_pairs + 7
     # row i lists i's neighbours and i itself, columns ascending
     for i in range(7):
@@ -196,12 +228,12 @@ def test_fair_head_matches_oracle(rng, attention):
     s = build_random_similarity(rng, 8)
     weights = init_fair_head(4, rng)
     z0 = rng.normal(size=(8, 4))
-    edges = attention_edges(s)
+    plan = attention_edges(s)
     tape = Tape(tracing=False)
     out = fair_head_embed(z0=tape.leaf(z0), leaves=as_leaves(tape, weights),
-                          edges=edges, tape=tape, attention=attention)
+                          edges=plan, tape=tape, attention=attention)
     np.testing.assert_allclose(
-        out.values, manual_fair_head(z0, weights, edges, attention), rtol=1e-10
+        out.values, manual_fair_head(z0, weights, plan.edges, attention), rtol=1e-10
     )
 
 

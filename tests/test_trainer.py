@@ -12,13 +12,7 @@ from ginigraph.autodiff import Tape
 from ginigraph.errors import ConfigError, ContractError
 from ginigraph.gradnorm import GradNormController
 from ginigraph.graph import Graph, GroupPartition, attr_similarity
-from ginigraph.losses import (
-    combine_losses,
-    group_trace_tensors,
-    group_welfare_loss,
-    smoothness_loss,
-    utility_loss,
-)
+from ginigraph.losses import combine_losses, group_welfare_loss, utility_loss
 from ginigraph.metrics import average_gdif, compute_report, rank_auc, trace_form
 from ginigraph.models import (
     ModelParams,
@@ -42,6 +36,8 @@ from ginigraph.trainer import (
     train,
     write_training_log,
 )
+
+from oracles import group_trace_tensors, smoothness_loss
 
 
 def separable_graph(seed: int, n: int = 40, dim: int = 6) -> Graph:
@@ -156,7 +152,7 @@ def test_adam_rejects_shape_mismatch(rng):
 def test_pretrain_zero_epochs_returns_initial_weights():
     graph = separable_graph(3, n=20)
     config = quick_config(pretrain_epochs=0)
-    weights, z0 = pretrain(graph, config)
+    weights, z0, _ = pretrain(graph, config)
     reference = init_backbone(
         config.backbone, graph.features.shape[1], config.hidden, np.random.default_rng(config.seed)
     )
@@ -168,7 +164,7 @@ def test_pretrain_zero_epochs_returns_initial_weights():
 def test_pretrain_learns_separable_labels(fixture_data):
     graph, _, _ = fixture_data
     config = quick_config(pretrain_epochs=150)
-    weights, _ = pretrain(graph, config)
+    weights, _, _ = pretrain(graph, config)
     params = ModelParams(variant=config.backbone, backbone=weights)
     masked = train_masked(graph, config)
     _, scores = embed(params, masked)
@@ -233,6 +229,22 @@ def test_train_on_a_shared_pretraining_logs_bitwise_equal(tmp_path, fixture_data
         assert shared.params.backbone[name] is not weights
 
 
+def test_train_builds_the_adjacency_once(fixture_data, monkeypatch):
+    graph, similarity, partition = fixture_data
+    config = quick_config(max_epochs=3)
+    graph = train_masked(graph, config)
+    built = []
+    adjacency = Graph.adjacency
+
+    def counted(self):
+        built.append(self)
+        return adjacency(self)
+
+    monkeypatch.setattr(Graph, "adjacency", counted)
+    train(graph, similarity, partition, config)
+    assert len(built) == 1
+
+
 def test_training_log_format(tmp_path, fixture_data):
     graph, similarity, partition = fixture_data
     result = train(graph, similarity, partition, quick_config(max_epochs=3))
@@ -262,7 +274,7 @@ def test_vanilla_run_matches_pure_backbone_utility(fixture_data):
             pretrain_epochs=150, max_epochs=150, patience=150, beta2=0.0, beta3=0.0
         )
     )
-    weights, _ = pretrain(graph, config)
+    weights, _, _ = pretrain(graph, config)
     backbone_only = ModelParams(variant=config.backbone, backbone=weights)
     masked = train_masked(graph, config)
     pure = evaluate(*embed(backbone_only, masked), masked, similarity, partition, config)
@@ -296,7 +308,7 @@ def test_logged_gd_is_the_trace_form_gdif_of_each_epoch(fixture_data, monkeypatc
     result = train(graph, similarity, partition, quick_config(max_epochs=4, **overrides))
     ctx = partition.within_pairs(similarity)
     # one head forward per epoch, then the final forward
-    expected = [average_gdif([trace_form(group, h) for group in ctx]) for h in heads[:-1]]
+    expected = [average_gdif([trace_form(group, h) for group in ctx.sets]) for h in heads[:-1]]
     assert [record.gd for record in result.history] == expected
     # the logged IF is the trace of the same head output, whatever the L2 term
     assert [record.if_value for record in result.history] == [
@@ -335,7 +347,7 @@ def test_probe_sweeps_give_the_weighted_total_gradient(fixture_data, scope):
     graph, similarity, partition = fixture_data
     config = quick_config(pretrain_epochs=10, gradnorm_scope=scope)
     graph = train_masked(graph, config)
-    _, z0 = pretrain(graph, config)
+    _, z0, _ = pretrain(graph, config)
     weights = init_fair_head(config.hidden, np.random.default_rng(3), scale=0.5)
     tape = Tape()
     leaves = as_leaves(tape, weights)
@@ -456,6 +468,9 @@ def test_evaluate_matches_independent_metric_calls(fixture_data):
     result = train(graph, similarity, partition, config)
     masked = train_masked(graph, config)
     h, scores = embed(result.params, masked, similarity)
+    # the run's closing forward pass, from its own per-run constants, is embed's
+    assert h.tobytes() == result.embeddings.tobytes()
+    assert scores.tobytes() == result.scores.tobytes()
     index = masked.test_mask
     manual = compute_report(
         h[index],
