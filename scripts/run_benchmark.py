@@ -12,6 +12,9 @@ outputs_sha256, over the final embeddings and scores. Comparing those fields
 of two --out files, written with the same options by two checkouts, checks
 that their runs are bitwise equal.
 
+A number that is not a plain integer of at least 1, or a run that raises a
+ginigraph error, ends in exit code 2.
+
 Example:
     python3 scripts/run_benchmark.py --seeds 5 --out results/benchmark.json
 """
@@ -30,6 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
+from ginigraph.cli import plain_int
+from ginigraph.errors import GiniGraphError
 from ginigraph.trainer import LOG_COLUMNS
 
 
@@ -150,15 +155,25 @@ def summarize(rows):
     return out
 
 
+def positive_int(text: str) -> int:
+    """A plain_int of at least 1; argparse exits 2 on any other text."""
+    value = plain_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=5, help="number of seeds (0..n-1)")
+    parser.add_argument("--seeds", type=positive_int, default=5, help="number of seeds (0..n-1)")
     parser.add_argument("--out", help="write the raw per-run rows as JSON")
     parser.add_argument(
         "--variants", nargs="*", choices=list(BENCHMARK_VARIANTS),
         help="subset of variants to run (default: all)",
     )
-    parser.add_argument("--max-epochs", type=int, help="fair epochs (and patience) per run")
+    parser.add_argument(
+        "--max-epochs", type=positive_int, help="fair epochs (and patience) per run"
+    )
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -166,7 +181,11 @@ def main(argv=None) -> int:
         overrides = {"max_epochs": args.max_epochs, "patience": args.max_epochs}
 
     started = time.monotonic()
-    rows = collect(range(args.seeds), overrides, args.variants)
+    try:
+        rows = collect(range(args.seeds), overrides, args.variants)
+    except GiniGraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = summarize(rows)
     print(json.dumps(summary, indent=2))
     print(f"total wall time: {time.monotonic() - started:.1f}s")

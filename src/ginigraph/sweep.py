@@ -17,7 +17,6 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .graph import GroupPartition, build_similarity, read_json
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import check_rho, check_sigma, perturb_noise, rewire_homophily
 from .synthetic import SbmSpec, sbm_generate
-from .trainer import PRETRAIN_FIELDS, TrainConfig, pretrain, train, write_training_log
+from .trainer import TrainConfig, train, write_training_log
 
 GRID_AXES = ("beta2", "beta3", "rho", "sigma", "hidden")
 METRIC_KEYS = ("auc", "individual_unfairness", "gd_trace", "gini", "gd_gini")
@@ -69,6 +68,8 @@ class SweepSpec:
             values = getattr(self, axis)
             if values is not None and len(values) == 0:
                 raise ConfigError(f"axis {axis} must be a nonempty list when given")
+            if values and len(set(values)) < len(values):
+                raise ConfigError(f"axis {axis} repeats a value: {values}")
         self.config.validate()
         for point in self.grid_points():
             _point_config(self, point, self.base_seed).validate()
@@ -146,33 +147,33 @@ def run_sweep(spec: SweepSpec, out_dir) -> list[SweepRow]:
     left in out_dir are overwritten when a run has the same name and otherwise
     ignored (aggregate_dir reads them all).
 
-    Runs that share rho, sigma and every config field pretrain reads
-    (trainer.PRETRAIN_FIELDS) differ only in the fairness stage, so they share
-    one generated graph, similarity set and pretraining; each run's
-    wall_seconds then excludes the pretraining.
+    The runs of one repetition that share rho and sigma run on one generated
+    graph, similarity set and partition, and share their pretraining
+    wherever train's pretrainings allow it. When that data fails to build,
+    each of those runs records the error.
     """
     spec.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stage1 = attrgetter(*PRETRAIN_FIELDS)
     records: dict[str, dict] = {}
     groups: dict[tuple, list] = {}
     for point in spec.grid_points():
         for rep in range(spec.repetitions):
-            config = _point_config(spec, point, spec.base_seed + rep)
-            key = (point.get("rho"), point.get("sigma"), stage1(config))
-            groups.setdefault(key, []).append((point, rep, config))
-    for runs in groups.values():
-        shared = None
-        for point, rep, config in runs:
+            groups.setdefault((point.get("rho"), point.get("sigma"), rep), []).append(point)
+    for (_, _, rep), points in groups.items():
+        seed = spec.base_seed + rep
+        try:
+            data = _build_run_data(spec, points[0], seed)
+        except GiniGraphError as exc:
+            data = exc
+        pretrainings: dict = {}
+        for point in points:
             slug = _point_slug(point, rep)
-            record = {"point": point, "rep": rep, "seed": config.seed}
+            record = {"point": point, "rep": rep, "seed": seed}
             try:
-                if shared is None:
-                    graph, similarity, partition = _build_run_data(spec, point, config.seed)
-                    shared = (graph, similarity, partition), pretrain(graph, config)
-                data, pretrained = shared
-                result = train(*data, config, pretrained)
+                if isinstance(data, GiniGraphError):
+                    raise data
+                result = train(*data, _point_config(spec, point, seed), pretrainings)
                 record["result"] = result.to_json_dict()
                 write_training_log(out / f"{slug}.log.csv", result.history)
             except GiniGraphError as exc:

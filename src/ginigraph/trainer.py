@@ -231,7 +231,9 @@ def _ensure_masks(graph: Graph, seed: int) -> Graph:
 
 
 # the TrainConfig fields that pretrain reads (beyond validating the config)
-PRETRAIN_FIELDS = ("backbone", "hidden", "pretrain_epochs", "learning_rate", "weight_decay", "seed")
+_PRETRAIN_FIELDS = attrgetter(
+    "backbone", "hidden", "pretrain_epochs", "learning_rate", "weight_decay", "seed"
+)
 
 
 def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array, dict]:
@@ -329,25 +331,29 @@ def train(
     similarity: SimilaritySet,
     partition: GroupPartition | None,
     config: TrainConfig,
-    pretrained: tuple[dict[str, Array], Array, dict] | None = None,
+    pretrainings: dict | None = None,
 ) -> RunResult:
     """Full two-stage run; see the module docstring for the schedule.
 
-    pretrained is what pretrain(graph, config) returns, for a caller that
-    trains several configs which differ only in the fairness stage; the run
-    then skips stage 1, and wall_seconds excludes it. The closing forward
-    pass is embed's, on the pretraining's operators and the head's plan.
+    pretrainings is a dict the caller keeps for a group of runs: runs on one
+    graph object whose configs agree in each field pretrain reads share the
+    stage-1 run the first of them fills in. wall_seconds, the time of this
+    call, counts a pretraining the call ran, not one it reused. The closing
+    forward pass is embed's, on the pretraining's operators and the head's plan.
     """
     started = time.monotonic()
     config.validate()
-    graph = _ensure_masks(graph, config.seed)
+    callers_graph, graph = graph, _ensure_masks(graph, config.seed)
     if similarity.n != graph.n:
         raise ContractError("similarity set does not match the graph")
 
-    if pretrained is None:
-        pretrained = pretrain(graph, config)
-    backbone_weights = {name: w.copy() for name, w in pretrained[0].items()}
-    z0_values, operators = pretrained[1:]
+    pretrainings = {} if pretrainings is None else pretrainings
+    key = (id(callers_graph), *_PRETRAIN_FIELDS(config))
+    if key not in pretrainings:
+        # the entry holds the caller's graph, so no other graph takes its id while the cache lives
+        pretrainings[key] = callers_graph, pretrain(graph, config)
+    weights, z0_values, operators = pretrainings[key][1]
+    backbone_weights = {name: w.copy() for name, w in weights.items()}
     rng = np.random.default_rng(config.seed + 1)
     fair_weights = init_fair_head(config.hidden, rng, scale=config.head_scale)
     plan = attention_edges(similarity)

@@ -364,6 +364,9 @@ def test_sweep_spec_validation():
     bad2.similarity_mode = "spectral"
     with pytest.raises(ConfigError):
         bad2.validate()
+    for repeated in ([0.5, 0.5], [1, 1.0]):
+        with pytest.raises(ConfigError, match="repeats"):
+            tiny_sweep_spec(beta2=repeated).validate()
     tiny_sweep_spec(rho=[0.0, 0.4]).validate()
 
 
@@ -442,18 +445,25 @@ def test_run_sweep_writes_artifacts_and_aggregates(tmp_path):
 )
 def test_sweep_shares_pretraining_and_keeps_every_run(tmp_path, monkeypatch, axes, pretrainings):
     spec = tiny_sweep_spec(**axes)
-    calls = []
+    calls, built = [], []
     pretrain = trainer.pretrain
 
     def counted(graph, config):
         calls.append(config)
         return pretrain(graph, config)
 
+    def counted_build(spec, point, seed):
+        built.append((point.get("rho"), point.get("sigma"), seed))
+        return _build_run_data(spec, point, seed)
+
     monkeypatch.setattr(trainer, "pretrain", counted)
-    monkeypatch.setattr(sweep, "pretrain", counted)
+    monkeypatch.setattr(sweep, "_build_run_data", counted_build)
     run_sweep(spec, tmp_path / "sweep")
     # one pretraining per repetition and distinct rho, sigma and hidden
     assert len(calls) == pretrainings
+    # one data build per repetition and distinct rho and sigma: 2, not 4, for hidden=[3, 4]
+    data_keys = {(point.get("rho"), point.get("sigma")) for point in spec.grid_points()}
+    assert len(built) == len(set(built)) == spec.repetitions * len(data_keys)
     for point in spec.grid_points():
         for rep in range(spec.repetitions):
             seed = spec.base_seed + rep
@@ -468,6 +478,29 @@ def test_sweep_shares_pretraining_and_keeps_every_run(tmp_path, monkeypatch, axe
             for result in (record["result"], expected):
                 del result["wall_seconds"]
             assert json.dumps(record["result"]) == json.dumps(expected)
+
+
+def test_a_failed_data_build_is_recorded_in_each_of_its_runs(tmp_path, monkeypatch):
+    spec = tiny_sweep_spec(beta2=[0.0, 1.0], sigma=[0.0, 0.3])
+    built = []
+
+    def failing_build(spec, point, seed):
+        built.append((point["sigma"], seed))
+        if point["sigma"] == 0.3 and seed == spec.base_seed:
+            raise DomainError("no graph")
+        return _build_run_data(spec, point, seed)
+
+    monkeypatch.setattr(sweep, "_build_run_data", failing_build)
+    rows = run_sweep(spec, tmp_path)
+    # the failed build is not retried for the second run of its group
+    assert sorted(built) == [(0.0, 3), (0.0, 4), (0.3, 3), (0.3, 4)]
+    assert [(row.point["sigma"], row.n_runs, row.errors) for row in rows] == [
+        (0.0, 2, 0), (0.3, 1, 1), (0.0, 2, 0), (0.3, 1, 1)
+    ]
+    for beta2 in ("0", "1"):
+        record = json.loads((tmp_path / f"run_beta2-{beta2}_sigma-0.3_rep0.json").read_text())
+        assert record["error"] == "DomainError: no graph" and "result" not in record
+        assert not (tmp_path / f"run_beta2-{beta2}_sigma-0.3_rep0.log.csv").exists()
 
 
 def test_aggregate_records_counts_errors():
@@ -939,6 +972,14 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     code, _ = run_cli(capsys, "report", "--results", str(out_dir), "--out", str(table2))
     assert code == 0
     assert table2.read_text().splitlines()[0].startswith("beta2,")
+
+
+def test_cli_sweep_refuses_an_axis_that_repeats_a_value(tmp_path, capsys):
+    spec_path, out_dir = tmp_path / "spec.json", tmp_path / "sweep"
+    spec_path.write_text(json.dumps({"beta2": [0.5, 0.5], "config": dict(TINY_TRAIN)}))
+    code, _ = run_cli(capsys, "sweep", "--spec", str(spec_path), "--out-dir", str(out_dir))
+    assert code == 2
+    assert not list(out_dir.glob("run_*"))
 
 
 def test_cli_sweeps_into_one_directory_report_their_own_runs(tmp_path, capsys):
@@ -1414,6 +1455,25 @@ def test_benchmark_rows_digest_the_history_and_outputs_bitwise():
     assert script.outputs_sha256(result) != first["outputs_sha256"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--seeds", "-3"], ["--seeds", "0"], ["--seeds", "1_0"], ["--max-epochs", "0"]]
+)
+def test_benchmark_script_refuses_bad_numbers_with_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as stopped:
+        load_benchmark_script().main(argv)
+    assert stopped.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and argv[0] in captured.err
+
+
+def test_benchmark_script_turns_a_run_error_into_exit_2(capsys, monkeypatch):
+    monkeypatch.setitem(BENCHMARK_BASE, "learning_rate", -1.0)
+    argv = ["--seeds", "1", "--variants", "vanilla", "--max-epochs", "1"]
+    assert load_benchmark_script().main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: learning_rate must be positive\n"
+
+
 def test_run_matrix_logs_equal_unshared_runs(tmp_path):
     overrides = dict(pretrain_epochs=3, max_epochs=2, patience=2)
     runs = list(run_matrix((0,), overrides, variants=["full", "no_attention"]))
@@ -1427,10 +1487,29 @@ def test_run_matrix_logs_equal_unshared_runs(tmp_path):
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
-def test_run_matrix_rejects_variants_that_change_pretraining(monkeypatch):
+def test_run_matrix_pretrains_once_per_seed_and_width(tmp_path, monkeypatch):
     monkeypatch.setitem(BENCHMARK_VARIANTS, "wide", dict(hidden=8))
-    with pytest.raises(ContractError, match="hidden"):
-        next(run_matrix((0,), dict(pretrain_epochs=1), variants=["full", "wide"]))
+    monkeypatch.setitem(BENCHMARK_VARIANTS, "wide_vanilla", dict(hidden=8, beta2=0.0, beta3=0.0))
+    calls = []
+    pretrain = trainer.pretrain
+
+    def counted(graph, config):
+        calls.append((config.seed, config.hidden))
+        return pretrain(graph, config)
+
+    monkeypatch.setattr(trainer, "pretrain", counted)
+    overrides = dict(pretrain_epochs=3, max_epochs=2, patience=2)
+    runs = list(run_matrix((0, 1), overrides, ["full", "wide", "vanilla", "wide_vanilla"]))
+    assert calls == [(0, 16), (0, 8), (1, 16), (1, 8)]
+    for seed in (0, 1):
+        graph = sbm_generate(SbmSpec(**BENCHMARK_SBM), seed)
+        similarity = topo_similarity(graph, BENCHMARK_BASE["top_k"])
+        partition = GroupPartition.from_values(graph.sensitive)
+        for _, _, shared in (run for run in runs if run[0] == seed):
+            alone = trainer.train(graph, similarity, partition, shared.config)
+            trainer.write_training_log(tmp_path / "shared.csv", shared.history)
+            trainer.write_training_log(tmp_path / "alone.csv", alone.history)
+            assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_run_matrix_is_seed_major_on_the_shared_base():

@@ -214,19 +214,60 @@ def test_train_is_bitwise_deterministic(tmp_path, fixture_data):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_train_on_a_shared_pretraining_logs_bitwise_equal(tmp_path, fixture_data):
+def counted_pretrain(monkeypatch) -> list:
+    """The configs that trainer's pretrain is called with from now on."""
+    calls = []
+    pretrain = trainer_module.pretrain
+
+    def counted(graph, config):
+        calls.append(config)
+        return pretrain(graph, config)
+
+    monkeypatch.setattr(trainer_module, "pretrain", counted)
+    return calls
+
+
+def test_train_on_a_shared_pretraining_logs_bitwise_equal(tmp_path, fixture_data, monkeypatch):
     graph, similarity, partition = fixture_data
-    config = quick_config(max_epochs=5)
-    pretrained = pretrain(graph, config)
-    shared = train(graph, similarity, partition, config, pretrained)
     alone = train(graph, similarity, partition, quick_config(max_epochs=5))
+    calls = counted_pretrain(monkeypatch)
+    pretrainings = {}
+    first, shared = (
+        train(graph, similarity, partition, quick_config(max_epochs=5, beta2=beta2), pretrainings)
+        for beta2 in (0.5, 1.0)
+    )
+    # the masks train fills in do not hide the caller's graph from the cache
+    ((held, (weights, _, _)),) = pretrainings.values()
+    assert len(calls) == 1 and held is graph
     write_training_log(tmp_path / "shared.csv", shared.history)
     write_training_log(tmp_path / "alone.csv", alone.history)
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-    for name, weights in pretrained[0].items():
-        np.testing.assert_array_equal(shared.params.backbone[name], weights)
-        # each result owns its backbone, so callers sharing a pretraining stay apart
-        assert shared.params.backbone[name] is not weights
+    for name in weights:
+        np.testing.assert_array_equal(shared.params.backbone[name], weights[name])
+        # each result owns its backbone, so runs sharing a pretraining stay apart
+        assert shared.params.backbone[name] is not weights[name]
+        assert shared.params.backbone[name] is not first.params.backbone[name]
+
+
+def test_one_cache_gives_each_graph_its_own_pretraining(tmp_path, monkeypatch):
+    config = quick_config(max_epochs=3)
+    data = []
+    for seed in (21, 22):
+        graph = separable_graph(seed)
+        similarity = attr_similarity(graph.features, top_k=10)
+        data.append((graph, similarity, GroupPartition.from_values(graph.sensitive)))
+    alone = [train(*run, config) for run in data]
+    calls = counted_pretrain(monkeypatch)
+    pretrainings = {}
+    shared = [train(*run, config, pretrainings) for run in data]
+    assert len(calls) == 2
+    held = [entry[0] for entry in pretrainings.values()]
+    assert len(held) == 2 and all(a is b for a, (b, _, _) in zip(held, data))
+    for a, b in zip(alone, shared):
+        write_training_log(tmp_path / "alone.csv", a.history)
+        write_training_log(tmp_path / "shared.csv", b.history)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        np.testing.assert_array_equal(a.embeddings, b.embeddings)
 
 
 def test_train_builds_the_adjacency_once(fixture_data, monkeypatch):
