@@ -13,7 +13,10 @@ of two --out files, written with the same options by two checkouts, checks
 that their runs are bitwise equal.
 
 A number that is not a plain integer of at least 1, or a run that raises a
-ginigraph error, ends in exit code 2.
+ginigraph error, ends in exit code 2. An --out path that cannot be written
+ends in exit code 4 before the first run: its parent directory is created
+first and must be a writable directory. An existing --out file is left as it
+is until the runs finish.
 
 Example:
     python3 scripts/run_benchmark.py --seeds 5 --out results/benchmark.json
@@ -24,8 +27,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from operator import gt, le
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -90,15 +95,16 @@ def mean(values):
     return sum(values) / len(values)
 
 
-# The per-seed ratios behind the four ablation gates, as (numerator variant,
-# denominator variant, statistic). The first two gates count seeds with a
-# ratio <= 1 (full wins), the last two seeds with a ratio > 1 (the ablation
-# loses), so each ratio's distance from 1 is that seed's margin.
-GATE_RATIOS = {
-    "full/fixed IF": ("full", "fixed", "if"),
-    "full/no_attention IF": ("full", "no_attention", "if"),
-    "no_l2/full IF": ("no_l2", "full", "if"),
-    "no_l3/full |GD-1|": ("no_l3", "full", "gd_gap"),
+# The four ablation gates, as ratio label: (count key, numerator variant,
+# denominator variant, statistic, test). A seed counts toward the gate when
+# test(num, den) holds: num <= den for the first two (full wins), num > den
+# for the last two (the ablation loses). The per-seed ratio num / den shows
+# each seed's margin as its distance from 1.
+GATES = {
+    "full/fixed IF": ("gradnorm_win_seeds", "full", "fixed", "if", le),
+    "full/no_attention IF": ("attention_win_seeds", "full", "no_attention", "if", le),
+    "no_l2/full IF": ("no_l2_if_worse_seeds", "no_l2", "full", "if", gt),
+    "no_l3/full |GD-1|": ("no_l3_gd_worse_seeds", "no_l3", "full", "gd_gap", gt),
 }
 
 
@@ -122,32 +128,12 @@ def summarize(rows):
             abs(v["gd"] - 1.0), 1e-12
         )
         comparison["auc_drop"] = v["auc"] - f["auc"]
-    if "full" in rows and "fixed" in rows:
-        comparison["gradnorm_win_seeds"] = sum(
-            1 for a, b in zip(rows["full"], rows["fixed"]) if a["if"] <= b["if"]
-        )
-    if "full" in rows and "no_attention" in rows:
-        comparison["attention_win_seeds"] = sum(
-            1 for a, b in zip(rows["full"], rows["no_attention"]) if a["if"] <= b["if"]
-        )
-    if "full" in rows and "no_l3" in rows:
-        comparison["no_l3_gd_worse_seeds"] = sum(
-            1
-            for a, b in zip(rows["full"], rows["no_l3"])
-            if abs(b["gd"] - 1.0) > abs(a["gd"] - 1.0)
-        )
-    if "full" in rows and "no_l2" in rows:
-        comparison["no_l2_if_worse_seeds"] = sum(
-            1 for a, b in zip(rows["full"], rows["no_l2"]) if b["if"] > a["if"]
-        )
-    ratios = {
-        label: [
-            statistic(a, stat) / max(statistic(b, stat), 1e-12)
-            for a, b in zip(rows[num], rows[den])
-        ]
-        for label, (num, den, stat) in GATE_RATIOS.items()
-        if num in rows and den in rows
-    }
+    ratios = {}
+    for label, (key, num, den, stat, test) in GATES.items():
+        if num in rows and den in rows:
+            pairs = [(statistic(a, stat), statistic(b, stat)) for a, b in zip(rows[num], rows[den])]
+            comparison[key] = sum(1 for a, b in pairs if test(a, b))
+            ratios[label] = [a / max(b, 1e-12) for a, b in pairs]
     if ratios:
         comparison["gate_ratios"] = ratios
     if comparison:
@@ -161,6 +147,17 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def check_writable(path: Path) -> None:
+    """Create path's parent directory; OSError unless path can be written there."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    if not os.access(path.parent, os.W_OK | os.X_OK) or (
+        path.exists() and not os.access(path, os.W_OK)
+    ):
+        raise PermissionError(f"{path} is not writable")
 
 
 def main(argv=None) -> int:
@@ -180,6 +177,13 @@ def main(argv=None) -> int:
     if args.max_epochs is not None:
         overrides = {"max_epochs": args.max_epochs, "patience": args.max_epochs}
 
+    if args.out:
+        try:
+            check_writable(Path(args.out))
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return 4
+
     started = time.monotonic()
     try:
         rows = collect(range(args.seeds), overrides, args.variants)
@@ -190,7 +194,6 @@ def main(argv=None) -> int:
     print(json.dumps(summary, indent=2))
     print(f"total wall time: {time.monotonic() - started:.1f}s")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"rows": rows, "summary": summary}, fh, indent=2)
     return 0

@@ -8,7 +8,7 @@ stored gradients first).
 
 A leaf made with constant=True (input features, labels, fixed similarities)
 never receives a gradient: the ops skip computing the gradient of a constant
-operand, and spmm of a constant is itself a constant with no backward.
+operand.
 
 Forward values never depend on whether tracing is on: a Tape built with
 tracing=False runs the identical numpy code and simply skips recording.
@@ -190,8 +190,6 @@ def spmm(mat: sp.csr_matrix, x: Tensor) -> Tensor:
     if mat.shape[1] != x.shape[0]:
         raise DimensionError(f"spmm mismatch: {mat.shape} @ {x.shape}")
     out = _ensure_finite(np.asarray(mat @ x.values), "spmm")
-    if x.constant:
-        return Tensor(out, x.tape, op="spmm", constant=True)
 
     def backward(g: Array) -> None:
         _accumulate(x, np.asarray(mat.T @ g))

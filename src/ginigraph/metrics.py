@@ -118,9 +118,10 @@ def group_traces(similarity: SimilaritySet, z: Array, partition: GroupPartition)
 def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) -> list[float]:
     """Per-group embedding Gini over the within-group pairs and the group's mass."""
     z = _embedding(similarity, z)
+    pairs = similarity.pair_arrays()
     return [
-        _gini(z, *group.pair_arrays(), z[partition.members(g)])
-        for g, group in enumerate(partition.within_pairs(similarity).sets)
+        _gini(z, *(a[keep] for a in pairs), z[partition.members(g)])
+        for g, keep in enumerate(partition.pair_selections(similarity))
     ]
 
 

@@ -110,7 +110,9 @@ def graph_operators(graph: Graph) -> dict[str, Array | sp.csr_matrix]:
     """The encoders' per-run constants, built once from one adjacency.
 
     features is the graph's X; adj and norm_adj are A and A_hat; adj_x and
-    norm_adj_x are X's first propagation by each, A X and A_hat X.
+    norm_adj_x are X's first propagation by each, A X and A_hat X. They are
+    all that backbone_embed reads of the graph, so the first round never
+    multiplies on the tape.
     """
     adj = graph.adjacency()
     norm_adj = normalized_adjacency(adj)
@@ -123,47 +125,30 @@ def graph_operators(graph: Graph) -> dict[str, Array | sp.csr_matrix]:
     }
 
 
-def _first_propagation(x: Tensor, operators: dict, name: str) -> Tensor:
-    """operators[name] @ x, read from graph_operators when x is a constant.
-
-    x must hold the features the operators propagated (ContractError
-    otherwise); a non-constant x is multiplied on the tape, so it gets its
-    gradient.
-    """
-    if not np.array_equal(x.values, operators["features"]):
-        raise ContractError("x must hold the features graph_operators propagated")
-    if x.constant:
-        return x.tape.leaf(operators[f"{name}_x"], constant=True)
-    return ad.spmm(operators[name], x)
-
-
 def backbone_embed(
     variant: str,
     leaves: dict[str, Tensor],
-    x: Tensor,
     operators: dict[str, Array | sp.csr_matrix],
 ) -> Tensor:
-    """Run one encoder over feature tensor x, returning (n, hidden) embeddings.
+    """Run one encoder over a graph, returning (n, hidden) embeddings.
 
-    operators are graph_operators of the graph whose features x holds; the
-    first round reads their propagation when x is a constant.
+    operators are the graph's graph_operators, the encoder's only input: the
+    features (gin) and their first propagation enter the leaves' tape as
+    constant leaves.
     """
-    if variant == "gcn":
-        h1 = ad.elu(_first_propagation(x, operators, "norm_adj") @ leaves["W1"])
-        return ad.elu(ad.spmm(operators["norm_adj"], h1) @ leaves["W2"])
+    tape = leaves["w_out"].tape
     if variant == "gin":
-        h = x
+        h = tape.leaf(operators["features"], constant=True)
+        adj_x = tape.leaf(operators["adj_x"], constant=True)
         for r in (1, 2):
             own = ad.add(h, ad.broadcast_scale(h, leaves[f"eps{r}"]))
-            neighbours = (
-                _first_propagation(x, operators, "adj") if r == 1 else ad.spmm(operators["adj"], h)
-            )
+            neighbours = adj_x if r == 1 else ad.spmm(operators["adj"], h)
             h = ad.elu(ad.elu(ad.add(own, neighbours) @ leaves[f"U{r}"]) @ leaves[f"V{r}"])
         return h
-    if variant == "jk":
-        h1 = ad.elu(_first_propagation(x, operators, "norm_adj") @ leaves["W1"])
+    if variant in ("gcn", "jk"):
+        h1 = ad.elu(tape.leaf(operators["norm_adj_x"], constant=True) @ leaves["W1"])
         h2 = ad.elu(ad.spmm(operators["norm_adj"], h1) @ leaves["W2"])
-        return ad.elu(ad.add(h1 @ leaves["P1"], h2 @ leaves["P2"]))
+        return h2 if variant == "gcn" else ad.elu(ad.add(h1 @ leaves["P1"], h2 @ leaves["P2"]))
     raise ContractError(f"unknown backbone '{variant}'")
 
 

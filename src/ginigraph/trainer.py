@@ -254,8 +254,7 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
     for _ in range(config.pretrain_epochs):
         tape = Tape()
         leaves = as_leaves(tape, weights)
-        x = tape.leaf(graph.features, "x", constant=True)
-        z = backbone_embed(config.backbone, leaves, x, operators)
+        z = backbone_embed(config.backbone, leaves, operators)
         logits = readout_logits(z, leaves)
         loss = utility_loss(logits, graph.labels, graph.train_mask, tape)
         tape.backward(loss)
@@ -471,8 +470,7 @@ def embed(
         raise ContractError("fair head requires a similarity set")
     tape = Tape(tracing=False)
     leaves = as_leaves(tape, params.backbone)
-    x = tape.leaf(graph.features, constant=True)
-    h = backbone_embed(params.variant, leaves, x, operators or graph_operators(graph))
+    h = backbone_embed(params.variant, leaves, operators or graph_operators(graph))
     if params.fair:
         leaves = as_leaves(tape, params.fair)
         h = fair_head_embed(h, leaves, plan or attention_edges(similarity), tape, params.attention)

@@ -198,8 +198,7 @@ def loss_value_and_grad(
     weights = unflatten_params(flat, layout)
     tape = Tape()
     leaves = as_leaves(tape, weights)
-    x = tape.leaf(graph.features, "x")
-    z0 = backbone_embed(variant, leaves, x, operators)
+    z0 = backbone_embed(variant, leaves, operators)
     h = fair_head_embed(z0, leaves, edges, tape, attention=True)
 
     def term_for(name: str):

@@ -607,14 +607,6 @@ def test_constant_leaves_get_no_gradient_and_leave_the_others_unchanged(rng):
     np.testing.assert_array_equal(w.grad, plain_w.grad)
 
 
-def test_spmm_of_a_constant_records_no_backward(rng):
-    tape = Tape()
-    x = tape.leaf(rng.normal(size=(4, 2)), constant=True)
-    out = ad.spmm(sp.identity(4, format="csr"), x)
-    assert out.constant and out._backward is None
-    assert all(node is not out and node is not x for node in tape._nodes)
-
-
 def test_released_tape_frees_its_tensors_without_gc(rng):
     was_enabled = gc.isenabled()
     gc.disable()

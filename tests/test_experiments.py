@@ -1439,6 +1439,21 @@ def test_benchmark_summary_without_vanilla_or_fixed():
     }
     assert summary["full"]["if"] == 2.0
     assert "comparison" not in summarize({"full": rows["full"]})
+    # a tie (num == den) counts toward the two win gates, not the two worse gates
+    variants = ("full", "fixed", "no_attention", "no_l2", "no_l3")
+    ties = {name: [bench_row(0, 2.0, 1.2)] for name in variants}
+    assert summarize(ties)["comparison"] == {
+        "gradnorm_win_seeds": 1,
+        "attention_win_seeds": 1,
+        "no_l2_if_worse_seeds": 0,
+        "no_l3_gd_worse_seeds": 0,
+        "gate_ratios": {
+            "full/fixed IF": [1.0],
+            "full/no_attention IF": [1.0],
+            "no_l2/full IF": [1.0],
+            "no_l3/full |GD-1|": [1.0],
+        },
+    }
 
 
 def test_benchmark_rows_digest_the_history_and_outputs_bitwise():
@@ -1472,6 +1487,32 @@ def test_benchmark_script_turns_a_run_error_into_exit_2(capsys, monkeypatch):
     assert load_benchmark_script().main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: learning_rate must be positive\n"
+
+
+def test_benchmark_script_refuses_an_unwritable_out_before_any_run(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    for out in (blocker / "x.json", tmp_path):
+        argv = ["--seeds", "1", "--variants", "vanilla", "--max-epochs", "1", "--out", str(out)]
+        assert load_benchmark_script().main(argv) == 4
+        captured = capsys.readouterr()
+        assert "seed" not in captured.out
+        assert captured.err.startswith(f"error: cannot write --out {out}: ")
+        assert captured.err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+
+
+def test_benchmark_script_makes_the_out_directory_and_keeps_an_existing_file(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setitem(BENCHMARK_BASE, "learning_rate", -1.0)
+    kept = tmp_path / "rows.json"
+    kept.write_text("earlier rows\n")
+    for out in (kept, tmp_path / "new" / "rows.json"):
+        argv = ["--seeds", "1", "--variants", "vanilla", "--max-epochs", "1", "--out", str(out)]
+        assert load_benchmark_script().main(argv) == 2
+    assert kept.read_text() == "earlier rows\n"
+    assert (tmp_path / "new").is_dir()
 
 
 def test_run_matrix_logs_equal_unshared_runs(tmp_path):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,9 +88,7 @@ def _setup(rng, graph_factory, variant, hidden=4):
     weights = init_backbone(variant, graph.features.shape[1], hidden, rng)
     ops = graph_operators(graph)
     tape = Tape(tracing=False)
-    leaves = as_leaves(tape, weights)
-    x = tape.leaf(graph.features, "x")
-    z = backbone_embed(variant, leaves, x, ops)
+    z = backbone_embed(variant, as_leaves(tape, weights), ops)
     return graph, weights, ops, z
 
 
@@ -110,7 +107,7 @@ def test_gin_forward_matches_oracle(rng, graph_factory):
     weights["eps2"][:] = -0.2
     ops = graph_operators(graph)
     tape = Tape(tracing=False)
-    z = backbone_embed("gin", as_leaves(tape, weights), tape.leaf(graph.features), ops)
+    z = backbone_embed("gin", as_leaves(tape, weights), ops)
     adj = graph.adjacency().toarray()
     h = graph.features
     for r in (1, 2):
@@ -128,46 +125,13 @@ def test_jk_forward_matches_oracle(rng, graph_factory):
     np.testing.assert_allclose(z.values, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("variant", BACKBONES)
-def test_backbone_reads_only_the_features_its_operators_propagated(rng, graph_factory, variant):
-    graph = graph_factory(rng, 9, dim=5)
-    weights = init_backbone(variant, 5, 4, rng)
-    ops = graph_operators(graph)
-    tape = Tape()
-    with pytest.raises(ContractError, match="features"):
-        backbone_embed(
-            variant, as_leaves(tape, weights), tape.leaf(graph.features + 1.0, constant=True), ops
-        )
-    # a constant x reads the cached first propagation, a non-constant one is
-    # multiplied on the tape: the same values, and x gets its full gradient
-    cached = backbone_embed(
-        variant, as_leaves(tape, weights), tape.leaf(graph.features, constant=True), ops
-    )
-
-    def evaluator(features):
-        tape = Tape()
-        x = tape.leaf(features)
-        z = backbone_embed(
-            variant, as_leaves(tape, weights), x, graph_operators(replace(graph, features=features))
-        )
-        out = ad.sum_all(ad.hadamard(z, z))
-        tape.backward(out)
-        return float(out.values[0, 0]), x.grad, z.values
-
-    assert np.array_equal(evaluator(graph.features)[2], cached.values)
-    report = finite_diff_check(lambda f: evaluator(f)[:2], graph.features, step=1e-6)
-    assert report.passed, report
-
-
 def test_gin_zero_weights_give_zero_embeddings(rng, graph_factory):
     graph = graph_factory(rng, 6, dim=3)
     weights = init_backbone("gin", 3, 4, rng)
     for name in ("U1", "V1", "U2", "V2"):
         weights[name][:] = 0.0
     tape = Tape(tracing=False)
-    z = backbone_embed(
-        "gin", as_leaves(tape, weights), tape.leaf(graph.features), graph_operators(graph)
-    )
+    z = backbone_embed("gin", as_leaves(tape, weights), graph_operators(graph))
     np.testing.assert_array_equal(z.values, np.zeros((6, 4)))
 
 
