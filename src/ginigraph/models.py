@@ -112,7 +112,8 @@ def graph_operators(graph: Graph) -> dict[str, Array | sp.csr_matrix]:
     features is the graph's X; adj and norm_adj are A and A_hat; adj_x and
     norm_adj_x are X's first propagation by each, A X and A_hat X. They are
     all that backbone_embed reads of the graph, so the first round never
-    multiplies on the tape.
+    multiplies on the tape. train_row_operators cuts adj and norm_adj, the
+    second round's, to the rows a loss reads.
     """
     adj = graph.adjacency()
     norm_adj = normalized_adjacency(adj)
@@ -125,6 +126,34 @@ def graph_operators(graph: Graph) -> dict[str, Array | sp.csr_matrix]:
     }
 
 
+def train_row_operators(
+    operators: dict[str, Array | sp.csr_matrix], rows: Array
+) -> dict[str, Array | sp.csr_matrix]:
+    """operators with adj and norm_adj cut to the given rows, for a loss that reads only those.
+
+    Each kept row holds the source row's entries in their order, every other
+    row is empty, and the shapes stay n x n. backbone_embed on the result
+    gives the full operators' embeddings in the given rows; in the others
+    the second propagation is 0 (gin's second round sees its self term
+    alone). A loss on the given rows sends +-0 cotangents into those rows in
+    every sweep, and the products they enter add +-0 to sums that start at
+    +0, so every gradient is bitwise the full operators' one.
+    """
+    keep = np.zeros(operators["adj"].shape[0], dtype=bool)
+    keep[rows] = True
+    cut = dict(operators)
+    for name in ("adj", "norm_adj"):
+        mat = operators[name]
+        counts = np.diff(mat.indptr)
+        entries = np.repeat(keep, counts)
+        indptr = np.zeros_like(mat.indptr)
+        np.cumsum(counts * keep, out=indptr[1:])
+        cut[name] = sp.csr_matrix(
+            (mat.data[entries], mat.indices[entries], indptr), shape=mat.shape
+        )
+    return cut
+
+
 def backbone_embed(
     variant: str,
     leaves: dict[str, Tensor],
@@ -132,9 +161,10 @@ def backbone_embed(
 ) -> Tensor:
     """Run one encoder over a graph, returning (n, hidden) embeddings.
 
-    operators are the graph's graph_operators, the encoder's only input: the
-    features (gin) and their first propagation enter the leaves' tape as
-    constant leaves.
+    operators are the graph's graph_operators, or their train_row_operators
+    cut, the encoder's only input: the features (gin) and their first
+    propagation enter the leaves' tape as constant leaves, and adj or
+    norm_adj propagate the second round on the tape.
     """
     tape = leaves["w_out"].tape
     if variant == "gin":

@@ -18,10 +18,12 @@ sweeps, which by linearity is the gradient of the total; with fixed betas one
 sweep of the total suffices.
 
 What does not change between epochs is built once per run: the graph
-operators with the features' first propagation (stage 1, and the closing
-forward passes), the attention plan and the within-group pairs with their
-selections among the stored pairs (stage 2). The IF and group traces come
-from one pass over the pairs per epoch.
+operators with the features' first propagation (for the closing forward
+passes) and their train-row cut (stage 1's epochs: the utility loss reads
+only the train rows, so the second propagation fills no other), the
+attention plan and the within-group pairs with their selections among the
+stored pairs (stage 2). The IF and group traces come from one pass over the
+pairs per epoch.
 
 Every run is deterministic given (config, graph, similarity): randomness only
 enters through seeded weight initialization.
@@ -54,6 +56,7 @@ from .models import (
     init_backbone,
     init_fair_head,
     readout_logits,
+    train_row_operators,
 )
 
 Array = np.ndarray
@@ -157,6 +160,7 @@ class RunResult:
     embeddings: Array
     scores: Array
     epochs_run: int
+    stop_reason: str
     pretrain_epochs_run: int
     wall_seconds: float
 
@@ -166,6 +170,7 @@ class RunResult:
             "config": self.config.as_dict(),
             "seed": self.config.seed,
             "epochs_run": self.epochs_run,
+            "stop_reason": self.stop_reason,
             "pretrain_epochs_run": self.pretrain_epochs_run,
             "final_betas": [last.beta1, last.beta2, last.beta3] if last else [],
             "final_metrics": self.report.to_json_dict(),
@@ -239,9 +244,10 @@ _PRETRAIN_FIELDS = attrgetter(
 def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array, dict]:
     """Train the encoder on utility loss only; returns (weights, embeddings, operators).
 
-    operators are the graph_operators, with the first propagation of the
-    features, built once: they serve every epoch, the closing forward pass
-    and the caller's own forward passes on the same graph.
+    operators are the full graph_operators, with the first propagation of
+    the features, built once: they serve the closing forward pass and the
+    caller's own forward passes on the same graph. The epochs run on their
+    train_row_operators cut to the train mask, with gradients bitwise equal.
     """
     config.validate()
     graph = _ensure_masks(graph, config.seed)
@@ -250,11 +256,13 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
     rng = np.random.default_rng(config.seed)
     weights = init_backbone(config.backbone, graph.features.shape[1], config.hidden, rng)
     operators = graph_operators(graph)
+    # the loss reads only the train rows, so the second round propagates into no other
+    train_rows = train_row_operators(operators, graph.train_mask)
     adam = AdamState(weights)
     for _ in range(config.pretrain_epochs):
         tape = Tape()
         leaves = as_leaves(tape, weights)
-        z = backbone_embed(config.backbone, leaves, operators)
+        z = backbone_embed(config.backbone, leaves, train_rows)
         logits = readout_logits(z, leaves)
         loss = utility_loss(logits, graph.labels, graph.train_mask, tape)
         tape.backward(loss)
@@ -377,6 +385,7 @@ def train(
     history: list[EpochRecord] = []
     best_auc = -np.inf
     stale = 0
+    stop_reason = "max_epochs"
 
     for epoch in range(config.max_epochs):
         tape = Tape()
@@ -431,6 +440,7 @@ def train(
             else:
                 stale += 1
             if stale >= config.patience:
+                stop_reason = "patience"
                 break
 
     params = ModelParams(config.backbone, backbone_weights, fair_weights, config.attention)
@@ -443,6 +453,7 @@ def train(
         embeddings=embeddings,
         scores=scores,
         epochs_run=len(history),
+        stop_reason=stop_reason,
         pretrain_epochs_run=config.pretrain_epochs,
         wall_seconds=time.monotonic() - started,
     )

@@ -2,8 +2,9 @@
 
 None of these runs in the program itself: the finite-difference gradient
 check, the one-set-at-a-time trace tensors, the attention head as a chain of
-separate tape ops, the plain-number Nash-welfare penalty and the Markov tail
-statistics are oracles of the acceptance suite and of the unit tests.
+separate tape ops, pretraining that propagates into every row, the
+plain-number Nash-welfare penalty and the Markov tail statistics are oracles
+of the acceptance suite and of the unit tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ import scipy.sparse as sp
 from ginigraph import autodiff as ad
 from ginigraph.autodiff import Tape, Tensor
 from ginigraph.errors import ContractError, DimensionError, DomainError, NumericalError
-from ginigraph.graph import GroupPairs, SimilaritySet
+from ginigraph.graph import Graph, GroupPairs, SimilaritySet
+from ginigraph.losses import utility_loss
+from ginigraph.models import (
+    ModelParams,
+    as_leaves,
+    backbone_embed,
+    graph_operators,
+    init_backbone,
+    readout_logits,
+)
+from ginigraph.trainer import AdamState, TrainConfig, _ensure_masks, embed
 
 Array = np.ndarray
 
@@ -178,6 +189,39 @@ def attention_chain(t: Tensor, a: Tensor, edges: sp.csr_matrix, slope: float) ->
     gated = ad.hadamard(raw, t.tape.leaf(edges.data[:, None], "sim", constant=True))
     alpha = ad.segment_softmax(gated, centers, n)
     return edge_spmm(alpha, t, edges)
+
+
+# ---------------------------------------------------------------------------
+# Pretraining over every row
+# ---------------------------------------------------------------------------
+
+
+def full_row_pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array]:
+    """trainer.pretrain's loop on the full graph_operators: (weights, embeddings).
+
+    Every epoch propagates into all n rows, also those the train-mask loss
+    never reads.
+    """
+    config.validate()
+    graph = _ensure_masks(graph, config.seed)
+    rng = np.random.default_rng(config.seed)
+    weights = init_backbone(config.backbone, graph.features.shape[1], config.hidden, rng)
+    operators = graph_operators(graph)
+    adam = AdamState(weights)
+    for _ in range(config.pretrain_epochs):
+        tape = Tape()
+        leaves = as_leaves(tape, weights)
+        logits = readout_logits(backbone_embed(config.backbone, leaves, operators), leaves)
+        tape.backward(utility_loss(logits, graph.labels, graph.train_mask, tape))
+        adam.step(
+            weights,
+            {k: leaves[k].grad for k in weights},
+            config.learning_rate,
+            config.weight_decay,
+        )
+        tape.release()
+    encoder = ModelParams(config.backbone, weights)
+    return weights, embed(encoder, graph, operators=operators)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,7 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
     )
     assert code == 0
     assert result["epochs_run"] == 4
+    assert json.loads((run_dir / "result.json").read_text())["stop_reason"] == "max_epochs"
     assert len(head_calls) == 4 + 1  # one per epoch, then one final forward
     for name in ("log.csv", "result.json", "checkpoint.json", "embeddings.csv", "scores.csv"):
         assert (run_dir / name).exists()

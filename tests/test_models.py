@@ -25,6 +25,7 @@ from ginigraph.models import (
     load_checkpoint,
     readout_logits,
     save_checkpoint,
+    train_row_operators,
 )
 
 from conftest import build_random_similarity
@@ -144,6 +145,45 @@ def test_readout_logits_match_affine_map(rng, graph_factory):
         logits.values, z.values @ w["w_out"] + w["b_out"][0, 0], rtol=1e-12
     )
     assert logits.shape == (graph.n, 1)
+
+
+ROWS = np.array([9, 5, 2, 0])  # descending, as a caller's train mask may be
+
+
+def test_train_row_operators_keep_only_the_given_rows(rng, graph_factory):
+    graph = graph_factory(rng, 12, p=0.4)
+    operators = graph_operators(graph)
+    parts = ("indptr", "indices", "data")
+    before = {name: [getattr(operators[name], part).copy() for part in parts]
+              for name in ("adj", "norm_adj")}
+    cut = train_row_operators(operators, ROWS)
+    for name in ("adj", "norm_adj"):
+        source, kept = operators[name], cut[name]
+        assert kept.shape == source.shape
+        for i in range(graph.n):
+            got = slice(kept.indptr[i], kept.indptr[i + 1])
+            if i in ROWS:
+                want = slice(source.indptr[i], source.indptr[i + 1])
+                assert np.array_equal(kept.indices[got], source.indices[want])
+                assert np.array_equal(kept.data[got], source.data[want])
+            else:
+                assert got.start == got.stop
+        for part, copy in zip(parts, before[name]):
+            assert np.array_equal(getattr(source, part), copy)
+    for name in ("features", "adj_x", "norm_adj_x"):
+        assert cut[name] is operators[name]
+
+
+@pytest.mark.parametrize("variant", BACKBONES)
+def test_train_row_operators_embed_the_given_rows_bitwise(rng, graph_factory, variant):
+    graph = graph_factory(rng, 12, p=0.4)
+    weights = init_backbone(variant, graph.features.shape[1], 4, rng)
+    operators = graph_operators(graph)
+    z = [
+        backbone_embed(variant, as_leaves(Tape(tracing=False), weights), ops).values
+        for ops in (operators, train_row_operators(operators, ROWS))
+    ]
+    assert np.array_equal(z[1][ROWS], z[0][ROWS])
 
 
 # ---------------------------------------------------------------------------

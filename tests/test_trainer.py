@@ -15,10 +15,12 @@ from ginigraph.graph import Graph, GroupPartition, attr_similarity
 from ginigraph.losses import combine_losses, group_welfare_loss, utility_loss
 from ginigraph.metrics import average_gdif, compute_report, rank_auc, trace_form
 from ginigraph.models import (
+    BACKBONES,
     ModelParams,
     as_leaves,
     attention_edges,
     fair_head_embed,
+    graph_operators,
     init_backbone,
     init_fair_head,
     readout_logits,
@@ -37,7 +39,7 @@ from ginigraph.trainer import (
     write_training_log,
 )
 
-from oracles import group_trace_tensors, smoothness_loss
+from oracles import full_row_pretrain, group_trace_tensors, smoothness_loss
 
 
 def separable_graph(seed: int, n: int = 40, dim: int = 6) -> Graph:
@@ -170,6 +172,43 @@ def test_pretrain_learns_separable_labels(fixture_data):
     _, scores = embed(params, masked)
     test = masked.test_mask
     assert rank_auc(scores[test], masked.labels[test]) > 0.95
+
+
+def isolated_train_node_graph() -> Graph:
+    """separable_graph(5) without node 0's edges, split by the caller: the train mask descends."""
+    graph = separable_graph(5)
+    n = graph.n
+    graph = replace(
+        graph,
+        edges=graph.edges[(graph.edges != 0).all(axis=1)],
+        train_mask=np.arange(n - 2, -1, -2),
+        val_mask=np.arange(1, n // 2, 2),
+        test_mask=np.arange(n // 2 + 1, n, 2),
+    )
+    assert graph.adjacency()[0].nnz == 0 and graph.train_mask[-1] == 0
+    return graph
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+@pytest.mark.parametrize("split", ["auto", "isolated train node, descending mask"])
+def test_pretrain_is_bitwise_the_full_row_loop(backbone, split):
+    graph = separable_graph(11) if split == "auto" else isolated_train_node_graph()
+    config = quick_config(backbone=backbone)
+    weights, embeddings, _ = pretrain(graph, config)
+    expected_weights, expected_embeddings = full_row_pretrain(graph, config)
+    assert sorted(weights) == sorted(expected_weights)
+    for name in weights:
+        assert np.array_equal(weights[name], expected_weights[name]), name
+    assert np.array_equal(embeddings, expected_embeddings)
+
+
+def test_pretrain_returns_the_full_operators():
+    graph = isolated_train_node_graph()
+    _, _, operators = pretrain(graph, quick_config(pretrain_epochs=2))
+    expected = graph_operators(graph)
+    for name in ("adj", "norm_adj"):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(operators[name], part), getattr(expected[name], part))
 
 
 def train_masked(graph: Graph, config: TrainConfig) -> Graph:
@@ -453,6 +492,14 @@ def test_total_loss_not_higher_at_end_for_utility_only(fixture_data):
     total_first = first.beta1 * first.l1 + first.beta2 * first.l2 + first.beta3 * first.l3
     total_last = last.beta1 * last.l1 + last.beta2 * last.l2 + last.beta3 * last.l3
     assert total_last <= total_first
+
+
+@pytest.mark.parametrize("patience, reason", [(50, "max_epochs"), (3, "patience")])
+def test_result_json_says_why_training_stopped(fixture_data, patience, reason):
+    graph, similarity, partition = fixture_data
+    result = train(graph, similarity, partition, quick_config(max_epochs=10, patience=patience))
+    assert result.to_json_dict()["stop_reason"] == reason
+    assert result.epochs_run == (10 if reason == "max_epochs" else patience + 1)
 
 
 def test_early_stopping_respects_patience(fixture_data):
