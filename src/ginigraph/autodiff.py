@@ -214,17 +214,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, a.tape, op="add", backward=backward)
 
 
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _binary_same_shape(a, b, "subtract")
-    out = _ensure_finite(a.values - b.values, "subtract")
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return Tensor(out, a.tape, op="subtract", backward=backward)
-
-
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _binary_same_shape(a, b, "hadamard")
     out = _ensure_finite(a.values * b.values, "hadamard")
@@ -329,10 +318,13 @@ def mean_all(x: Tensor) -> Tensor:
     return _unary(x, out, "mean-all", lambda g: np.full_like(x.values, g[0, 0] / n))
 
 
-def row_sum(x: Tensor) -> Tensor:
-    """Sum each row to a column vector (n,k) -> (n,1)."""
-    out = x.values.sum(axis=1, keepdims=True)
-    return _unary(x, out, "row-sum", lambda g: np.repeat(g, x.shape[1], axis=1))
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over a column vector, max-shifted so large scores cannot overflow."""
+    if x.shape[1] != 1 or x.shape[0] == 0:
+        raise DimensionError(f"softmax expects a nonempty column vector, got {x.shape}")
+    shifted = np.exp(x.values - np.max(x.values))
+    out = shifted / np.sum(shifted)
+    return _unary(x, out, "softmax", lambda g: out * (g - np.sum(out * g)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,56 +354,6 @@ def softplus(x: Tensor) -> Tensor:
     out = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
     return _unary(x, out, "softplus", lambda g: g * sigmoid_values(v))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    """Elementwise square root; gradient is defined as 0 at exactly 0."""
-    if np.any(x.values < 0.0):
-        raise DomainError("sqrt requires nonnegative inputs")
-    out = np.sqrt(x.values)
-
-    def back(g: Array) -> Array:
-        gx = np.zeros_like(out)
-        nz = out > 0
-        gx[nz] = g[nz] / (2.0 * out[nz])
-        return gx
-
-    return _unary(x, out, "sqrt", back)
-
-
-# ---------------------------------------------------------------------------
-# Segment operations (grouped rows, used by attention and pooling)
-# ---------------------------------------------------------------------------
-
-
-def _check_segments(segments: Array, num_segments: int, rows: int) -> Array:
-    segments = np.asarray(segments, dtype=np.int64)
-    if segments.ndim != 1 or segments.size != rows:
-        raise DimensionError("segments must be 1-D with one id per row")
-    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
-        raise DimensionError("segment id out of range")
-    return segments
-
-
-def segment_softmax(x: Tensor, segments: Array, num_segments: int) -> Tensor:
-    """Softmax of a column vector within each segment (max-shifted for stability)."""
-    if x.shape[1] != 1:
-        raise DimensionError("segment_softmax expects a column vector")
-    segments = _check_segments(segments, num_segments, x.shape[0])
-    v = x.values[:, 0]
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, segments, v)
-    shifted = np.exp(v - seg_max[segments])
-    denom = np.bincount(segments, weights=shifted, minlength=num_segments)
-    out = (shifted / denom[segments])[:, None]
-
-    def back(g: Array) -> Array:
-        y = out[:, 0]
-        gy = g[:, 0]
-        seg_dot = np.bincount(segments, weights=y * gy, minlength=num_segments)
-        return (y * (gy - seg_dot[segments]))[:, None]
-
-    return _unary(x, _ensure_finite(out, "segment-softmax"), "segment-softmax", back)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +447,35 @@ def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan, slope: float)
 
 
 # ---------------------------------------------------------------------------
-# Laplacian quadratic forms over pair sets
+# Pair gaps and Laplacian quadratic forms over pair sets
 # ---------------------------------------------------------------------------
+
+
+def pair_gaps(z: Tensor, pairs: SimilaritySet) -> Tensor:
+    """Column of euclidean gaps ||z[i_p] - z[j_p]||_2 over the set's stored pairs.
+
+    A zero gap gets gradient 0. The backward is bitwise that of the chain of
+    separate ops (two row gathers, difference, square, row sum, square root):
+    the squared difference's two operand gradients are added, and the pairs'
+    cols get their share scatter-added into z before their rows.
+    """
+    if z.shape[0] != pairs.n:
+        raise DimensionError(f"pair set over {pairs.n} nodes, embeddings have {z.shape[0]} rows")
+    if pairs.num_pairs == 0:
+        raise ContractError("similarity set has no pairs")
+    diff = z.values[pairs.rows] - z.values[pairs.cols]
+    out = _ensure_finite(np.sqrt(np.sum(diff * diff, axis=1, keepdims=True)), "pair-gaps")
+
+    def backward(g: Array) -> None:
+        coef = np.zeros_like(out)
+        nz = out > 0
+        coef[nz] = g[nz] / (2.0 * out[nz])
+        half = coef * diff
+        d_diff = half + half
+        _accumulate(z, _scatter_rows(pairs.cols, -d_diff, z.shape[0]))
+        _accumulate(z, _scatter_rows(pairs.rows, d_diff, z.shape[0]))
+
+    return Tensor(out, z.tape, op="pair-gaps", backward=backward)
 
 
 def pair_trace_values(z: Array, pairs: SimilaritySet, selections=()) -> list[float]:

@@ -184,10 +184,9 @@ class GroupPartition:
     def within_pairs(self, similarity: "SimilaritySet") -> "GroupPairs":
         """Per group, the stored pairs with both ends in it (see GroupPairs)."""
         selections = self.pair_selections(similarity)
-        rows, cols, weights = similarity.pair_arrays()
+        s = similarity
         sets = tuple(
-            SimilaritySet(similarity.n, rows[keep], cols[keep], weights[keep])
-            for keep in selections
+            SimilaritySet(s.n, s.rows[keep], s.cols[keep], s.weights[keep]) for keep in selections
         )
         return GroupPairs(similarity, sets, selections)
 
@@ -261,10 +260,6 @@ class SimilaritySet:
     @property
     def num_pairs(self) -> int:
         return self.rows.size
-
-    def pair_arrays(self) -> tuple[Array, Array, Array]:
-        """(rows, cols, weights) views over the unordered pairs, i < j."""
-        return self.rows, self.cols, self.weights
 
     def restrict(self, index: Array) -> "SimilaritySet":
         """Sub-similarity over index, reindexed to 0..len(index)-1."""
@@ -358,8 +353,13 @@ def attr_similarity(
 def build_similarity(
     graph: Graph, mode: str, top_k: int, masked_columns: tuple[int, ...] = ()
 ) -> SimilaritySet:
-    """Similarity set by mode: 'topo' (adjacency rows) or 'attr' (feature rows)."""
+    """Similarity set by mode: 'topo' (adjacency rows) or 'attr' (feature rows).
+
+    Only attr mode reads features, so masked columns in topo mode are refused.
+    """
     if mode == "topo":
+        if masked_columns:
+            raise ConfigError("masked columns apply to attr mode only, not topo")
         return topo_similarity(graph, top_k)
     if mode == "attr":
         return attr_similarity(graph.features, top_k, tuple(masked_columns))

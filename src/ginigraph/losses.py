@@ -8,7 +8,7 @@
   pairs per epoch, and each trace's gradient 2 L Z one sparse product.
 - tail surrogates: smooth stand-ins that focus on the largest pairwise gaps
   instead of their mean (softmax weighting with a temperature, or the mean of
-  the top fraction of gaps).
+  the top fraction of gaps), on the gap column of autodiff.pair_gaps.
 - group welfare: a Nash-social-welfare style penalty on per-group smoothness
   traces; each ordered pair (g, h) contributes -(t_g/t_h - 1)(t_h/t_g - 1),
   which is (r - 1)^2 / r >= 0 for the ratio r, zero iff the traces match.
@@ -49,15 +49,6 @@ def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Ten
     return ad.mean_all(terms)
 
 
-def pair_gap_tensor(z: Tensor, similarity: SimilaritySet) -> Tensor:
-    """Column of euclidean gaps ||z_i - z_j||_2 over the stored pairs."""
-    rows, cols, _ = similarity.pair_arrays()
-    if rows.size == 0:
-        raise ContractError("similarity set has no pairs")
-    diff = ad.subtract(ad.gather_rows(z, rows), ad.gather_rows(z, cols))
-    return ad.sqrt(ad.row_sum(ad.hadamard(diff, diff)))
-
-
 def surrogate_loss(
     z: Tensor,
     similarity: SimilaritySet,
@@ -72,19 +63,16 @@ def surrogate_loss(
     topk: mean of the ceil(fraction * P) largest gaps; the selection is made
     on forward values, the selected gaps stay differentiable.
     """
-    gaps = pair_gap_tensor(z, similarity)
-    p = gaps.shape[0]
+    gaps = ad.pair_gaps(z, similarity)
     if mode == "softmax":
         if temperature <= 0:
             raise ContractError("temperature must be positive")
-        weights = ad.segment_softmax(
-            ad.scale(gaps, 1.0 / temperature), np.zeros(p, dtype=np.int64), 1
-        )
+        weights = ad.softmax(ad.scale(gaps, 1.0 / temperature))
         return ad.sum_all(ad.hadamard(weights, gaps))
     if mode == "topk":
         if not 0 < fraction <= 1:
             raise ContractError("fraction must be in (0, 1]")
-        k = max(1, math.ceil(fraction * p))
+        k = max(1, math.ceil(fraction * gaps.shape[0]))
         largest = np.argsort(-gaps.values[:, 0], kind="stable")[:k]
         return ad.mean_all(ad.gather_rows(gaps, largest))
     raise ContractError(f"unknown surrogate mode '{mode}' (softmax or topk)")

@@ -63,7 +63,7 @@ def embedding_gini(similarity: SimilaritySet, z: Array) -> float:
     pairs coincide. Raises DomainError when the embedding has no mass.
     """
     z = _embedding(similarity, z)
-    return _gini(z, *similarity.pair_arrays(), z)
+    return _gini(z, similarity.rows, similarity.cols, similarity.weights, z)
 
 
 def lipschitz_constant(
@@ -118,7 +118,7 @@ def group_traces(similarity: SimilaritySet, z: Array, partition: GroupPartition)
 def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) -> list[float]:
     """Per-group embedding Gini over the within-group pairs and the group's mass."""
     z = _embedding(similarity, z)
-    pairs = similarity.pair_arrays()
+    pairs = (similarity.rows, similarity.cols, similarity.weights)
     return [
         _gini(z, *(a[keep] for a in pairs), z[partition.members(g)])
         for g, keep in enumerate(partition.pair_selections(similarity))

@@ -240,12 +240,17 @@ class ModelParams:
 
     attention tells whether the fairness head scores its messages
     (fair_head_embed's attention flag); it is part of the trained model.
+    Construction checks the matrices' layout (_check_layout) and raises
+    ContractError naming the first matrix that is missing, extra or misshapen.
     """
 
     variant: str
     backbone: dict[str, Array]
     fair: dict[str, Array] = field(default_factory=dict)
     attention: bool = True
+
+    def __post_init__(self):
+        _check_layout(self)
 
     @classmethod
     def from_json_dict(cls, raw) -> "ModelParams":
@@ -261,8 +266,6 @@ class ModelParams:
             raise DataFormatError(
                 f"expected keys attention, backbone, fair, format, variant; got {keys}"
             )
-        if raw["variant"] not in BACKBONES:
-            raise DataFormatError(f"unknown variant {raw['variant']!r} (choose from {BACKBONES})")
         if not isinstance(raw["attention"], bool):
             raise DataFormatError(f"attention must be true or false, got {raw['attention']!r}")
         sections = {}
@@ -270,9 +273,10 @@ class ModelParams:
             if not isinstance(raw[section], dict):
                 raise DataFormatError(f"{section} must be an object of matrices")
             sections[section] = {name: _matrix(name, rows) for name, rows in raw[section].items()}
-        params = cls(raw["variant"], **sections, attention=raw["attention"])
-        _check_layout(params)
-        return params
+        try:
+            return cls(raw["variant"], **sections, attention=raw["attention"])
+        except ContractError as exc:
+            raise DataFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +313,34 @@ def _matrix(name: str, rows) -> Array:
 
 
 def _check_layout(params: ModelParams) -> None:
-    """Raise DataFormatError unless the matrices have the layout of a fresh model.
+    """Raise ContractError unless the matrices have the layout of a fresh model.
 
     The names and shapes must be those of _backbone_layout and _head_layout
     for the input width of the first layer and the hidden width of w_out; the
     fair section may be empty.
     """
-    first = params.backbone.get("U1" if params.variant == "gin" else "W1")
-    out = params.backbone.get("w_out")
-    if first is None or out is None or min(first.shape[0], out.shape[0]) < 1:
-        raise DataFormatError(f"backbone lacks the {params.variant} input or output layer")
-    in_dim, hidden = first.shape[0], out.shape[0]
+    if params.variant not in BACKBONES:
+        raise ContractError(f"unknown backbone {params.variant!r} (choose from {BACKBONES})")
+    widths = []
+    for name in ("U1" if params.variant == "gin" else "W1", "w_out"):
+        shape = np.shape(params.backbone.get(name))
+        if len(shape) != 2 or shape[0] < 1:
+            raise ContractError(f"backbone matrix {name} is missing or not a matrix with rows")
+        widths.append(shape[0])
+    in_dim, hidden = widths
     _match_layout("backbone", params.backbone, _backbone_layout(params.variant, in_dim, hidden))
     if params.fair:
         _match_layout("fair", params.fair, _head_layout(hidden))
 
 
 def _match_layout(section: str, weights: dict[str, Array], expected: dict) -> None:
-    shapes = {name: m.shape for name, m in sorted(weights.items())}
-    if shapes != expected:
-        raise DataFormatError(
-            f"{section} matrices {shapes} do not match the layout {dict(sorted(expected.items()))}"
-        )
+    for name in sorted(set(weights) | set(expected)):
+        if name not in expected:
+            raise ContractError(f"{section} matrix {name} is not in the layout {sorted(expected)}")
+        if name not in weights:
+            raise ContractError(f"{section} matrix {name} is missing")
+        if np.shape(weights[name]) != expected[name]:
+            raise ContractError(
+                f"{section} matrix {name} has shape {np.shape(weights[name])}, "
+                f"the layout asks for {expected[name]}"
+            )

@@ -1,10 +1,12 @@
 """Reference computations the tests check the program against.
 
 None of these runs in the program itself: the finite-difference gradient
-check, the one-set-at-a-time trace tensors, the attention head as a chain of
-separate tape ops, pretraining that propagates into every row, the
-plain-number Nash-welfare penalty and the Markov tail statistics are oracles
-of the acceptance suite and of the unit tests.
+check, the one-set-at-a-time trace tensors, the attention head and the pair
+gaps of the tail surrogates as chains of separate tape ops (with the
+multi-segment softmax the attention chain needs), pretraining that
+propagates into every row, the plain-number Nash-welfare penalty and the
+Markov tail statistics are oracles of the acceptance suite and of the unit
+tests.
 """
 
 from __future__ import annotations
@@ -168,6 +170,36 @@ def edge_spmm(weights: Tensor, x: Tensor, pattern: sp.csr_matrix) -> Tensor:
     return Tensor(out, x.tape, op="edge-spmm", backward=backward)
 
 
+def _check_segments(segments: Array, num_segments: int, rows: int) -> Array:
+    segments = np.asarray(segments, dtype=np.int64)
+    if segments.ndim != 1 or segments.size != rows:
+        raise DimensionError("segments must be 1-D with one id per row")
+    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
+        raise DimensionError("segment id out of range")
+    return segments
+
+
+def segment_softmax(x: Tensor, segments: Array, num_segments: int) -> Tensor:
+    """Softmax of a column vector within each segment (max-shifted for stability)."""
+    if x.shape[1] != 1:
+        raise DimensionError("segment_softmax expects a column vector")
+    segments = _check_segments(segments, num_segments, x.shape[0])
+    v = x.values[:, 0]
+    seg_max = np.full(num_segments, -np.inf)
+    np.maximum.at(seg_max, segments, v)
+    shifted = np.exp(v - seg_max[segments])
+    denom = np.bincount(segments, weights=shifted, minlength=num_segments)
+    out = (shifted / denom[segments])[:, None]
+
+    def back(g: Array) -> Array:
+        y = out[:, 0]
+        gy = g[:, 0]
+        seg_dot = np.bincount(segments, weights=y * gy, minlength=num_segments)
+        return (y * (gy - seg_dot[segments]))[:, None]
+
+    return ad._unary(x, ad._ensure_finite(out, "segment-softmax"), "segment-softmax", back)
+
+
 def attention_chain(t: Tensor, a: Tensor, edges: sp.csr_matrix, slope: float) -> Tensor:
     """What autodiff.attention_aggregate computes, as the chain of ops it fuses.
 
@@ -187,8 +219,59 @@ def attention_chain(t: Tensor, a: Tensor, edges: sp.csr_matrix, slope: float) ->
         slope,
     )
     gated = ad.hadamard(raw, t.tape.leaf(edges.data[:, None], "sim", constant=True))
-    alpha = ad.segment_softmax(gated, centers, n)
+    alpha = segment_softmax(gated, centers, n)
     return edge_spmm(alpha, t, edges)
+
+
+# ---------------------------------------------------------------------------
+# The pair gaps and the softmax surrogate as chains of separate tape ops
+# ---------------------------------------------------------------------------
+
+
+def subtract(a: Tensor, b: Tensor) -> Tensor:
+    ad._binary_same_shape(a, b, "subtract")
+    out = ad._ensure_finite(a.values - b.values, "subtract")
+
+    def backward(g: Array) -> None:
+        ad._accumulate(a, g)
+        ad._accumulate(b, -g)
+
+    return Tensor(out, a.tape, op="subtract", backward=backward)
+
+
+def row_sum(x: Tensor) -> Tensor:
+    """Sum each row to a column vector (n,k) -> (n,1)."""
+    out = x.values.sum(axis=1, keepdims=True)
+    return ad._unary(x, out, "row-sum", lambda g: np.repeat(g, x.shape[1], axis=1))
+
+
+def sqrt(x: Tensor) -> Tensor:
+    """Elementwise square root; gradient is defined as 0 at exactly 0."""
+    if np.any(x.values < 0.0):
+        raise DomainError("sqrt requires nonnegative inputs")
+    out = np.sqrt(x.values)
+
+    def back(g: Array) -> Array:
+        gx = np.zeros_like(out)
+        nz = out > 0
+        gx[nz] = g[nz] / (2.0 * out[nz])
+        return gx
+
+    return ad._unary(x, out, "sqrt", back)
+
+
+def pair_gap_chain(z: Tensor, similarity: SimilaritySet) -> Tensor:
+    """What autodiff.pair_gaps computes, as the chain of ops it fuses."""
+    diff = subtract(ad.gather_rows(z, similarity.rows), ad.gather_rows(z, similarity.cols))
+    return sqrt(row_sum(ad.hadamard(diff, diff)))
+
+
+def softmax_surrogate_chain(z: Tensor, similarity: SimilaritySet, temperature: float) -> Tensor:
+    """losses.surrogate_loss's softmax mode as the chain it ran on: a one-segment softmax."""
+    gaps = pair_gap_chain(z, similarity)
+    one_segment = np.zeros(gaps.shape[0], dtype=np.int64)
+    weights = segment_softmax(ad.scale(gaps, 1.0 / temperature), one_segment, 1)
+    return ad.sum_all(ad.hadamard(weights, gaps))
 
 
 # ---------------------------------------------------------------------------

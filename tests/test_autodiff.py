@@ -24,6 +24,8 @@ from oracles import (
     edge_spmm,
     finite_diff_check,
     leaky_relu,
+    pair_gap_chain,
+    segment_softmax,
     slice_rows,
     tape_evaluator,
 )
@@ -51,14 +53,12 @@ def test_forward_matches_numpy_oracles(rng):
     a = tape.leaf(rng.normal(size=(3, 4)))
     b = tape.leaf(rng.normal(size=(3, 4)))
     np.testing.assert_allclose(ad.add(a, b).values, a.values + b.values)
-    np.testing.assert_allclose(ad.subtract(a, b).values, a.values - b.values)
     np.testing.assert_allclose(ad.hadamard(a, b).values, a.values * b.values)
     np.testing.assert_allclose(ad.scale(a, 2.5).values, 2.5 * a.values)
     c = tape.leaf(rng.normal(size=(4, 2)))
     np.testing.assert_allclose((a @ c).values, a.values @ c.values)
     np.testing.assert_allclose(ad.sum_all(a).values, [[a.values.sum()]])
     np.testing.assert_allclose(ad.mean_all(a).values, [[a.values.mean()]])
-    np.testing.assert_allclose(ad.row_sum(a).values, a.values.sum(axis=1, keepdims=True))
 
 
 def test_scalar_leaf_is_one_by_one():
@@ -78,8 +78,6 @@ def test_nonlinearities_forward(rng):
     )
     np.testing.assert_allclose(ad.elu(x).values, np.where(v > 0, v, np.expm1(v)))
     np.testing.assert_allclose(ad.softplus(x).values, np.log1p(np.exp(v)))
-    pos = tape.leaf(np.array([[0.5, 1.0, 4.0]]))
-    np.testing.assert_allclose(ad.sqrt(pos).values, np.sqrt(pos.values))
 
 
 def test_softplus_is_overflow_safe():
@@ -136,6 +134,10 @@ def test_matmul_chain_gradient(rng):
     checked(build, rng.normal(size=(5, 4)))
 
 
+# a 4-cycle over the rows of smooth_point(rng, 4, 3)
+CYCLE = SimilaritySet(4, [0, 0, 1, 2], [1, 3, 2, 3], [1.0] * 4)
+
+
 @pytest.mark.parametrize(
     "op",
     [
@@ -143,7 +145,7 @@ def test_matmul_chain_gradient(rng):
         lambda x: ad.sum_all(ad.elu(x)),
         lambda x: ad.sum_all(ad.softplus(x)),
         lambda x: ad.mean_all(ad.hadamard(x, x)),
-        lambda x: ad.sum_all(ad.row_sum(ad.hadamard(x, x))),
+        lambda x: ad.sum_all(ad.pair_gaps(x, CYCLE)),
     ],
 )
 def test_unary_op_gradients(rng, op):
@@ -152,7 +154,6 @@ def test_unary_op_gradients(rng, op):
 
 def test_positive_domain_gradients(rng):
     point = rng.uniform(0.5, 2.0, size=(3, 3))
-    checked(lambda x: ad.sum_all(ad.sqrt(x)), point)
     divisor = rng.uniform(0.5, 2.0, size=(3, 3))
     checked(lambda x: ad.sum_all(ad.divide(x, x.tape.leaf(divisor))), point)
     checked(lambda x: ad.sum_all(ad.divide(x.tape.leaf(divisor), x)), point)
@@ -189,13 +190,13 @@ def test_gather_and_slice_gradients(rng):
 
 
 def test_segment_ops_gradients(rng):
+    checked(lambda x: ad.sum_all(ad.hadamard(ad.softmax(x), x)), rng.normal(size=(6, 1)))
+    # the multi-segment softmax of the attention chain's oracle
     segments = np.array([0, 0, 1, 1, 1, 2])
-
-    def build_softmax(x):
-        weights = ad.segment_softmax(x, segments, 3)
-        return ad.sum_all(ad.hadamard(weights, x))
-
-    checked(build_softmax, rng.normal(size=(6, 1)))
+    checked(
+        lambda x: ad.sum_all(ad.hadamard(segment_softmax(x, segments, 3), x)),
+        rng.normal(size=(6, 1)),
+    )
 
 
 # Node 3 has only its self-loop; node 0 is the center of three edges. The
@@ -328,6 +329,35 @@ def test_attention_plan_needs_a_canonical_symmetric_pattern():
 
 
 # ---------------------------------------------------------------------------
+# The fused pair gaps against the chain they replace
+# ---------------------------------------------------------------------------
+
+
+def test_pair_gaps_are_the_op_chain_bit_for_bit(rng):
+    similarity = build_random_similarity(rng, 12, density=0.5)
+    z = rng.normal(size=(12, 4)) * 10.0 ** rng.integers(-3, 3, size=(12, 1))
+    z[similarity.cols[0]] = z[similarity.rows[0]]  # one zero-length gap
+    cotangents = [rng.normal(size=(similarity.num_pairs, 1)) for _ in range(3)]
+    weights = rng.normal(size=z.shape)
+    results = {}
+    for name, op in {"fused": ad.pair_gaps, "chain": pair_gap_chain}.items():
+        tape = Tape()
+        leaf = tape.leaf(z)
+        gaps = op(leaf, similarity)
+        # recorded after the gaps, so its gradient reaches z first
+        other = ad.sum_all(ad.hadamard(leaf, tape.leaf(weights, constant=True)))
+        arrays = [gaps.values]
+        for cotangent in cotangents:
+            gap_term = ad.sum_all(ad.hadamard(gaps, tape.leaf(cotangent, constant=True)))
+            tape.backward(ad.add(gap_term, other))
+            arrays.append(leaf.grad.copy())
+        results[name] = arrays
+    assert results["fused"][0][0, 0] == 0.0
+    for fused, chain in zip(results["fused"], results["chain"]):
+        assert fused.shape == chain.shape and fused.tobytes() == chain.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Every backward hands each operand a gradient of that operand's shape
 # ---------------------------------------------------------------------------
 
@@ -355,7 +385,6 @@ OP_BUILDERS = {
     "matmul": lambda tape, rng: ad.matmul(*_leaves(tape, rng, (3, 4), (4, 2))),
     "spmm": lambda tape, rng: ad.spmm(SPARSE, *_leaves(tape, rng, (4, 2))),
     "add": lambda tape, rng: ad.add(*_leaves(tape, rng, (3, 2), (3, 2))),
-    "subtract": lambda tape, rng: ad.subtract(*_leaves(tape, rng, (3, 2), (3, 2))),
     "hadamard": lambda tape, rng: ad.hadamard(*_leaves(tape, rng, (3, 2), (3, 2))),
     "divide": lambda tape, rng: ad.divide(*_leaves(tape, rng, (3, 2), (3, 2))),
     "scale": lambda tape, rng: ad.scale(*_leaves(tape, rng, (3, 2)), 2.0),
@@ -365,16 +394,13 @@ OP_BUILDERS = {
     "gather_rows": lambda tape, rng: ad.gather_rows(*_leaves(tape, rng, (4, 2)), [0, 2, 2, 1]),
     "sum_all": lambda tape, rng: ad.sum_all(*_leaves(tape, rng, (3, 2))),
     "mean_all": lambda tape, rng: ad.mean_all(*_leaves(tape, rng, (3, 2))),
-    "row_sum": lambda tape, rng: ad.row_sum(*_leaves(tape, rng, (3, 2))),
     "elu": lambda tape, rng: ad.elu(*_leaves(tape, rng, (3, 2))),
     "softplus": lambda tape, rng: ad.softplus(*_leaves(tape, rng, (3, 2))),
-    "sqrt": lambda tape, rng: ad.sqrt(*_leaves(tape, rng, (3, 2))),
-    "segment_softmax": lambda tape, rng: ad.segment_softmax(
-        *_leaves(tape, rng, (5, 1)), [0, 0, 1, 1, 2], 3
-    ),
+    "softmax": lambda tape, rng: ad.softmax(*_leaves(tape, rng, (5, 1))),
     "attention_aggregate": lambda tape, rng: ad.attention_aggregate(
         *_leaves(tape, rng, (5, 3), (6, 1)), attention_plan(TIES), 0.2
     ),
+    "pair_gaps": lambda tape, rng: ad.pair_gaps(*_leaves(tape, rng, (5, 2)), TIES),
     "quadratic_pair_forms": lambda tape, rng: ad.quadratic_pair_forms(
         *_leaves(tape, rng, (5, 2)), TIES, PARTITION.within_pairs(TIES)
     ),
@@ -434,22 +460,21 @@ def test_spmm_gradient(rng):
     checked(build, rng.normal(size=(4, 3)))
 
 
-def test_segment_softmax_rows_sum_to_one_and_shift_invariant(rng):
+def test_softmax_sums_to_one_and_is_shift_invariant(rng):
     tape = Tape()
-    segments = np.array([0, 0, 0, 1, 1, 2])
     x = rng.normal(size=(6, 1))
-    out = ad.segment_softmax(tape.leaf(x), segments, 3).values[:, 0]
-    sums = np.bincount(segments, weights=out)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-    shifted = x + np.array([10.0, 10.0, 10.0, -5.0, -5.0, 3.0])[:, None]
-    out2 = ad.segment_softmax(tape.leaf(shifted), segments, 3).values[:, 0]
-    np.testing.assert_allclose(out, out2, atol=1e-12)
+    out = ad.softmax(tape.leaf(x)).values
+    np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(ad.softmax(tape.leaf(x + 10.0)).values, out, atol=1e-12)
+    # the one-segment softmax it replaces, up to the order of its two sums
+    np.testing.assert_allclose(
+        segment_softmax(tape.leaf(x), np.zeros(6, dtype=np.int64), 1).values, out, rtol=1e-14
+    )
 
 
-def test_segment_softmax_survives_large_scores():
+def test_softmax_survives_large_scores():
     tape = Tape()
-    x = tape.leaf(np.array([[1000.0], [999.0], [500.0]]))
-    out = ad.segment_softmax(x, np.zeros(3, dtype=np.int64), 1)
+    out = ad.softmax(tape.leaf(np.array([[1000.0], [999.0], [500.0]])))
     assert np.isfinite(out.values).all()
     np.testing.assert_allclose(out.values.sum(), 1.0)
 
@@ -650,13 +675,15 @@ def test_shape_mismatches_are_rejected(rng):
     with pytest.raises(DimensionError):
         ad.gather_rows(a, np.array([0, 5]))
     with pytest.raises(DimensionError):
-        ad.segment_softmax(tape.leaf(np.zeros((3, 1))), np.array([0, 1, 3]), 2)
+        ad.softmax(a)
+    with pytest.raises(DimensionError):
+        ad.softmax(tape.leaf(np.zeros((0, 1))))
+    with pytest.raises(DimensionError):
+        ad.pair_gaps(a, TIES)
 
 
 def test_domain_errors(rng):
     tape = Tape()
-    with pytest.raises(DomainError):
-        ad.sqrt(tape.leaf(np.array([[-1.0]])))
     with pytest.raises(DomainError):
         ad.divide(tape.leaf(np.ones((1, 1))), tape.leaf(np.zeros((1, 1))))
 
@@ -669,10 +696,13 @@ def test_nonfinite_forward_raises_numerical_error():
 
 
 def test_sqrt_gradient_defined_at_zero():
+    # the square root inside the pair gaps has gradient 0 at a zero gap
     tape = Tape()
-    x = tape.leaf(np.array([[0.0, 4.0]]))
-    tape.backward(ad.sum_all(ad.sqrt(x)))
-    np.testing.assert_allclose(x.grad, [[0.0, 0.25]])
+    z = tape.leaf(np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 6.0]]))
+    gaps = ad.pair_gaps(z, SimilaritySet(3, [0, 1], [1, 2], [1.0, 1.0]))
+    np.testing.assert_array_equal(gaps.values, [[0.0], [5.0]])
+    tape.backward(ad.sum_all(gaps))
+    np.testing.assert_allclose(z.grad, [[0.0, 0.0], [-0.6, -0.8], [0.6, 0.8]])
 
 
 # ---------------------------------------------------------------------------

@@ -1149,6 +1149,7 @@ INVALID_INPUTS = {
     "sweep-sigma-axis-negative": ("sweep", {"sigma": [-0.1]}),
     "sweep-base-seed-negative": ("sweep", {"base_seed": -1}),
     "similarity-mask-cols-letter": ("similarity", ["--mask-cols", "a"]),
+    "similarity-mask-cols-topo": ("similarity", ["--mode", "topo", "--mask-cols", "99"]),
     "train-beta2-nan": ("train", ["--beta2", "nan"]),
     "train-seed-negative": ("train", ["--seed", "-1"]),
     "env-seed-negative": ("env", "-3"),

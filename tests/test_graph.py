@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -229,10 +230,10 @@ def test_within_pairs_are_the_restricted_pairs_in_global_indices(rng):
     pairs = part.within_pairs(s)
     assert pairs.similarity is s
     assert len(pairs.sets) == len(pairs.selections) == part.m
-    stored = s.pair_arrays()
+    stored = (s.rows, s.cols, s.weights)
     for g, (group, selection) in enumerate(zip(pairs.sets, pairs.selections)):
         assert group.n == s.n
-        rows, cols, weights = group.pair_arrays()
+        rows, cols, weights = group.rows, group.cols, group.weights
         members = part.members(g)
         sub = s.restrict(members)
         np.testing.assert_array_equal(rows, members[sub.rows])
@@ -370,7 +371,7 @@ def test_row_blocked_topk_matches_one_shot_selection(k):
         (attr_similarity(graph.features, top_k), graph.features),
     ]
     for s, vectors in cases:
-        for got, want in zip(s.pair_arrays(), one_shot_topk_union(vectors, top_k)):
+        for got, want in zip((s.rows, s.cols, s.weights), one_shot_topk_union(vectors, top_k)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -396,10 +397,12 @@ def test_build_similarity_dispatches_on_mode(rng, graph_factory):
             attr_similarity(graph.features, 3, (0,)),
         ),
     ):
-        for a, b in zip(built.pair_arrays(), direct.pair_arrays()):
-            np.testing.assert_array_equal(a, b)
+        for name in ("rows", "cols", "weights"):
+            np.testing.assert_array_equal(getattr(built, name), getattr(direct, name))
     with pytest.raises(ConfigError):
         build_similarity(graph, "cosine", 3)
+    with pytest.raises(ConfigError, match="attr mode only"):
+        build_similarity(graph, "topo", 3, masked_columns=(99,))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -583,13 +586,13 @@ WRITERS = {
     "similarity": (
         lambda path: write_similarity_csv(path, SimilaritySet(3, [1, 0], [2, 2], [1e-300, 0.1])),
         "i,j,weight\n0,2,0.10000000000000001\n1,2,1e-300\n",
-        lambda path: read_similarity_csv(path, 3).pair_arrays(),
+        lambda path: attrgetter("rows", "cols", "weights")(read_similarity_csv(path, 3)),
         (np.array([0, 1]), np.array([2, 2]), np.array([0.1, 1e-300])),
     ),
     "similarity-empty": (
         lambda path: write_similarity_csv(path, SimilaritySet(3, [], [], [])),
         "i,j,weight\n",
-        lambda path: read_similarity_csv(path, 3).pair_arrays(),
+        lambda path: attrgetter("rows", "cols", "weights")(read_similarity_csv(path, 3)),
         (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
     ),
     "embedding": (

@@ -15,14 +15,19 @@ from ginigraph.losses import (
     TRACE_FLOOR,
     combine_losses,
     group_welfare_loss,
-    pair_gap_tensor,
     surrogate_loss,
     utility_loss,
 )
 from ginigraph.metrics import trace_form
 
 from conftest import build_random_similarity
-from oracles import finite_diff_check, group_trace_tensors, nswp_value, smoothness_loss
+from oracles import (
+    finite_diff_check,
+    group_trace_tensors,
+    nswp_value,
+    smoothness_loss,
+    softmax_surrogate_chain,
+)
 
 
 def np_gaps(similarity, z):
@@ -114,10 +119,10 @@ def test_pair_gap_tensor_matches_oracle(rng):
     s = build_random_similarity(rng, 7)
     z_values = rng.normal(size=(7, 3))
     tape = Tape()
-    gaps = pair_gap_tensor(tape.leaf(z_values), s)
+    gaps = ad.pair_gaps(tape.leaf(z_values), s)
     np.testing.assert_allclose(gaps.values[:, 0], np_gaps(s, z_values), rtol=1e-12)
     with pytest.raises(ContractError):
-        pair_gap_tensor(tape.leaf(z_values[:3]), SimilaritySet(3, [], [], []))
+        ad.pair_gaps(tape.leaf(z_values[:3]), SimilaritySet(3, [], [], []))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +143,22 @@ def test_softmax_surrogate_matches_oracle_and_bounds(rng):
     assert gaps.mean() - 1e-12 <= loss.values[0, 0] <= gaps.max() + 1e-12
     cold = surrogate_loss(tape.leaf(z_values), s, "softmax", temperature=1e-4)
     np.testing.assert_allclose(cold.values[0, 0], gaps.max(), rtol=1e-9)
+
+
+def test_softmax_surrogate_is_the_one_segment_chain_up_to_summation_order(rng):
+    # np.sum adds pairwise where the one-segment softmax's bincount adds in order
+    s = build_random_similarity(rng, 12)
+    z_values = rng.normal(size=(12, 4))
+    results = []
+    for build in (lambda z: surrogate_loss(z, s, "softmax", temperature=0.3),
+                  lambda z: softmax_surrogate_chain(z, s, 0.3)):
+        tape = Tape()
+        z = tape.leaf(z_values)
+        loss = build(z)
+        tape.backward(loss)
+        results.append((loss.values, z.grad))
+    for fused, chain in zip(*results):
+        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-15)
 
 
 def test_topk_surrogate_matches_oracle(rng):

@@ -380,7 +380,10 @@ def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, case):
     backbone, fair = (
         {name: np.full(shape, 0.5) for name, shape in part.items()} for part in layout
     )
-    save_checkpoint(path, ModelParams("gcn", backbone, fair))
+    params = ModelParams("gcn", {name: np.full(shape, 0.5) for name, shape in GCN_3_2.items()})
+    # construction refuses these layouts, so the loader must refuse the file
+    params.backbone, params.fair = backbone, fair
+    save_checkpoint(path, params)
     if case in CHECKPOINT_EDITS:
         text = path.read_text()
         edited = CHECKPOINT_EDITS[case](text)
@@ -388,6 +391,27 @@ def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, case):
         path.write_text(edited)
     with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_LAYOUTS))
+def test_model_params_refuse_a_malformed_layout_when_constructed(case):
+    backbone, fair = (
+        {name: np.full(shape, 0.5) for name, shape in part.items()}
+        for part in CHECKPOINT_LAYOUTS[case]
+    )
+    with pytest.raises(ContractError, match="matrix"):
+        ModelParams("gcn", backbone, fair)
+
+
+def test_hand_built_params_name_a_missing_or_misshapen_matrix(rng):
+    with pytest.raises(ContractError, match="backbone matrix W1 is missing"):
+        ModelParams("gcn", {})
+    misshapen = init_backbone("gcn", 3, 2, rng)
+    misshapen["W2"] = misshapen["W2"].T[:1]
+    with pytest.raises(ContractError, match=re.escape("backbone matrix W2 has shape (1, 2)")):
+        ModelParams("gcn", misshapen)
+    with pytest.raises(ContractError, match="unknown backbone"):
+        ModelParams("mlp", init_backbone("gcn", 3, 2, rng))
 
 
 def test_checkpoint_layouts_of_every_variant_load(tmp_path, rng):
