@@ -22,11 +22,7 @@ from .graph import (
     split_nodes,
     topo_similarity,
 )
-from .losses import (
-    group_welfare_loss,
-    surrogate_loss,
-    utility_loss,
-)
+from .losses import group_welfare_loss, utility_loss
 from .metrics import (
     MetricsReport,
     average_gdif,
@@ -95,7 +91,6 @@ __all__ = [
     "save_checkpoint",
     "sbm_generate",
     "split_nodes",
-    "surrogate_loss",
     "topo_similarity",
     "trace_form",
     "train",

@@ -307,24 +307,10 @@ def gather_rows(x: Tensor, index: Array) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = np.array([[np.sum(x.values)]])
-    return _unary(x, out, "sum-all", lambda g: np.full_like(x.values, g[0, 0]))
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.values.size
     out = np.array([[np.sum(x.values) / n]])
     return _unary(x, out, "mean-all", lambda g: np.full_like(x.values, g[0, 0] / n))
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over a column vector, max-shifted so large scores cannot overflow."""
-    if x.shape[1] != 1 or x.shape[0] == 0:
-        raise DimensionError(f"softmax expects a nonempty column vector, got {x.shape}")
-    shifted = np.exp(x.values - np.max(x.values))
-    out = shifted / np.sum(shifted)
-    return _unary(x, out, "softmax", lambda g: out * (g - np.sum(out * g)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,35 +433,8 @@ def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan, slope: float)
 
 
 # ---------------------------------------------------------------------------
-# Pair gaps and Laplacian quadratic forms over pair sets
+# Laplacian quadratic forms over pair sets
 # ---------------------------------------------------------------------------
-
-
-def pair_gaps(z: Tensor, pairs: SimilaritySet) -> Tensor:
-    """Column of euclidean gaps ||z[i_p] - z[j_p]||_2 over the set's stored pairs.
-
-    A zero gap gets gradient 0. The backward is bitwise that of the chain of
-    separate ops (two row gathers, difference, square, row sum, square root):
-    the squared difference's two operand gradients are added, and the pairs'
-    cols get their share scatter-added into z before their rows.
-    """
-    if z.shape[0] != pairs.n:
-        raise DimensionError(f"pair set over {pairs.n} nodes, embeddings have {z.shape[0]} rows")
-    if pairs.num_pairs == 0:
-        raise ContractError("similarity set has no pairs")
-    diff = z.values[pairs.rows] - z.values[pairs.cols]
-    out = _ensure_finite(np.sqrt(np.sum(diff * diff, axis=1, keepdims=True)), "pair-gaps")
-
-    def backward(g: Array) -> None:
-        coef = np.zeros_like(out)
-        nz = out > 0
-        coef[nz] = g[nz] / (2.0 * out[nz])
-        half = coef * diff
-        d_diff = half + half
-        _accumulate(z, _scatter_rows(pairs.cols, -d_diff, z.shape[0]))
-        _accumulate(z, _scatter_rows(pairs.rows, d_diff, z.shape[0]))
-
-    return Tensor(out, z.tape, op="pair-gaps", backward=backward)
 
 
 def pair_trace_values(z: Array, pairs: SimilaritySet, selections=()) -> list[float]:

@@ -22,7 +22,6 @@ BENCHMARK_BASE = dict(
     patience=600,
     top_k=10,
     learning_rate=1e-3,
-    surrogate="none",
     beta_lr=0.025,
     head_scale=0.1,
 )

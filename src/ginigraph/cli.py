@@ -141,8 +141,8 @@ def cmd_cluster(args) -> int:
 # train flags that, when given, override the config field of the same name;
 # the on/off flags become booleans
 TRAIN_OVERRIDES = (
-    "backbone", "gradnorm", "attention", "beta2", "beta3", "surrogate",
-    "seed", "hidden", "max_epochs", "pretrain_epochs", "top_k",
+    "backbone", "gradnorm", "attention", "beta2", "beta3", "seed", "hidden",
+    "max_epochs", "pretrain_epochs", "top_k",
 )
 
 
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attention", choices=["on", "off"])
     p.add_argument("--beta2", type=plain_float)
     p.add_argument("--beta3", type=plain_float)
-    p.add_argument("--surrogate", choices=["none", "softmax", "topk"])
     p.add_argument("--seed", type=plain_int)
     p.add_argument("--hidden", type=plain_int)
     p.add_argument("--max-epochs", type=plain_int)

@@ -1,14 +1,12 @@
-"""The training objectives and their differentiable surrogates.
+"""The training objectives.
 
 - utility: mean binary cross-entropy of node logits on an index set, computed
   through softplus so large logits cannot overflow.
-- smoothness: the similarity-weighted Laplacian quadratic form
-  sum_pairs w ||z_i - z_j||_2^2, which the trainer takes, together with the
-  per-group traces, from autodiff.quadratic_pair_forms: one pass over the
-  pairs per epoch, and each trace's gradient 2 L Z one sparse product.
-- tail surrogates: smooth stand-ins that focus on the largest pairwise gaps
-  instead of their mean (softmax weighting with a temperature, or the mean of
-  the top fraction of gaps), on the gap column of autodiff.pair_gaps.
+- smoothness, the one individual fairness term: InFoRM's similarity-weighted
+  Laplacian quadratic form Tr(Z^T L Z) = sum_pairs w ||z_i - z_j||_2^2, which
+  the trainer takes, together with the per-group traces, from
+  autodiff.quadratic_pair_forms: one pass over the pairs per epoch, and each
+  trace's gradient 2 L Z one sparse product.
 - group welfare: a Nash-social-welfare style penalty on per-group smoothness
   traces; each ordered pair (g, h) contributes -(t_g/t_h - 1)(t_h/t_g - 1),
   which is (r - 1)^2 / r >= 0 for the ratio r, zero iff the traces match.
@@ -17,14 +15,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DomainError
-from .graph import SimilaritySet
 
 Array = np.ndarray
 
@@ -47,35 +42,6 @@ def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Ten
         ad.hadamard(y_neg, ad.softplus(z)),
     )
     return ad.mean_all(terms)
-
-
-def surrogate_loss(
-    z: Tensor,
-    similarity: SimilaritySet,
-    mode: str,
-    temperature: float = 1.0,
-    fraction: float = 0.05,
-) -> Tensor:
-    """Smooth emphasis on the worst pairwise gaps.
-
-    softmax: sum_p softmax(gap/temperature)_p * gap_p, a soft maximum that
-    approaches the largest gap as temperature -> 0.
-    topk: mean of the ceil(fraction * P) largest gaps; the selection is made
-    on forward values, the selected gaps stay differentiable.
-    """
-    gaps = ad.pair_gaps(z, similarity)
-    if mode == "softmax":
-        if temperature <= 0:
-            raise ContractError("temperature must be positive")
-        weights = ad.softmax(ad.scale(gaps, 1.0 / temperature))
-        return ad.sum_all(ad.hadamard(weights, gaps))
-    if mode == "topk":
-        if not 0 < fraction <= 1:
-            raise ContractError("fraction must be in (0, 1]")
-        k = max(1, math.ceil(fraction * gaps.shape[0]))
-        largest = np.argsort(-gaps.values[:, 0], kind="stable")[:k]
-        return ad.mean_all(ad.gather_rows(gaps, largest))
-    raise ContractError(f"unknown surrogate mode '{mode}' (softmax or topk)")
 
 
 # ---------------------------------------------------------------------------

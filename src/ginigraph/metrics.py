@@ -7,7 +7,10 @@ contribute, weighted by their similarity. Conventions:
   euclidean gaps over unordered pairs, i.e. the Laplacian quadratic form
   Tr(Z^T L Z); it is reported raw and only divided by 1000 at presentation.
 - the embedding Gini normalizes the similarity-weighted L1 gaps by twice the
-  population total mass, so it is scale invariant and sits in [0, 1].
+  population total mass, so it is scale invariant. As ||z_i - z_j||_1 <=
+  ||z_i||_1 + ||z_j||_1, it is at most max_i d_i / n for the weighted degrees
+  d_i (SimilaritySet.degree): below 1 for weights in [0, 1], and far below it
+  on sparse top-k pairs.
 - group disparity (GDIF) of two nonnegative statistics is max(a/b, b/a) with
   a tiny floor on both sides; it is >= 1 with equality iff the statistics match.
 """

@@ -285,7 +285,12 @@ class ModelParams:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Write weights as a JSON checkpoint; floats print as repr, so a reload is exact."""
+    """Write weights as a JSON checkpoint; floats print as repr, so a reload is exact.
+
+    params may have changed since construction, so the layout is checked
+    first (ContractError): no file load_checkpoint would refuse is written.
+    """
+    _check_layout(params)
     sections = {
         section: {name: np.asarray(weights[name], np.float64).tolist() for name in sorted(weights)}
         for section, weights in (("backbone", params.backbone), ("fair", params.fair))

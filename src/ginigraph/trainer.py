@@ -6,16 +6,18 @@ three-term objective
 
     total = beta1 * utility + beta2 * smoothness + beta3 * group welfare,
 
-with the betas either fixed or driven by the GradNorm controller, full batch,
-one adaptive-moment optimizer step per epoch. Early stopping watches the
-validation AUC with a patience window; the parameters returned are those of
-the final epoch (fairness terms keep improving after utility plateaus, so no
-rewind to the best-utility checkpoint).
+where smoothness, the one individual term, is the Laplacian trace
+Tr(Z^T L Z) over the similarity pairs. The betas are either fixed or driven
+by the GradNorm controller, full batch, one adaptive-moment optimizer step per
+epoch. Early stopping watches the validation AUC with a patience window; the
+parameters returned are those of the final epoch (fairness terms keep
+improving after utility plateaus, so no rewind to the best-utility
+checkpoint).
 
-The controller needs each term's gradient norm, so under GradNorm an epoch
-runs one backward sweep per term and steps on sum_i beta_i g_i from those
-sweeps, which by linearity is the gradient of the total; with fixed betas one
-sweep of the total suffices.
+The controller needs each term's gradient norm on the head's shared transform
+W, so under GradNorm an epoch runs one backward sweep per term and steps on
+sum_i beta_i g_i from those sweeps, which by linearity is the gradient of the
+total; with fixed betas one sweep of the total suffices.
 
 What does not change between epochs is built once per run: the graph
 operators with the features' first propagation (for the closing forward
@@ -43,7 +45,7 @@ from .autodiff import Tape
 from .errors import ConfigError, ContractError, DomainError, check_field_types, known_keys
 from .gradnorm import GradNormController
 from .graph import Graph, GroupPartition, SimilaritySet, _write_table, split_nodes
-from .losses import combine_losses, group_welfare_loss, surrogate_loss, utility_loss
+from .losses import combine_losses, group_welfare_loss, utility_loss
 from .metrics import MetricsReport, average_gdif, compute_report, rank_auc
 from .models import (
     BACKBONES,
@@ -61,10 +63,6 @@ from .models import (
 
 Array = np.ndarray
 
-SURROGATES = ("none", "softmax", "topk")
-GRADNORM_SCOPES = ("shared", "all")
-
-
 @dataclass
 class TrainConfig:
     """Everything a run needs beyond the data itself.
@@ -74,6 +72,10 @@ class TrainConfig:
     ablation switches). beta1 is pinned to 1 as the utility anchor.
 
     head_scale multiplies the head's initial weight draw; see init_fair_head.
+
+    surrogate ("none": the trace is the individual term) and gradnorm_scope
+    ("shared": GradNorm's norms are on W) each take one value; they stay so
+    that configs which spell them out keep loading.
     """
 
     backbone: str = "gcn"
@@ -92,8 +94,6 @@ class TrainConfig:
     beta_lr: float = 0.025
     gradnorm_scope: str = "shared"
     surrogate: str = "none"
-    temperature: float = 1.0
-    topk_fraction: float = 0.05
     attention: bool = True
     head_scale: float = 1.0
     eo_threshold: float = 0.5
@@ -102,19 +102,17 @@ class TrainConfig:
         check_field_types(self, ConfigError)
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}")
-        if self.surrogate not in SURROGATES:
-            raise ConfigError(f"surrogate must be one of {SURROGATES}")
-        if self.gradnorm_scope not in GRADNORM_SCOPES:
-            raise ConfigError(f"gradnorm_scope must be one of {GRADNORM_SCOPES}")
+        if self.surrogate != "none":
+            raise ConfigError(f"surrogate must be 'none', got {self.surrogate!r}")
+        if self.gradnorm_scope != "shared":
+            raise ConfigError(f"gradnorm_scope must be 'shared', got {self.gradnorm_scope!r}")
         for name in ("hidden", "max_epochs", "patience", "top_k", "learning_rate",
-                     "beta_lr", "temperature", "head_scale"):
+                     "beta_lr", "head_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("pretrain_epochs", "seed", "weight_decay", "delta", "beta2", "beta3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if not 0 < self.topk_fraction <= 1:
-            raise ConfigError("topk_fraction must be in (0, 1]")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -282,27 +280,16 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
 # ---------------------------------------------------------------------------
 
 
-def _grad_norm(leaves, scope: str) -> float:
-    if scope == "shared":
-        g = leaves["W"].grad
-        return 0.0 if g is None else float(np.linalg.norm(g))
-    total = 0.0
-    for name in sorted(leaves):
-        g = leaves[name].grad
-        if g is not None:
-            total += float(np.sum(g * g))
-    return float(np.sqrt(total))
-
-
 def _probe_sweeps(
-    tape: Tape, terms: list, leaves: dict, scope: str
+    tape: Tape, terms: list, leaves: dict
 ) -> tuple[list[dict[str, Array | None]], Array]:
     """One backward sweep per loss term: each sweep's leaf gradients and norm."""
     grads, norms = [], []
     for term in terms:
         tape.backward(term)
         grads.append({name: leaf.grad for name, leaf in leaves.items()})
-        norms.append(_grad_norm(leaves, scope))
+        g = leaves["W"].grad  # GradNorm's G_i: the norm on the shared transform W
+        norms.append(0.0 if g is None else float(np.linalg.norm(g)))
     return grads, np.array(norms)
 
 
@@ -395,20 +382,12 @@ def train(
         logits = readout_logits(h, leaves)
 
         terms = [utility_loss(logits, graph.labels, graph.train_mask, tape)]
-        # recorded before the traces: a sweep of the fixed-beta total then
-        # adds the group traces' gradient into h before the surrogate's, an
-        # order of summation the training outputs' bits depend on
-        surrogate = None
-        if 1 in active and config.surrogate != "none":
-            surrogate = surrogate_loss(
-                h, similarity, config.surrogate, config.temperature, config.topk_fraction
-            )
         # the smoothness trace and the group traces are on the tape every
         # epoch for the log, from one pass over the pairs; only the loss terms
         # that use them backpropagate
         smoothness, *group_traces = ad.quadratic_pair_forms(h, similarity, groups)
         if 1 in active:
-            terms.append(smoothness if surrogate is None else surrogate)
+            terms.append(smoothness)
         if 2 in active:
             terms.append(group_welfare_loss(group_traces))
 
@@ -416,7 +395,7 @@ def train(
         losses[active] = [float(t.values[0, 0]) for t in terms]
         if controller is not None:
             # by linearity the probe sweeps already hold the total's gradient
-            term_grads, norms = _probe_sweeps(tape, terms, leaves, config.gradnorm_scope)
+            term_grads, norms = _probe_sweeps(tape, terms, leaves)
             betas[active] = controller.step(losses[active], norms)
             grads = _weighted_gradient(term_grads, betas[active])
         else:

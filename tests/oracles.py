@@ -1,9 +1,8 @@
 """Reference computations the tests check the program against.
 
 None of these runs in the program itself: the finite-difference gradient
-check, the one-set-at-a-time trace tensors, the attention head and the pair
-gaps of the tail surrogates as chains of separate tape ops (with the
-multi-segment softmax the attention chain needs), pretraining that
+check, the one-set-at-a-time trace tensors, the attention head as a chain of
+separate tape ops (with the multi-segment softmax it needs), pretraining that
 propagates into every row, the plain-number Nash-welfare penalty and the
 Markov tail statistics are oracles of the acceptance suite and of the unit
 tests.
@@ -221,57 +220,6 @@ def attention_chain(t: Tensor, a: Tensor, edges: sp.csr_matrix, slope: float) ->
     gated = ad.hadamard(raw, t.tape.leaf(edges.data[:, None], "sim", constant=True))
     alpha = segment_softmax(gated, centers, n)
     return edge_spmm(alpha, t, edges)
-
-
-# ---------------------------------------------------------------------------
-# The pair gaps and the softmax surrogate as chains of separate tape ops
-# ---------------------------------------------------------------------------
-
-
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    ad._binary_same_shape(a, b, "subtract")
-    out = ad._ensure_finite(a.values - b.values, "subtract")
-
-    def backward(g: Array) -> None:
-        ad._accumulate(a, g)
-        ad._accumulate(b, -g)
-
-    return Tensor(out, a.tape, op="subtract", backward=backward)
-
-
-def row_sum(x: Tensor) -> Tensor:
-    """Sum each row to a column vector (n,k) -> (n,1)."""
-    out = x.values.sum(axis=1, keepdims=True)
-    return ad._unary(x, out, "row-sum", lambda g: np.repeat(g, x.shape[1], axis=1))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    """Elementwise square root; gradient is defined as 0 at exactly 0."""
-    if np.any(x.values < 0.0):
-        raise DomainError("sqrt requires nonnegative inputs")
-    out = np.sqrt(x.values)
-
-    def back(g: Array) -> Array:
-        gx = np.zeros_like(out)
-        nz = out > 0
-        gx[nz] = g[nz] / (2.0 * out[nz])
-        return gx
-
-    return ad._unary(x, out, "sqrt", back)
-
-
-def pair_gap_chain(z: Tensor, similarity: SimilaritySet) -> Tensor:
-    """What autodiff.pair_gaps computes, as the chain of ops it fuses."""
-    diff = subtract(ad.gather_rows(z, similarity.rows), ad.gather_rows(z, similarity.cols))
-    return sqrt(row_sum(ad.hadamard(diff, diff)))
-
-
-def softmax_surrogate_chain(z: Tensor, similarity: SimilaritySet, temperature: float) -> Tensor:
-    """losses.surrogate_loss's softmax mode as the chain it ran on: a one-segment softmax."""
-    gaps = pair_gap_chain(z, similarity)
-    one_segment = np.zeros(gaps.shape[0], dtype=np.int64)
-    weights = segment_softmax(ad.scale(gaps, 1.0 / temperature), one_segment, 1)
-    return ad.sum_all(ad.hadamard(weights, gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 from ginigraph.errors import DimensionError
 from ginigraph.graph import GroupPartition, SimilaritySet, laplacian_apply, topo_similarity
 from ginigraph.gradnorm import GradNormController
-from ginigraph.losses import combine_losses, group_welfare_loss, surrogate_loss, utility_loss
+from ginigraph.losses import combine_losses, group_welfare_loss, utility_loss
 from ginigraph.metrics import (
     average_gdif,
     embedding_gini,
@@ -208,10 +208,6 @@ def loss_value_and_grad(
             return smoothness_loss(h, similarity)
         if name == "welfare":
             return group_welfare_loss(group_trace_tensors(h, ctx))
-        if name == "softmax":
-            return surrogate_loss(h, similarity, "softmax", temperature=1.0)
-        if name == "topk":
-            return surrogate_loss(h, similarity, "topk", fraction=0.2)
         raise AssertionError(name)
 
     if which == "objective":
@@ -246,7 +242,7 @@ def test_gradients_match_finite_differences(variant):
     flat, layout = flatten_params(weights)
     flat = flat.ravel()
     eps = 1e-6
-    for which in ("utility", "smoothness", "welfare", "softmax", "topk", "objective"):
+    for which in ("utility", "smoothness", "welfare", "objective"):
         _, grad = loss_value_and_grad(
             flat, layout, variant, which, graph, similarity, ctx, operators, edges,
             want_grad=True,

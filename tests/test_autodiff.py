@@ -24,7 +24,6 @@ from oracles import (
     edge_spmm,
     finite_diff_check,
     leaky_relu,
-    pair_gap_chain,
     segment_softmax,
     slice_rows,
     tape_evaluator,
@@ -57,7 +56,6 @@ def test_forward_matches_numpy_oracles(rng):
     np.testing.assert_allclose(ad.scale(a, 2.5).values, 2.5 * a.values)
     c = tape.leaf(rng.normal(size=(4, 2)))
     np.testing.assert_allclose((a @ c).values, a.values @ c.values)
-    np.testing.assert_allclose(ad.sum_all(a).values, [[a.values.sum()]])
     np.testing.assert_allclose(ad.mean_all(a).values, [[a.values.mean()]])
 
 
@@ -104,14 +102,14 @@ def test_tracing_off_gives_identical_values(rng):
     def run(tracing):
         tape = Tape(tracing=tracing)
         out = ad.elu(tape.leaf(x) @ tape.leaf(w))
-        return ad.sum_all(out).values
+        return ad.mean_all(out).values
 
     np.testing.assert_array_equal(run(True), run(False))
 
 
 def test_backward_requires_tracing_and_scalar_root(rng):
     quiet = Tape(tracing=False)
-    out = ad.sum_all(quiet.leaf(rng.normal(size=(2, 2))))
+    out = ad.mean_all(quiet.leaf(rng.normal(size=(2, 2))))
     with pytest.raises(ContractError):
         quiet.backward(out)
     tape = Tape()
@@ -129,23 +127,18 @@ def test_matmul_chain_gradient(rng):
     w = rng.normal(size=(4, 3))
 
     def build(x):
-        return ad.sum_all(ad.softplus(x @ x.tape.leaf(w)))
+        return ad.mean_all(ad.softplus(x @ x.tape.leaf(w)))
 
     checked(build, rng.normal(size=(5, 4)))
-
-
-# a 4-cycle over the rows of smooth_point(rng, 4, 3)
-CYCLE = SimilaritySet(4, [0, 0, 1, 2], [1, 3, 2, 3], [1.0] * 4)
 
 
 @pytest.mark.parametrize(
     "op",
     [
-        lambda x: ad.sum_all(leaky_relu(x, 0.2)),
-        lambda x: ad.sum_all(ad.elu(x)),
-        lambda x: ad.sum_all(ad.softplus(x)),
+        lambda x: ad.mean_all(leaky_relu(x, 0.2)),
+        lambda x: ad.mean_all(ad.elu(x)),
+        lambda x: ad.mean_all(ad.softplus(x)),
         lambda x: ad.mean_all(ad.hadamard(x, x)),
-        lambda x: ad.sum_all(ad.pair_gaps(x, CYCLE)),
     ],
 )
 def test_unary_op_gradients(rng, op):
@@ -155,20 +148,20 @@ def test_unary_op_gradients(rng, op):
 def test_positive_domain_gradients(rng):
     point = rng.uniform(0.5, 2.0, size=(3, 3))
     divisor = rng.uniform(0.5, 2.0, size=(3, 3))
-    checked(lambda x: ad.sum_all(ad.divide(x, x.tape.leaf(divisor))), point)
-    checked(lambda x: ad.sum_all(ad.divide(x.tape.leaf(divisor), x)), point)
+    checked(lambda x: ad.mean_all(ad.divide(x, x.tape.leaf(divisor))), point)
+    checked(lambda x: ad.mean_all(ad.divide(x.tape.leaf(divisor), x)), point)
 
 
 def test_broadcast_ops_gradients(rng):
     mat = rng.normal(size=(3, 4))
 
     def build_scale(x):
-        return ad.sum_all(ad.hadamard(ad.broadcast_scale(x.tape.leaf(mat), x), x.tape.leaf(mat)))
+        return ad.mean_all(ad.hadamard(ad.broadcast_scale(x.tape.leaf(mat), x), x.tape.leaf(mat)))
 
     checked(build_scale, np.array([[0.7]]))
 
     def build_add(x):
-        return ad.sum_all(ad.softplus(ad.broadcast_add(x.tape.leaf(mat), x)))
+        return ad.mean_all(ad.softplus(ad.broadcast_add(x.tape.leaf(mat), x)))
 
     checked(build_add, np.array([[0.3]]))
 
@@ -178,23 +171,22 @@ def test_gather_and_slice_gradients(rng):
 
     def build(x):
         picked = ad.gather_rows(x, index)
-        return ad.sum_all(ad.hadamard(picked, picked))
+        return ad.mean_all(ad.hadamard(picked, picked))
 
     checked(build, rng.normal(size=(3, 4)))
 
     def build_slice(x):
         part = slice_rows(x, 1, 3)
-        return ad.sum_all(ad.hadamard(part, part))
+        return ad.mean_all(ad.hadamard(part, part))
 
     checked(build_slice, rng.normal(size=(4, 2)))
 
 
 def test_segment_ops_gradients(rng):
-    checked(lambda x: ad.sum_all(ad.hadamard(ad.softmax(x), x)), rng.normal(size=(6, 1)))
     # the multi-segment softmax of the attention chain's oracle
     segments = np.array([0, 0, 1, 1, 1, 2])
     checked(
-        lambda x: ad.sum_all(ad.hadamard(segment_softmax(x, segments, 3), x)),
+        lambda x: ad.mean_all(ad.hadamard(segment_softmax(x, segments, 3), x)),
         rng.normal(size=(6, 1)),
     )
 
@@ -224,13 +216,13 @@ def test_edge_spmm_gradients(rng):
 
     def build_weights(v):
         out = edge_spmm(v, v.tape.leaf(x), PATTERN)
-        return ad.sum_all(ad.hadamard(out, out))
+        return ad.mean_all(ad.hadamard(out, out))
 
     checked(build_weights, w)
 
     def build_x(v):
         out = edge_spmm(v.tape.leaf(w), v, PATTERN)
-        return ad.sum_all(ad.hadamard(out, out))
+        return ad.mean_all(ad.hadamard(out, out))
 
     checked(build_x, x)
 
@@ -286,7 +278,7 @@ def test_attention_aggregate_is_the_op_chain_bit_for_bit(rng, case):
         arrays = [out.values]
         # several sweeps over one forward, as a GradNorm epoch runs them
         for cotangent in cotangents:
-            tape.backward(ad.sum_all(ad.hadamard(out, tape.leaf(cotangent, constant=True))))
+            tape.backward(ad.mean_all(ad.hadamard(out, tape.leaf(cotangent, constant=True))))
             arrays += [t_leaf.grad.copy(), a_leaf.grad.copy()]
         results[name] = arrays
     for fused, chain in zip(results["fused"], results["chain"]):
@@ -300,7 +292,7 @@ def test_attention_aggregate_gradients(rng):
     weights = rng.normal(size=t.shape)
 
     def weighted_sum(out):
-        return ad.sum_all(ad.hadamard(out, out.tape.leaf(weights, constant=True)))
+        return ad.mean_all(ad.hadamard(out, out.tape.leaf(weights, constant=True)))
 
     checked(lambda x: weighted_sum(ad.attention_aggregate(x, x.tape.leaf(a), plan, 0.2)),
             t, tol=1e-4)
@@ -326,35 +318,6 @@ def test_attention_plan_needs_a_canonical_symmetric_pattern():
     )
     with pytest.raises(ContractError):  # row 0 lists its columns out of order
         ad.AttentionPlan(unsorted)
-
-
-# ---------------------------------------------------------------------------
-# The fused pair gaps against the chain they replace
-# ---------------------------------------------------------------------------
-
-
-def test_pair_gaps_are_the_op_chain_bit_for_bit(rng):
-    similarity = build_random_similarity(rng, 12, density=0.5)
-    z = rng.normal(size=(12, 4)) * 10.0 ** rng.integers(-3, 3, size=(12, 1))
-    z[similarity.cols[0]] = z[similarity.rows[0]]  # one zero-length gap
-    cotangents = [rng.normal(size=(similarity.num_pairs, 1)) for _ in range(3)]
-    weights = rng.normal(size=z.shape)
-    results = {}
-    for name, op in {"fused": ad.pair_gaps, "chain": pair_gap_chain}.items():
-        tape = Tape()
-        leaf = tape.leaf(z)
-        gaps = op(leaf, similarity)
-        # recorded after the gaps, so its gradient reaches z first
-        other = ad.sum_all(ad.hadamard(leaf, tape.leaf(weights, constant=True)))
-        arrays = [gaps.values]
-        for cotangent in cotangents:
-            gap_term = ad.sum_all(ad.hadamard(gaps, tape.leaf(cotangent, constant=True)))
-            tape.backward(ad.add(gap_term, other))
-            arrays.append(leaf.grad.copy())
-        results[name] = arrays
-    assert results["fused"][0][0, 0] == 0.0
-    for fused, chain in zip(results["fused"], results["chain"]):
-        assert fused.shape == chain.shape and fused.tobytes() == chain.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +355,12 @@ OP_BUILDERS = {
     "broadcast_scale": lambda tape, rng: ad.broadcast_scale(*_leaves(tape, rng, (3, 2), (1, 1))),
     "broadcast_add": lambda tape, rng: ad.broadcast_add(*_leaves(tape, rng, (3, 2), (1, 1))),
     "gather_rows": lambda tape, rng: ad.gather_rows(*_leaves(tape, rng, (4, 2)), [0, 2, 2, 1]),
-    "sum_all": lambda tape, rng: ad.sum_all(*_leaves(tape, rng, (3, 2))),
     "mean_all": lambda tape, rng: ad.mean_all(*_leaves(tape, rng, (3, 2))),
     "elu": lambda tape, rng: ad.elu(*_leaves(tape, rng, (3, 2))),
     "softplus": lambda tape, rng: ad.softplus(*_leaves(tape, rng, (3, 2))),
-    "softmax": lambda tape, rng: ad.softmax(*_leaves(tape, rng, (5, 1))),
     "attention_aggregate": lambda tape, rng: ad.attention_aggregate(
         *_leaves(tape, rng, (5, 3), (6, 1)), attention_plan(TIES), 0.2
     ),
-    "pair_gaps": lambda tape, rng: ad.pair_gaps(*_leaves(tape, rng, (5, 2)), TIES),
     "quadratic_pair_forms": lambda tape, rng: ad.quadratic_pair_forms(
         *_leaves(tape, rng, (5, 2)), TIES, PARTITION.within_pairs(TIES)
     ),
@@ -425,7 +385,7 @@ def test_every_backward_hands_each_operand_its_own_shape(rng, monkeypatch, op):
     outs = OP_BUILDERS[op](tape, rng)
     leaves = list(tape._nodes)  # the operands, recorded before the op's outputs
     for out in outs if isinstance(outs, list) else [outs]:
-        tape.backward(ad.sum_all(out))
+        tape.backward(ad.mean_all(out))
         assert all(leaf.grad is not None for leaf in leaves if leaf.op == "leaf")
     assert handed and all(value == grad for value, grad in handed)
 
@@ -455,33 +415,10 @@ def test_spmm_gradient(rng):
 
     def build(x):
         out = ad.spmm(mat, x)
-        return ad.sum_all(ad.hadamard(out, out))
+        return ad.mean_all(ad.hadamard(out, out))
 
     checked(build, rng.normal(size=(4, 3)))
 
-
-def test_softmax_sums_to_one_and_is_shift_invariant(rng):
-    tape = Tape()
-    x = rng.normal(size=(6, 1))
-    out = ad.softmax(tape.leaf(x)).values
-    np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
-    np.testing.assert_allclose(ad.softmax(tape.leaf(x + 10.0)).values, out, atol=1e-12)
-    # the one-segment softmax it replaces, up to the order of its two sums
-    np.testing.assert_allclose(
-        segment_softmax(tape.leaf(x), np.zeros(6, dtype=np.int64), 1).values, out, rtol=1e-14
-    )
-
-
-def test_softmax_survives_large_scores():
-    tape = Tape()
-    out = ad.softmax(tape.leaf(np.array([[1000.0], [999.0], [500.0]])))
-    assert np.isfinite(out.values).all()
-    np.testing.assert_allclose(out.values.sum(), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Fused quadratic pair form
-# ---------------------------------------------------------------------------
 
 
 def dense_laplacian(n, rows, cols, weights):
@@ -600,12 +537,12 @@ def test_reused_tensor_accumulates_gradient(rng):
 def test_repeated_backward_sweeps_are_independent(rng):
     tape = Tape()
     x = tape.leaf(rng.normal(size=(3, 2)))
-    a = ad.sum_all(ad.hadamard(x, x))
-    b = ad.sum_all(x)
+    a = ad.mean_all(ad.hadamard(x, x))
+    b = ad.mean_all(x)
     tape.backward(a)
     first = x.grad.copy()
     tape.backward(b)
-    np.testing.assert_allclose(x.grad, np.ones_like(x.values))
+    np.testing.assert_allclose(x.grad, np.full_like(x.values, 1 / 6))
     tape.backward(a)
     np.testing.assert_allclose(x.grad, first)
 
@@ -620,7 +557,7 @@ def test_constant_leaves_get_no_gradient_and_leave_the_others_unchanged(rng):
         x, s, c = (tape.leaf(v, constant=constant) for v in (x_values, s_values, c_values))
         w = tape.leaf(w_values)
         h = ad.hadamard(ad.hadamard(s, ad.spmm(mat, x) @ w), s) @ c
-        out = ad.sum_all(ad.elu(ad.add(h, x @ w)))
+        out = ad.mean_all(ad.elu(ad.add(h, x @ w)))
         tape.backward(out)
         return out, w, (x, s, c)
 
@@ -641,7 +578,7 @@ def test_released_tape_frees_its_tensors_without_gc(rng):
             tape = Tape()
             x = tape.leaf(rng.normal(size=(3, 2)))
             y = ad.hadamard(x, x)
-            tape.backward(ad.sum_all(y))
+            tape.backward(ad.mean_all(y))
             refs[release] = weakref.ref(y.values)
             if release:
                 tape.release()
@@ -674,12 +611,6 @@ def test_shape_mismatches_are_rejected(rng):
         ad.matmul(a, a)
     with pytest.raises(DimensionError):
         ad.gather_rows(a, np.array([0, 5]))
-    with pytest.raises(DimensionError):
-        ad.softmax(a)
-    with pytest.raises(DimensionError):
-        ad.softmax(tape.leaf(np.zeros((0, 1))))
-    with pytest.raises(DimensionError):
-        ad.pair_gaps(a, TIES)
 
 
 def test_domain_errors(rng):
@@ -695,14 +626,6 @@ def test_nonfinite_forward_raises_numerical_error():
         ad.hadamard(x, x)  # 1e600 overflows to inf
 
 
-def test_sqrt_gradient_defined_at_zero():
-    # the square root inside the pair gaps has gradient 0 at a zero gap
-    tape = Tape()
-    z = tape.leaf(np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 6.0]]))
-    gaps = ad.pair_gaps(z, SimilaritySet(3, [0, 1], [1, 2], [1.0, 1.0]))
-    np.testing.assert_array_equal(gaps.values, [[0.0], [5.0]])
-    tape.backward(ad.sum_all(gaps))
-    np.testing.assert_allclose(z.grad, [[0.0, 0.0], [-0.6, -0.8], [0.6, 0.8]])
 
 
 # ---------------------------------------------------------------------------

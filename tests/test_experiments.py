@@ -1059,13 +1059,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         ["train", *wide, "--hidden", "2", "--top-k", "2", "--max-epochs", "1",
          "--pretrain-epochs", "1", "--out-dir", str(tmp_path / "run")],
         ["audit", "--embeddings", str(emb), "--similarity", sim, "--delta", "\u0661e-3"],
+        # no flag chooses the individual term: it is always the trace
+        ["train", *wide, "--surrogate", "none", "--out-dir", str(tmp_path / "run")],
     ):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refuses the flag value
             code = exc.code
         assert code == 2, argv
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
     assert not (tmp_path / "attr.csv").exists() and not (tmp_path / "run").exists()
 
 
@@ -1148,6 +1151,8 @@ INVALID_INPUTS = {
     "sweep-rho-axis-above-one": ("sweep", {"rho": [1.5]}),
     "sweep-sigma-axis-negative": ("sweep", {"sigma": [-0.1]}),
     "sweep-base-seed-negative": ("sweep", {"base_seed": -1}),
+    "sweep-config-temperature": ("sweep", {"config": {"temperature": 1.0}}),
+    "sweep-config-surrogate-softmax": ("sweep", {"config": {"surrogate": "softmax"}}),
     "similarity-mask-cols-letter": ("similarity", ["--mask-cols", "a"]),
     "similarity-mask-cols-topo": ("similarity", ["--mode", "topo", "--mask-cols", "99"]),
     "train-beta2-nan": ("train", ["--beta2", "nan"]),
@@ -1162,6 +1167,11 @@ INVALID_INPUTS = {
     "config-eo-threshold-nan": ("config", {"eo_threshold": float("nan")}),
     "config-hidden-string": ("config", {"hidden": "4"}),
     "config-seed-negative": ("config", {"seed": -1}),
+    # the individual term is always the trace, and GradNorm's norms are on W
+    "config-temperature": ("config", {"temperature": 1.0}),
+    "config-topk-fraction": ("config", {"topk_fraction": 0.05}),
+    "config-surrogate-topk": ("config", {"surrogate": "topk"}),
+    "config-gradnorm-scope-all": ("config", {"gradnorm_scope": "all"}),
     "audit-delta-nan": ("audit", ["--delta", "nan"]),
     "audit-delta-inf": ("audit", ["--delta", "inf"]),
     "audit-threshold-nan": ("audit", ["--threshold", "nan"]),
@@ -1252,8 +1262,7 @@ def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypa
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     off = dict(
         backbone="gin", gradnorm="off", attention="off", beta2="0.5", beta3="0.25",
-        surrogate="softmax", seed="9", hidden="3", max_epochs="2", pretrain_epochs="1",
-        top_k="4",
+        seed="9", hidden="3", max_epochs="2", pretrain_epochs="1", top_k="4",
     )
     cfg = tmp_path / "off.json"
     cfg.write_text('{"gradnorm": false, "attention": false, "hidden": 3}')
@@ -1261,7 +1270,7 @@ def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypa
     expected = (
         dict(
             backbone="gin", gradnorm=False, attention=False, beta2=0.5, beta3=0.25,
-            surrogate="softmax", seed=9, hidden=3, max_epochs=2, pretrain_epochs=1, top_k=4,
+            seed=9, hidden=3, max_epochs=2, pretrain_epochs=1, top_k=4,
         ),
         dict(gradnorm=True, attention=True, hidden=3, beta2=1.0, backbone="gcn"),
     )
@@ -1345,7 +1354,7 @@ def _fuzz_flags(root: Path) -> dict[str, tuple[list[str], dict[str, tuple[str, .
             "--sim-mode": ("topo", "attr"), "--partition": (groups, missing),
             "--backbone": ("gcn", "gin", "jk"), "--gradnorm": ("on", "off"),
             "--attention": ("on", "off"), "--beta2": FUZZ_FLOATS, "--beta3": FUZZ_FLOATS,
-            "--surrogate": ("none", "softmax", "topk"), "--seed": FUZZ_INTS,
+            "--seed": FUZZ_INTS,
         }),
         "audit": (["--similarity", sim], {
             "--embeddings": (str(run / "embeddings.csv"), str(root / "huge.csv")),

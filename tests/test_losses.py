@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginigraph import autodiff as ad
 from ginigraph.autodiff import Tape
 from ginigraph.errors import ContractError, DomainError
-from ginigraph.graph import GroupPartition, SimilaritySet
+from ginigraph.graph import GroupPartition
 from ginigraph.losses import (
     TRACE_FLOOR,
     combine_losses,
     group_welfare_loss,
-    surrogate_loss,
     utility_loss,
 )
 from ginigraph.metrics import trace_form
@@ -26,13 +24,7 @@ from oracles import (
     group_trace_tensors,
     nswp_value,
     smoothness_loss,
-    softmax_surrogate_chain,
 )
-
-
-def np_gaps(similarity, z):
-    diff = z[similarity.rows] - z[similarity.cols]
-    return np.sqrt(np.sum(diff * diff, axis=1))
 
 
 def embedding_evaluator(build_loss, shape):
@@ -113,89 +105,6 @@ def test_smoothness_loss_matches_trace_form(rng):
     dense = s.matrix.toarray()
     lap = np.diag(dense.sum(axis=1)) - dense
     np.testing.assert_allclose(z.grad, 2.0 * lap @ z_values, rtol=1e-10)
-
-
-def test_pair_gap_tensor_matches_oracle(rng):
-    s = build_random_similarity(rng, 7)
-    z_values = rng.normal(size=(7, 3))
-    tape = Tape()
-    gaps = ad.pair_gaps(tape.leaf(z_values), s)
-    np.testing.assert_allclose(gaps.values[:, 0], np_gaps(s, z_values), rtol=1e-12)
-    with pytest.raises(ContractError):
-        ad.pair_gaps(tape.leaf(z_values[:3]), SimilaritySet(3, [], [], []))
-
-
-# ---------------------------------------------------------------------------
-# Tail surrogates
-# ---------------------------------------------------------------------------
-
-
-def test_softmax_surrogate_matches_oracle_and_bounds(rng):
-    s = build_random_similarity(rng, 9)
-    z_values = rng.normal(size=(9, 3))
-    gaps = np_gaps(s, z_values)
-    tape = Tape()
-    loss = surrogate_loss(tape.leaf(z_values), s, "softmax", temperature=0.7)
-    w = np.exp(gaps / 0.7 - np.max(gaps / 0.7))
-    w /= w.sum()
-    np.testing.assert_allclose(loss.values[0, 0], float(w @ gaps), rtol=1e-12)
-    # soft maximum sits between the mean and the max gap
-    assert gaps.mean() - 1e-12 <= loss.values[0, 0] <= gaps.max() + 1e-12
-    cold = surrogate_loss(tape.leaf(z_values), s, "softmax", temperature=1e-4)
-    np.testing.assert_allclose(cold.values[0, 0], gaps.max(), rtol=1e-9)
-
-
-def test_softmax_surrogate_is_the_one_segment_chain_up_to_summation_order(rng):
-    # np.sum adds pairwise where the one-segment softmax's bincount adds in order
-    s = build_random_similarity(rng, 12)
-    z_values = rng.normal(size=(12, 4))
-    results = []
-    for build in (lambda z: surrogate_loss(z, s, "softmax", temperature=0.3),
-                  lambda z: softmax_surrogate_chain(z, s, 0.3)):
-        tape = Tape()
-        z = tape.leaf(z_values)
-        loss = build(z)
-        tape.backward(loss)
-        results.append((loss.values, z.grad))
-    for fused, chain in zip(*results):
-        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=1e-15)
-
-
-def test_topk_surrogate_matches_oracle(rng):
-    s = build_random_similarity(rng, 10)
-    z_values = rng.normal(size=(10, 3))
-    gaps = np_gaps(s, z_values)
-    tape = Tape()
-    k = max(1, int(np.ceil(0.3 * gaps.size)))
-    loss = surrogate_loss(tape.leaf(z_values), s, "topk", fraction=0.3)
-    expected = np.mean(np.sort(gaps)[::-1][:k])
-    np.testing.assert_allclose(loss.values[0, 0], expected, rtol=1e-12)
-    everything = surrogate_loss(tape.leaf(z_values), s, "topk", fraction=1.0)
-    np.testing.assert_allclose(everything.values[0, 0], gaps.mean(), rtol=1e-12)
-
-
-def test_surrogate_guards(rng):
-    s = build_random_similarity(rng, 5)
-    tape = Tape()
-    z = tape.leaf(rng.normal(size=(5, 2)))
-    with pytest.raises(ContractError):
-        surrogate_loss(z, s, "softmax", temperature=0.0)
-    with pytest.raises(ContractError):
-        surrogate_loss(z, s, "topk", fraction=0.0)
-    with pytest.raises(ContractError):
-        surrogate_loss(z, s, "maxpool")
-
-
-@pytest.mark.parametrize("mode", ["softmax", "topk"])
-def test_surrogate_gradients(rng, mode):
-    s = build_random_similarity(rng, 8)
-
-    def build(tape, z):
-        return surrogate_loss(z, s, mode)
-
-    point = rng.normal(size=(8, 3))
-    report = finite_diff_check(embedding_evaluator(build, (8, 3)), point, step=1e-6)
-    assert report.passed, report
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ def test_gini_in_unit_interval_and_scale_invariant(seed):
         return
     g = embedding_gini(s, z)
     assert 0.0 <= g <= 1.0
+    # ||z_i - z_j||_1 <= ||z_i||_1 + ||z_j||_1, up to rounding at equality
+    assert g <= s.degree.max() / n * (1 + 1e-12)
     for c in (0.25, 3.0, 1e6):
         assert abs(embedding_gini(s, c * z) - g) < 1e-10
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -282,7 +283,7 @@ def test_fair_head_gradient_passes_finite_differences(rng):
         tape = Tape()
         leaves = as_leaves(tape, {**weights, "a": a_flat.reshape(6, 1)})
         out = fair_head_embed(tape.leaf(z0), leaves, edges, tape)
-        scalar = ad.sum_all(ad.hadamard(out, out))
+        scalar = ad.mean_all(ad.hadamard(out, out))
         tape.backward(scalar)
         return float(scalar.values[0, 0]), leaves["a"].grad.copy()
 
@@ -373,34 +374,44 @@ CHECKPOINT_LAYOUTS = {
 }
 
 
+def _filled(layout) -> tuple[dict, dict]:
+    """The backbone and fair sections of a (backbone, fair) layout, every weight 0.5."""
+    return tuple({name: np.full(shape, 0.5) for name, shape in part.items()} for part in layout)
+
+
 @pytest.mark.parametrize("case", [*CHECKPOINT_EDITS, *CHECKPOINT_LAYOUTS])
 def test_checkpoint_rejects_malformed_files_when_loading(tmp_path, case):
     path = tmp_path / "model.json"
-    layout = CHECKPOINT_LAYOUTS.get(case, (GCN_3_2, {}))
-    backbone, fair = (
-        {name: np.full(shape, 0.5) for name, shape in part.items()} for part in layout
-    )
-    params = ModelParams("gcn", {name: np.full(shape, 0.5) for name, shape in GCN_3_2.items()})
-    # construction refuses these layouts, so the loader must refuse the file
-    params.backbone, params.fair = backbone, fair
-    save_checkpoint(path, params)
+    save_checkpoint(path, ModelParams("gcn", *_filled((GCN_3_2, {}))))
+    text = path.read_text()
     if case in CHECKPOINT_EDITS:
-        text = path.read_text()
         edited = CHECKPOINT_EDITS[case](text)
-        assert edited != text
-        path.write_text(edited)
+    else:
+        # construction refuses these layouts, so the loader must refuse the file
+        raw = json.loads(text)
+        for section, weights in zip(("backbone", "fair"), _filled(CHECKPOINT_LAYOUTS[case])):
+            raw[section] = {name: w.tolist() for name, w in weights.items()}
+        edited = json.dumps(raw)
+    assert edited != text
+    path.write_text(edited)
     with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_LAYOUTS))
-def test_model_params_refuse_a_malformed_layout_when_constructed(case):
-    backbone, fair = (
-        {name: np.full(shape, 0.5) for name, shape in part.items()}
-        for part in CHECKPOINT_LAYOUTS[case]
-    )
+def test_save_checkpoint_refuses_params_changed_to_a_malformed_layout(tmp_path, case):
+    params = ModelParams("gcn", *_filled((GCN_3_2, {})))
+    params.backbone, params.fair = _filled(CHECKPOINT_LAYOUTS[case])
+    path = tmp_path / "model.json"
     with pytest.raises(ContractError, match="matrix"):
-        ModelParams("gcn", backbone, fair)
+        save_checkpoint(path, params)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_LAYOUTS))
+def test_model_params_refuse_a_malformed_layout_when_constructed(case):
+    with pytest.raises(ContractError, match="matrix"):
+        ModelParams("gcn", *_filled(CHECKPOINT_LAYOUTS[case]))
 
 
 def test_hand_built_params_name_a_missing_or_misshapen_matrix(rng):
