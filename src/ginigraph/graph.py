@@ -284,16 +284,16 @@ def laplacian_apply(similarity: SimilaritySet, z: Array) -> Array:
 DENSE_SIMILARITY_LIMIT = 5000
 
 # Rows per argpartition call in _cosine_topk. argpartition selects row by row,
-# so every block size picks what one call over all n rows picks; a block needs
-# a negated copy and an index array of 2 * 256 * n * 8 bytes (20 MB at the
-# dense limit), where one call over all rows needs two more n x n arrays.
+# so every block size picks what one call over all n rows picks. A block needs
+# one negated and clamped buffer and an index array, 2 * 256 * n * 8 bytes
+# (20 MB at the dense limit), allocated beside the n x n score matrix.
 _SELECT_ROWS = 256
 
 
 def _check_dense(n: int, top_k: int) -> None:
-    """Refuse a nonpositive top_k, and an n x n score matrix beyond the limit."""
-    if top_k <= 0:
-        raise ContractError("top_k must be positive")
+    """Refuse a top_k that is no positive integer, and n beyond the dense limit."""
+    if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)) or top_k <= 0:
+        raise ContractError(f"top_k must be a positive integer, got {top_k!r}")
     if n > DENSE_SIMILARITY_LIMIT:
         raise ContractError(
             f"dense similarity path supports up to {DENSE_SIMILARITY_LIMIT} nodes"
@@ -304,31 +304,38 @@ def _cosine_topk(vectors: Array, top_k: int) -> SimilaritySet:
     """Cosine similarity of the rows of vectors, kept to each node's top_k.
 
     vectors is normalised in place (all-zero rows stay zero: cosine undefined,
-    no pairs) and released once the n x n score matrix is formed. In that
-    matrix the diagonal and nonpositive scores become 0, each row's
-    argpartition picks its top_k, and a pick with score 0 is dropped. The
-    picks of both ends of a pair merge in the upper triangle of their pair
-    matrix; a pair survives if either end picks it, which is symmetrization
-    by max because cosine scores are symmetric.
+    no pairs) and released once the n x n score matrix is formed. The scores
+    are never written to: each block of rows is negated into one buffer and
+    clamped there to -0.0 at nonpositive scores and on the diagonal, so
+    argpartition picks each row's top_k by score, and a pick of score 0 is
+    dropped. A pair survives if either end picks it, with the picked score as
+    its weight; the score matrix is bitwise symmetric, so both ends pick the
+    same bits, and the upper triangle of the picks' CSR, symmetrized by max,
+    is the union.
     """
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors /= np.where(norms > 0, norms, 1.0)
     scores = vectors @ vectors.T
     del vectors
     n = scores.shape[0]
-    np.fill_diagonal(scores, 0.0)
     k = min(top_k, n - 1)  # n = 1 gives k = 0, kth = -1 (the only column) and no picks
-    picks = [np.zeros((2, 0), dtype=np.int64)]
+    buf = np.empty((min(_SELECT_ROWS, n), n))
+    rows, cols, weights = [], [], []
     for start in range(0, n, _SELECT_ROWS):
-        block = scores[start : start + _SELECT_ROWS]
-        block[block <= 0.0] = 0.0
-        rows = np.repeat(np.arange(start, start + block.shape[0]), k)
-        cols = np.argpartition(-block, kth=k - 1, axis=1)[:, :k].ravel()
-        picked = scores[rows, cols] > 0.0
-        picks.append(np.stack([rows[picked], cols[picked]]))
-    rows, cols = np.concatenate(picks, axis=1)
-    upper = sp.triu(_pair_matrix(n, rows, cols, np.ones(rows.size)), 1)
-    return SimilaritySet(n, upper.row, upper.col, np.minimum(scores[upper.row, upper.col], 1.0))
+        neg = np.negative(scores[start : start + _SELECT_ROWS], out=buf[: n - start])
+        np.minimum(neg, -0.0, out=neg)
+        np.fill_diagonal(neg[:, start:], -0.0)
+        top = np.argpartition(neg, kth=k - 1, axis=1)[:, :k].copy()  # frees the n-wide index array
+        picked = -np.take_along_axis(neg, top, axis=1)
+        keep = picked > 0.0
+        rows.append(np.nonzero(keep)[0] + start)
+        cols.append(top[keep])
+        weights.append(picked[keep])
+    chosen = sp.csr_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    upper = sp.triu(chosen.maximum(chosen.T), 1)
+    return SimilaritySet(n, upper.row, upper.col, np.minimum(upper.data, 1.0))
 
 
 def topo_similarity(graph: Graph, top_k: int = 100) -> SimilaritySet:
@@ -343,6 +350,8 @@ def attr_similarity(
     """Cosine similarity of feature rows with protected columns zeroed out."""
     feats = np.array(features, dtype=np.float64)  # a copy: the kernel normalises it in place
     _check_dense(feats.shape[0], top_k)
+    if not np.all(np.isfinite(feats)):
+        raise DomainError("features must be finite")
     bad = [c for c in masked_columns if not 0 <= c < feats.shape[1]]
     if bad:
         raise ContractError(f"masked column out of range: {bad}")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginigraph import graph as graph_module
 from ginigraph.errors import ConfigError, ContractError, DataFormatError, DomainError
 from ginigraph.graph import (
     _SELECT_ROWS,
@@ -341,6 +342,47 @@ def test_zero_feature_rows_produce_no_pairs():
     assert s.num_pairs == 0
 
 
+def test_attr_similarity_rejects_non_finite_features():
+    for bad in (np.nan, np.inf, -np.inf):
+        feats = np.random.default_rng(0).normal(size=(6, 3))
+        feats[2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            attr_similarity(feats, top_k=2)
+
+
+def test_top_k_must_be_a_positive_integer(rng, graph_factory):
+    graph = graph_factory(rng, 8)
+    for similarity in (lambda k: topo_similarity(graph, k),
+                       lambda k: attr_similarity(graph.features, k)):
+        for bad in (2.5, 2.0, True, False, "2", None, 0, -1, np.int64(0)):
+            with pytest.raises(ContractError, match="top_k"):
+                similarity(bad)
+        for good in (np.int64(2), np.int32(2)):
+            got, want = similarity(good), similarity(2)
+            for name in ("rows", "cols", "weights"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_dense_limit_refuses_one_node_more(monkeypatch):
+    monkeypatch.setattr(graph_module, "DENSE_SIMILARITY_LIMIT", 6)
+    rng = np.random.default_rng(1)
+    for n, allowed in ((6, True), (7, False)):
+        graph = build_random_graph(rng, n, p=0.5)
+        for run in (lambda: topo_similarity(graph, 3),
+                    lambda: attr_similarity(graph.features, 3)):
+            if allowed:
+                assert run().n == n
+            else:
+                with pytest.raises(ContractError, match="up to 6 nodes"):
+                    run()
+
+
+def test_single_node_similarity_has_no_pairs():
+    graph = Graph(edges=np.zeros((0, 2)), features=[[1.0, 2.0]], labels=[0], sensitive=[0])
+    for s in (topo_similarity(graph, 5), attr_similarity(graph.features, 5)):
+        assert s.n == 1 and s.num_pairs == 0 and s.matrix.shape == (1, 1)
+
+
 def one_shot_topk_union(vectors, top_k):
     """The top-k union with one argpartition over the whole negated score matrix."""
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -365,10 +407,16 @@ def test_row_blocked_topk_matches_one_shot_selection(k):
     top_k = n - 1 if k == "n-1" else int(k)
     graph = build_random_graph(rng, n, dim=3, p=0.02)
     ties = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+    # 8 and 16 columns, the widths of the SBM features and the audited
+    # embeddings, at an n that is no multiple of 8: there OpenBLAS rounds a
+    # row block's product unit[blk] @ unit.T differently from the one full
+    # product, so a blocked attr product would move weights and pairs here
+    wide = [rng.normal(size=(n, d)) for d in (8, 16)]
     cases = [
         (topo_similarity(graph, top_k), graph.adjacency().toarray()),
         (attr_similarity(ties, top_k), ties),
         (attr_similarity(graph.features, top_k), graph.features),
+        *((attr_similarity(feats, top_k), feats) for feats in wide),
     ]
     for s, vectors in cases:
         for got, want in zip((s.rows, s.cols, s.weights), one_shot_topk_union(vectors, top_k)):
