@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -49,9 +48,6 @@ from .sweep import SweepSpec, aggregate_dir, run_sweep, write_metrics_table, wri
 from .synthetic import SbmSpec, sbm_generate
 from .trainer import TrainConfig, train, write_training_log
 from .models import save_checkpoint
-
-# when set, overrides the seed of a train run from any source
-SEED_ENV_VAR = "GINIGRAPH_SEED"
 
 
 def _plain(parse):
@@ -146,17 +142,6 @@ TRAIN_OVERRIDES = (
 )
 
 
-def apply_env_seed(config: TrainConfig) -> TrainConfig:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return config
-    try:
-        seed = plain_int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return dataclasses.replace(config, seed=seed)
-
-
 def cmd_train(args) -> int:
     graph, _ = load_graph(args.edges, args.features)
     config = read_json(args.config, TrainConfig.from_json_dict) if args.config else TrainConfig()
@@ -166,7 +151,6 @@ def cmd_train(args) -> int:
         if value is not None:
             overrides[name] = value == "on" if value in ("on", "off") else value
     config = dataclasses.replace(config, **overrides)
-    config = apply_env_seed(config)
     config.validate()
 
     if args.similarity:

@@ -12,7 +12,8 @@ signed gradient step per epoch gives
     beta_i <- beta_i - lr * sign(beta_i G_i - target_i) * G_i,
 
 after which the weights are floored at a small positive value and rescaled to
-a fixed total, so every weight stays strictly positive and the sum is exact.
+the number of terms, so every weight stays strictly positive and the sum is
+exact.
 When all scaled norms and rates already agree the update is the identity.
 """
 
@@ -27,30 +28,21 @@ from .errors import ContractError, NumericalError
 Array = np.ndarray
 
 BETA_FLOOR = 1e-4
-BETA_TOTAL = 3.0
 
 
 class GradNormController:
     """Stateful weight balancer over a fixed number of loss terms."""
 
-    def __init__(
-        self,
-        betas,
-        beta_lr: float = 0.025,
-        total: float = BETA_TOTAL,
-        floor: float = BETA_FLOOR,
-    ):
+    def __init__(self, betas, beta_lr: float = 0.025):
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 2:
             raise ContractError("need at least two loss terms to balance")
-        if np.any(betas <= 0):
-            raise ContractError("initial weights must be strictly positive")
-        if beta_lr <= 0 or total <= 0 or floor <= 0:
-            raise ContractError("beta_lr, total and floor must be positive")
+        if not np.all(np.isfinite(betas) & (betas > 0)):
+            raise ContractError("initial weights must be finite and strictly positive")
+        if not (np.isfinite(beta_lr) and beta_lr > 0):
+            raise ContractError("beta_lr must be finite and positive")
         self.beta_lr = float(beta_lr)
-        self.total = float(total)
-        self.floor = float(floor)
-        self.betas = betas * (self.total / betas.sum())
+        self.betas = betas * (betas.size / betas.sum())
         self.initial_losses: Array | None = None
 
     def gradnorm_step(self, grad_norms, rates) -> Array:
@@ -66,8 +58,8 @@ class GradNormController:
         scaled = self.betas * grad_norms
         target = scaled.mean() * rates / max(rates.mean(), 1e-12)
         self.betas = self.betas - self.beta_lr * np.sign(scaled - target) * grad_norms
-        self.betas = np.maximum(self.betas, self.floor)
-        self.betas = self.betas * (self.total / self.betas.sum())
+        self.betas = np.maximum(self.betas, BETA_FLOOR)
+        self.betas = self.betas * (self.betas.size / self.betas.sum())
         return self.betas.copy()
 
     def step(self, losses, grad_norms) -> Array:

@@ -119,17 +119,12 @@ def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     return (d @ a_hat @ d).tocsr()
 
 
-def split_nodes(
-    graph: Graph, fractions: tuple[float, float, float] = (0.5, 0.25, 0.25), seed: int = 0
-) -> tuple[Array, Array, Array]:
-    """Shuffle the labeled nodes into train/val/test index arrays."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
-        raise ContractError("fractions must be nonnegative and sum to 1")
+def split_nodes(graph: Graph, seed: int) -> tuple[Array, Array, Array]:
+    """Shuffle the labeled nodes into 50/25/25 train/val/test index arrays."""
     labeled = np.flatnonzero(graph.labels >= 0)
     rng = np.random.default_rng(seed)
     order = rng.permutation(labeled)
-    n_train = int(fractions[0] * order.size)
-    n_val = int(fractions[1] * order.size)
+    n_train, n_val = order.size // 2, order.size // 4
     return (
         np.sort(order[:n_train]),
         np.sort(order[n_train : n_train + n_val]),

@@ -27,21 +27,18 @@ TRACE_FLOOR = 1e-8
 
 
 def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Tensor:
-    """Mean BCE over index: y softplus(-z) + (1 - y) softplus(z)."""
+    """Mean BCE over index: softplus(s z) with the sign s = 1 - 2y.
+
+    For binary y that is y softplus(-z) + (1 - y) softplus(z), term by term.
+    """
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
         raise ContractError("utility loss over an empty index set")
     y = np.asarray(labels, dtype=np.float64)[index]
     if np.any((y != 0.0) & (y != 1.0)):
         raise DomainError("utility loss needs binary labels on the index set")
-    z = ad.gather_rows(logits, index)
-    y_pos = tape.leaf(y[:, None], "y", constant=True)
-    y_neg = tape.leaf((1.0 - y)[:, None], "1-y", constant=True)
-    terms = ad.add(
-        ad.hadamard(y_pos, ad.softplus(ad.scale(z, -1.0))),
-        ad.hadamard(y_neg, ad.softplus(z)),
-    )
-    return ad.mean_all(terms)
+    sign = tape.leaf((1.0 - 2.0 * y)[:, None], "1-2y", constant=True)
+    return ad.mean_all(ad.softplus(ad.hadamard(sign, ad.gather_rows(logits, index))))
 
 
 # ---------------------------------------------------------------------------

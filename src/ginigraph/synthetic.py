@@ -164,5 +164,5 @@ def sbm_generate(spec: SbmSpec, seed: int = 0) -> Graph:
     edges = _draw_edges(blocks, spec.p_within, spec.p_between, rng)
 
     graph = Graph(edges=edges, features=features, labels=labels, sensitive=sensitive)
-    train, val, test = split_nodes(graph, (0.5, 0.25, 0.25), seed)
+    train, val, test = split_nodes(graph, seed)
     return replace(graph, train_mask=train, val_mask=val, test_mask=test)

@@ -86,7 +86,6 @@ class TrainConfig:
     weight_decay: float = 1e-5
     patience: int = 100
     seed: int = 0
-    delta: float = 1e-6
     top_k: int = 100
     gradnorm: bool = True
     beta2: float = 1.0
@@ -96,7 +95,6 @@ class TrainConfig:
     surrogate: str = "none"
     attention: bool = True
     head_scale: float = 1.0
-    eo_threshold: float = 0.5
 
     def validate(self) -> None:
         check_field_types(self, ConfigError)
@@ -110,7 +108,7 @@ class TrainConfig:
                      "beta_lr", "head_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("pretrain_epochs", "seed", "weight_decay", "delta", "beta2", "beta3"):
+        for name in ("pretrain_epochs", "seed", "weight_decay", "beta2", "beta3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
 
@@ -189,10 +187,11 @@ def write_training_log(path, history: list[EpochRecord]) -> None:
 class AdamState:
     """Adaptive-moment optimizer with decoupled weight decay, in-place."""
 
-    def __init__(self, weights: dict[str, Array], beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, weights: dict[str, Array]):
         self.m = {k: np.zeros_like(v) for k, v in weights.items()}
         self.v = {k: np.zeros_like(v) for k, v in weights.items()}
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(
@@ -229,7 +228,7 @@ def _ensure_masks(graph: Graph, seed: int) -> Graph:
     """Fill in a 50/25/25 labeled split when the graph carries no masks."""
     if graph.train_mask.size:
         return graph
-    train, val, test = split_nodes(graph, (0.5, 0.25, 0.25), seed)
+    train, val, test = split_nodes(graph, seed)
     return replace(graph, train_mask=train, val_mask=val, test_mask=test)
 
 
@@ -362,10 +361,7 @@ def train(
     active = np.flatnonzero(betas > 0)
     controller = None
     if config.gradnorm and active.size >= 2:
-        # weights renormalize to one-per-active-term (sum 3 in the full run)
-        controller = GradNormController(
-            betas[active], beta_lr=config.beta_lr, total=float(active.size)
-        )
+        controller = GradNormController(betas[active], beta_lr=config.beta_lr)
         betas[active] = controller.betas
 
     adam = AdamState(fair_weights)
@@ -427,7 +423,7 @@ def train(
     return RunResult(
         config=config,
         params=params,
-        report=evaluate(embeddings, scores, graph, similarity, partition, config),
+        report=evaluate(embeddings, scores, graph, similarity, partition),
         history=history,
         embeddings=embeddings,
         scores=scores,
@@ -473,10 +469,11 @@ def evaluate(
     graph: Graph,
     similarity: SimilaritySet,
     partition: GroupPartition | None,
-    config: TrainConfig | None = None,
 ) -> MetricsReport:
-    """Audit embeddings and scores (as from embed) on the test mask, or all nodes."""
-    config = config or TrainConfig()
+    """Audit embeddings and scores (as from embed) on the test mask, or all nodes.
+
+    The report uses compute_report's default threshold and delta.
+    """
     index = graph.test_mask if graph.test_mask.size else np.arange(graph.n)
     return compute_report(
         h[index],
@@ -484,6 +481,4 @@ def evaluate(
         partition.restrict(index) if partition is not None else None,
         scores=scores[index],
         labels=graph.labels[index],
-        threshold=config.eo_threshold,
-        delta=config.delta,
     )

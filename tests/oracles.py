@@ -1,7 +1,8 @@
 """Reference computations the tests check the program against.
 
 None of these runs in the program itself: the finite-difference gradient
-check, the one-set-at-a-time trace tensors, the attention head as a chain of
+check, the binary cross-entropy as a two-softplus chain, the
+one-set-at-a-time trace tensors, the attention head as a chain of
 separate tape ops (with the multi-segment softmax it needs), pretraining that
 propagates into every row, the plain-number Nash-welfare penalty and the
 Markov tail statistics are oracles of the acceptance suite and of the unit
@@ -103,6 +104,24 @@ def tape_evaluator(build: Callable[[Tensor], Tensor]) -> Callable[[Array], tuple
         return float(out.values[0, 0]), grad.copy()
 
     return evaluator
+
+
+# ---------------------------------------------------------------------------
+# Binary cross-entropy as two softplus branches
+# ---------------------------------------------------------------------------
+
+
+def bce_chain(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Tensor:
+    """Mean BCE over index as y softplus(-z) + (1 - y) softplus(z), one tape op per step."""
+    y = np.asarray(labels, dtype=np.float64)[np.asarray(index, dtype=np.int64)]
+    z = ad.gather_rows(logits, index)
+    y_pos = tape.leaf(y[:, None], "y", constant=True)
+    y_neg = tape.leaf((1.0 - y)[:, None], "1-y", constant=True)
+    terms = ad.add(
+        ad.hadamard(y_pos, ad.softplus(ad.scale(z, -1.0))),
+        ad.hadamard(y_neg, ad.softplus(z)),
+    )
+    return ad.mean_all(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,10 @@ import dataclasses
 import importlib.util
 import io
 import json
-import os
 import re
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from hypothesis import strategies as st
 
 from ginigraph import cli
 from ginigraph.benchmark import BENCHMARK_BASE, BENCHMARK_SBM, BENCHMARK_VARIANTS, run_matrix
-from ginigraph.cli import SEED_ENV_VAR, apply_env_seed
 from ginigraph.clustering import kmeans, kmeans_elbow
 from ginigraph.errors import (
     ConfigError,
@@ -656,17 +653,6 @@ def test_train_config_from_json_dict_rejects_other_values(tmp_path):
         read_json(path, TrainConfig.from_json_dict)
 
 
-def test_apply_env_seed_overrides_the_seed(monkeypatch):
-    config = TrainConfig(seed=3, hidden=8)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert apply_env_seed(config) == config
-    monkeypatch.setenv(SEED_ENV_VAR, "99")
-    assert apply_env_seed(config) == TrainConfig(seed=99, hidden=8)
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-    with pytest.raises(ConfigError, match=SEED_ENV_VAR):
-        apply_env_seed(config)
-
-
 # ---------------------------------------------------------------------------
 # Command-line surface
 # ---------------------------------------------------------------------------
@@ -719,7 +705,6 @@ def test_cli_ingest_and_similarity(sbm_dir, tmp_path, capsys):
 
 
 def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     head_calls = []
 
     def counted_head(*args, **kwargs):
@@ -775,8 +760,7 @@ def test_cli_train_audit_report_pipeline(sbm_dir, tmp_path, capsys, monkeypatch)
     assert code == 0 and table.exists()
 
 
-def test_cli_train_attention_off_reloads_bit_for_bit(sbm_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_cli_train_attention_off_reloads_bit_for_bit(sbm_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     code, _ = run_cli(
         capsys, "train", *graph_args(sbm_dir),
@@ -897,19 +881,6 @@ def test_settings_readers_raise_only_domain_errors_on_any_json(raw, read):
         read(raw).validate()
     except GiniGraphError:
         pass
-
-
-def test_cli_train_env_seed_overrides_flag(sbm_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "77")
-    run_dir = tmp_path / "run_env"
-    code, result = run_cli(
-        capsys, "train", *graph_args(sbm_dir),
-        "--sim-mode", "attr", "--hidden", "4", "--top-k", "5",
-        "--pretrain-epochs", "2", "--max-epochs", "2", "--seed", "2",
-        "--out-dir", str(run_dir),
-    )
-    assert code == 0
-    assert result["seed"] == 77
 
 
 def test_cli_cluster_and_perturb(sbm_dir, tmp_path, capsys):
@@ -1052,12 +1023,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "similarity", *wide, "--top-k", "2", "--out", sim)[0] == 0
     write_embedding_csv(emb, rng.normal(size=(4, 2)))
     attr = ["similarity", *wide, "--mode", "attr", "--out", str(tmp_path / "attr.csv")]
-    monkeypatch.setenv(SEED_ENV_VAR, "1_1")  # only train reads it
     for argv in (
         [*attr, "--mask-cols", "1_0"],
         [*attr, "--mask-cols", "\u0661", "--top-k", "\u0665"],
         ["train", *wide, "--hidden", "2", "--top-k", "2", "--max-epochs", "1",
-         "--pretrain-epochs", "1", "--out-dir", str(tmp_path / "run")],
+         "--pretrain-epochs", "1", "--seed", "1_1", "--out-dir", str(tmp_path / "run")],
         ["audit", "--embeddings", str(emb), "--similarity", sim, "--delta", "\u0661e-3"],
         # no flag chooses the individual term: it is always the trace
         ["train", *wide, "--surrogate", "none", "--out-dir", str(tmp_path / "run")],
@@ -1157,7 +1127,6 @@ INVALID_INPUTS = {
     "similarity-mask-cols-topo": ("similarity", ["--mode", "topo", "--mask-cols", "99"]),
     "train-beta2-nan": ("train", ["--beta2", "nan"]),
     "train-seed-negative": ("train", ["--seed", "-1"]),
-    "env-seed-negative": ("env", "-3"),
     "generate-sbm-seed-negative": ("generate-sbm", ["--seed", "-1"]),
     "cluster-seed-negative": ("cluster", ["--seed", "-1"]),
     "perturb-seed-negative": ("perturb", ["--seed", "-1"]),
@@ -1165,6 +1134,11 @@ INVALID_INPUTS = {
     "config-weight-decay-nan": ("config", {"weight_decay": float("nan")}),
     "config-delta-nan": ("config", {"delta": float("nan")}),
     "config-eo-threshold-nan": ("config", {"eo_threshold": float("nan")}),
+    # the audit's delta and threshold are audit flags, not train settings
+    "config-delta": ("config", {"delta": 1e-6}),
+    "config-eo-threshold": ("config", {"eo_threshold": 0.5}),
+    "sweep-config-delta": ("sweep", {"config": {"delta": 1e-6}}),
+    "sweep-config-eo-threshold": ("sweep", {"config": {"eo_threshold": 0.5}}),
     "config-hidden-string": ("config", {"hidden": "4"}),
     "config-seed-negative": ("config", {"seed": -1}),
     # the individual term is always the trace, and GradNorm's norms are on W
@@ -1179,9 +1153,8 @@ INVALID_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
-def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys, monkeypatch):
+def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys):
     kind, bad = INVALID_INPUTS[case]
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     if kind == "sweep":
         spec = {"beta2": [1.0], **bad, "config": {**TINY_TRAIN, **bad.get("config", {})}}
         path = tmp_path / "spec.json"
@@ -1215,9 +1188,6 @@ def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys,
         if kind == "config":
             (tmp_path / "bad.json").write_text(json.dumps(bad))
             bad = ["--config", str(tmp_path / "bad.json")]
-        elif kind == "env":
-            monkeypatch.setenv(SEED_ENV_VAR, bad)
-            bad = []
         argv = ["train", *graph_args(sbm_dir), "--out-dir", str(tmp_path / "run"), *bad]
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -1258,8 +1228,7 @@ def test_cli_train_rejects_an_unreadable_config_with_exit_4(sbm_dir, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_cli_train_flags_override_the_config(sbm_dir, tmp_path, capsys):
     off = dict(
         backbone="gin", gradnorm="off", attention="off", beta2="0.5", beta3="0.25",
         seed="9", hidden="3", max_epochs="2", pretrain_epochs="1", top_k="4",
@@ -1396,12 +1365,10 @@ def test_cli_main_exits_cleanly_on_any_flag_values(fuzz_files, command, data):
         argv.append("--thousands")
     stdout, stderr = io.StringIO(), io.StringIO()
     with (
-        mock.patch.dict(os.environ),
         warnings.catch_warnings(),
         contextlib.redirect_stdout(stdout),
         contextlib.redirect_stderr(stderr),
     ):
-        os.environ.pop(SEED_ENV_VAR, None)
         warnings.simplefilter("ignore", RuntimeWarning)  # the program runs with numpy's default
         try:
             code = cli.main(argv)

@@ -8,20 +8,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginigraph.errors import ContractError, NumericalError
-from ginigraph.gradnorm import BETA_TOTAL, GradNormController
+from ginigraph.gradnorm import GradNormController
 
 
 def test_constructor_normalizes_and_validates():
     c = GradNormController([1.0, 1.0, 1.0])
     np.testing.assert_array_equal(c.betas, [1.0, 1.0, 1.0])
-    c2 = GradNormController([2.0, 2.0], total=2.0)
-    np.testing.assert_allclose(c2.betas, [1.0, 1.0])
+    c2 = GradNormController([2.0, 2.0])
+    np.testing.assert_array_equal(c2.betas, [1.0, 1.0])
     with pytest.raises(ContractError):
         GradNormController([1.0])
     with pytest.raises(ContractError):
         GradNormController([1.0, -1.0])
     with pytest.raises(ContractError):
         GradNormController([1.0, 1.0], beta_lr=0.0)
+
+
+def test_weights_sum_to_the_term_count():
+    for betas in ([1.0, 1.0], [0.5, 3.0], [1.0, 2.0, 3.0], [1.0] * 5):
+        c = GradNormController(betas)
+        assert c.betas.sum() == len(betas)
+        out = c.gradnorm_step(np.linspace(0.5, 2.0, len(betas)), np.ones(len(betas)))
+        np.testing.assert_allclose(out.sum(), len(betas), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "betas, beta_lr",
+    [([1.0, np.nan], 0.025), ([1.0, np.inf], 0.025), ([1.0, 1.0], np.nan), ([1.0, 1.0], np.inf)],
+    ids=["beta-nan", "beta-inf", "beta-lr-nan", "beta-lr-inf"],
+)
+def test_constructor_rejects_non_finite_values(betas, beta_lr):
+    with pytest.raises(ContractError):
+        GradNormController(betas, beta_lr=beta_lr)
 
 
 def test_balanced_case_is_identity():
@@ -35,7 +53,7 @@ def test_balanced_case_is_identity():
 
 
 def test_oversized_gradient_term_is_downweighted():
-    c = GradNormController([1.0, 1.0], total=2.0)
+    c = GradNormController([1.0, 1.0])
     out = c.gradnorm_step([2.0, 1.0], [1.0, 1.0])
     assert out[0] < 1.0 < out[1]
     np.testing.assert_allclose(out.sum(), 2.0, atol=1e-12)
@@ -43,7 +61,7 @@ def test_oversized_gradient_term_is_downweighted():
 
 def test_slow_task_gets_more_weight():
     # equal gradient norms, but task 0 has a high loss ratio (training slowly)
-    c = GradNormController([1.0, 1.0], total=2.0)
+    c = GradNormController([1.0, 1.0])
     out = c.gradnorm_step([1.0, 1.0], [2.0, 0.5])
     assert out[0] > 1.0 > out[1]
 
@@ -61,7 +79,7 @@ def test_step_records_initial_losses_once():
 
 
 def test_floor_keeps_weights_strictly_positive():
-    c = GradNormController([1.0, 1.0], beta_lr=5.0, total=2.0)
+    c = GradNormController([1.0, 1.0], beta_lr=5.0)
     out = c.gradnorm_step([10.0, 0.1], [1.0, 1.0])
     assert np.all(out > 0.0)
     np.testing.assert_allclose(out.sum(), 2.0, atol=1e-12)
@@ -99,4 +117,4 @@ def test_long_runs_preserve_total_and_positivity(seed):
     for _ in range(25):
         betas = c.gradnorm_step(rng.uniform(0.0, 10.0, size=3), rng.uniform(0.0, 3.0, size=3))
         assert np.all(betas > 0.0)
-        assert abs(betas.sum() - BETA_TOTAL) < 1e-9
+        assert abs(betas.sum() - 3.0) < 1e-9

@@ -122,14 +122,12 @@ def test_split_nodes_covers_labeled_and_is_deterministic(rng):
         labels=labels,
         sensitive=np.zeros(10, dtype=int),
     )
-    train, val, test = split_nodes(graph, (0.5, 0.25, 0.25), seed=3)
+    train, val, test = split_nodes(graph, seed=3)
     joined = np.sort(np.concatenate([train, val, test]))
     np.testing.assert_array_equal(joined, np.flatnonzero(labels >= 0))
-    again = split_nodes(graph, (0.5, 0.25, 0.25), seed=3)
+    again = split_nodes(graph, seed=3)
     for a, b in zip((train, val, test), again):
         np.testing.assert_array_equal(a, b)
-    with pytest.raises(ContractError):
-        split_nodes(graph, (0.5, 0.2, 0.2), seed=0)
 
 
 # ---------------------------------------------------------------------------

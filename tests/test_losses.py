@@ -20,6 +20,7 @@ from ginigraph.metrics import trace_form
 
 from conftest import build_random_similarity
 from oracles import (
+    bce_chain,
     finite_diff_check,
     group_trace_tensors,
     nswp_value,
@@ -83,6 +84,24 @@ def test_utility_loss_gradient(rng):
     point = rng.normal(size=(5, 1))
     report = finite_diff_check(embedding_evaluator(build, (5, 1)), point, step=1e-6)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 40.0])
+def test_utility_loss_matches_the_two_softplus_chain_bit_for_bit(rng, scale):
+    logits_values = rng.uniform(-scale, scale, size=(64, 1))
+    logits_values[:2, 0] = [-scale, scale]
+    labels = rng.integers(0, 2, size=64)
+    labels[:4] = [0, 1, 1, 0]  # each class at both extremes
+    index = rng.permutation(64)[:48]
+    index[:4] = [0, 0, 1, 1]
+    results = []
+    for build in (utility_loss, bce_chain):
+        tape = Tape()
+        logits = tape.leaf(logits_values, "logits")
+        loss = build(logits, labels, index, tape)
+        tape.backward(loss)
+        results.append((loss.values.tobytes(), logits.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

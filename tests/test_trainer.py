@@ -368,7 +368,7 @@ def test_vanilla_run_matches_pure_backbone_utility(fixture_data):
     weights, _, _ = pretrain(graph, config)
     backbone_only = ModelParams(variant=config.backbone, backbone=weights)
     masked = train_masked(graph, config)
-    pure = evaluate(*embed(backbone_only, masked), masked, similarity, partition, config)
+    pure = evaluate(*embed(backbone_only, masked), masked, similarity, partition)
     assert abs(vanilla.report.auc - pure.auc) <= 0.02
 
 
@@ -519,7 +519,7 @@ def test_zero_model_scores_half_and_auc_half(fixture_data):
         weights[name][:] = 0.0
     params = ModelParams(variant="gcn", backbone=weights)
     masked = train_masked(graph, config)
-    report = evaluate(*embed(params, masked), masked, similarity, partition, config)
+    report = evaluate(*embed(params, masked), masked, similarity, partition)
     assert report.auc == 0.5
     assert report.individual_unfairness == 0.0
     assert report.gini is None  # zero-mass embedding degrades with a note
@@ -554,8 +554,6 @@ def test_evaluate_matches_independent_metric_calls(fixture_data):
         partition.restrict(index),
         scores=scores[index],
         labels=masked.labels[index],
-        threshold=config.eo_threshold,
-        delta=config.delta,
     )
     assert result.report.auc == manual.auc
     assert result.report.individual_unfairness == manual.individual_unfairness
