@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, DimensionError, DomainError, NumericalError
+from .errors import ContractError, DimensionError, DomainError, NumericalError, check_index
 from .graph import GroupPairs, SimilaritySet, laplacian_apply
 
 Array = np.ndarray
@@ -42,7 +42,7 @@ def _as_matrix(values) -> Array:
 
 
 def _ensure_finite(arr: Array, op: str) -> Array:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values produced by op '{op}'")
     return arr
 
@@ -292,12 +292,8 @@ def _scatter_rows(index: Array, values: Array, num_rows: int) -> Array:
 
 def gather_rows(x: Tensor, index: Array) -> Tensor:
     """Select rows by integer index (repeats allowed); backward scatter-adds."""
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise DimensionError("gather index must be 1-D")
-    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-        raise DimensionError("gather index out of range")
-    out = x.values[index].copy()
+    index = check_index(index, x.shape[0], DimensionError, "gather index")
+    out = np.take(x.values, index, axis=0)
 
     return _unary(x, out, "gather-rows", lambda g: _scatter_rows(index, g, x.shape[0]))
 
@@ -331,7 +327,15 @@ def sigmoid_values(v: Array) -> Array:
 def elu(x: Tensor) -> Tensor:
     v = x.values
     out = np.where(v > 0, v, np.expm1(np.minimum(v, 0.0)))
-    return _unary(x, out, "elu", lambda g: g * np.where(v > 0, 1.0, out + 1.0))
+    slope = None
+
+    def back(g: Array) -> Array:
+        nonlocal slope
+        if slope is None:  # built by the first sweep, reused by the others
+            slope = np.where(v > 0, 1.0, out + 1.0)
+        return g * slope
+
+    return _unary(x, out, "elu", back)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -405,24 +409,24 @@ def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan, slope: float)
         raise DimensionError(f"score vector must have shape ({2 * h}, 1), got {a.shape}")
     if t.shape[0] != plan.edges.shape[0]:
         raise DimensionError(f"attention over {plan.edges.shape[0]} nodes, got {t.shape[0]} rows")
-    edges, centers = plan.edges, plan.centers
+    edges, centers, indices = plan.edges, plan.centers, plan.edges.indices
     a_c, a_n = a.values[:h].copy(), a.values[h:].copy()
-    u = (t.values @ a_c)[centers, 0] + (t.values @ a_n)[edges.indices, 0]
+    u = np.take((t.values @ a_c).ravel(), centers) + np.take((t.values @ a_n).ravel(), indices)
     slope_factor = np.where(u > 0, 1.0, slope)
     score = np.where(u > 0, u, slope * u) * plan.gates
-    shifted = np.exp(score - np.maximum.reduceat(score, edges.indptr[:-1])[centers])
-    alpha = shifted / (plan.center_sum @ shifted)[centers]
+    shifted = np.exp(score - np.take(np.maximum.reduceat(score, edges.indptr[:-1]), centers))
+    alpha = shifted / np.take(plan.center_sum @ shifted, centers)
     out = _ensure_finite(plan.weighted(alpha) @ t.values, "attention")
     neighbours = transposed = None
 
     def backward(g: Array) -> None:
         nonlocal neighbours, transposed
         if neighbours is None:  # built by the first sweep, reused by the others
-            neighbours = t.values[edges.indices]
-            transposed = plan.weighted(alpha[plan.transpose])
+            neighbours = np.take(t.values, indices, axis=0)
+            transposed = plan.weighted(np.take(alpha, plan.transpose))
         # g[i] for each entry: row i repeated once per entry of that row
-        d_alpha = np.einsum("ij,ij->i", np.repeat(g, plan.counts, axis=0), neighbours)
-        d_score = alpha * (d_alpha - (plan.center_sum @ (alpha * d_alpha))[centers])
+        d_alpha = np.einsum("ij,ij->i", np.take(g, centers, axis=0), neighbours)
+        d_score = alpha * (d_alpha - np.take(plan.center_sum @ (alpha * d_alpha), centers))
         d_u = d_score * plan.gates * slope_factor
         d_center = (plan.center_sum @ d_u).reshape(-1, 1)
         d_neighbour = (plan.neighbour_sum @ d_u).reshape(-1, 1)
@@ -444,7 +448,7 @@ def pair_trace_values(z: Array, pairs: SimilaritySet, selections=()) -> list[flo
     selection (an index array over the stored pairs), each summing only the
     selected pairs' terms, in stored order.
     """
-    diff = z[pairs.rows] - z[pairs.cols]
+    diff = np.take(z, pairs.rows, axis=0) - np.take(z, pairs.cols, axis=0)
     terms = pairs.weights * np.sum(diff * diff, axis=1)
     return [float(np.sum(terms))] + [float(np.sum(terms[s])) for s in selections]
 

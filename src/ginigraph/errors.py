@@ -10,6 +10,8 @@ import dataclasses
 import math
 import numbers
 
+import numpy as np
+
 
 class GiniGraphError(Exception):
     """Base class for all deliberate failures."""
@@ -79,6 +81,25 @@ def check_field_types(settings, error: type[GiniGraphError]) -> None:
         value = getattr(settings, f.name)
         if not _fits(value, f.type):
             raise error(f"{f.name}: expected {f.type}, got {value!r}")
+
+
+def check_index(index, n: int, error: type[GiniGraphError] = ContractError,
+                what: str = "index") -> np.ndarray:
+    """index as a 1-D int64 array of positions in [0, n), or error.
+
+    It must hold integers (an empty list, which numpy reads as float64, is
+    allowed): a bool mask, a float or a negative position is refused rather
+    than selected by, truncated or wrapped.
+    """
+    arr = np.asarray(index)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise error(f"{what} must hold integer positions, got dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise error(f"{what} must be 1-D, got shape {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise error(f"{what} out of range [0, {n})")
+    return arr
 
 
 def known_keys(raw, settings, what: str) -> dict:

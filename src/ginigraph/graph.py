@@ -17,7 +17,9 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, ContractError, DataFormatError, DimensionError, DomainError
+from .errors import (
+    ConfigError, ContractError, DataFormatError, DimensionError, DomainError, check_index,
+)
 
 Array = np.ndarray
 
@@ -49,8 +51,6 @@ class Graph:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.sensitive = np.asarray(self.sensitive, dtype=np.int64)
-        for name in ("train_mask", "val_mask", "test_mask"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         n = self.n
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise DimensionError("features must be (n, d)")
@@ -65,13 +65,11 @@ class Graph:
                 raise ContractError("edges must be stored as i < j")
             if self.adjacency().nnz != 2 * self.num_edges:
                 raise ContractError("duplicate edges")
-        masks = [self.train_mask, self.val_mask, self.test_mask]
-        joined = np.concatenate(masks) if any(m.size for m in masks) else np.zeros(0, np.int64)
-        if joined.size:
-            if joined.min() < 0 or joined.max() >= n:
-                raise ContractError("mask index out of range")
-            if np.unique(joined).size != joined.size:
-                raise ContractError("train/val/test masks overlap")
+        for name in ("train_mask", "val_mask", "test_mask"):
+            setattr(self, name, check_index(getattr(self, name), n, what=name))
+        joined = np.concatenate([self.train_mask, self.val_mask, self.test_mask])
+        if np.unique(joined).size != joined.size:
+            raise ContractError("train/val/test masks overlap")
 
     @property
     def n(self) -> int:
@@ -187,7 +185,7 @@ class GroupPartition:
 
     def restrict(self, index: Array) -> "GroupPartition":
         """Partition of the sub-population index, with empty groups dropped."""
-        return GroupPartition(self.group_ids[np.asarray(index, dtype=np.int64)])
+        return GroupPartition(self.group_ids[check_index(index, self.group_ids.size)])
 
     @classmethod
     def from_values(cls, values: Array) -> "GroupPartition":
@@ -258,7 +256,7 @@ class SimilaritySet:
 
     def restrict(self, index: Array) -> "SimilaritySet":
         """Sub-similarity over index, reindexed to 0..len(index)-1."""
-        index = np.asarray(index, dtype=np.int64)
+        index = check_index(index, self.n)
         sub = self.matrix[index][:, index].tocoo()
         keep = sub.row < sub.col
         return SimilaritySet(index.size, sub.row[keep], sub.col[keep], sub.data[keep])

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_index
 
 Array = np.ndarray
 
@@ -31,7 +31,7 @@ def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Ten
 
     For binary y that is y softplus(-z) + (1 - y) softplus(z), term by term.
     """
-    index = np.asarray(index, dtype=np.int64)
+    index = check_index(index, logits.shape[0])
     if index.size == 0:
         raise ContractError("utility loss over an empty index set")
     y = np.asarray(labels, dtype=np.float64)[index]

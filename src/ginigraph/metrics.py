@@ -54,7 +54,7 @@ def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> fl
     mass = float(np.sum(np.abs(population)))
     if mass == 0.0:
         raise DomainError("Gini undefined for an all-zero embedding")
-    gaps = np.sum(np.abs(z[rows] - z[cols]), axis=1)
+    gaps = np.sum(np.abs(np.take(z, rows, axis=0) - np.take(z, cols, axis=0)), axis=1)
     return float(np.sum(w * gaps) / (population.shape[0] * mass))
 
 
@@ -79,7 +79,8 @@ def lipschitz_constant(
     if not 0.0 <= delta < np.inf:
         raise DomainError("delta must be finite and nonnegative")
     z = _embedding(similarity, z)
-    gaps = np.sum(np.abs(z[similarity.rows] - z[similarity.cols]), axis=1)
+    rows, cols = similarity.rows, similarity.cols
+    gaps = np.sum(np.abs(np.take(z, rows, axis=0) - np.take(z, cols, axis=0)), axis=1)
     if gaps.size == 0:
         return 0.0
     return float(np.max(gaps * (similarity.weights + delta)))

@@ -410,6 +410,49 @@ def test_scatter_rows_is_bitwise_equal_to_add_at(rng):
     assert np.array_equal(ad._scatter_rows(index, values, 7), expected)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "index",
+    [[2, 2, 0, 2], [4, 0, 3, 1, 1], np.zeros(0, dtype=np.int64), np.array([3, 1, 3], np.int32)],
+    ids=["repeated", "unsorted", "empty", "int32"],
+)
+def test_take_rows_is_bytewise_fancy_indexing(rng, order, index):
+    x = np.asarray(rng.normal(size=(5, 3)), order=order)
+    taken, indexed = np.take(x, index, axis=0), x[index]
+    assert taken.shape == indexed.shape and taken.tobytes() == indexed.tobytes()
+    # the row sums that follow a gather add in memory order, so the layouts match too
+    assert taken.flags.c_contiguous and indexed.flags.c_contiguous
+
+
+def test_sweep_factors_reused_on_one_tape_equal_fresh_tapes(rng):
+    """elu and attention build their sweep factors once; later sweeps reuse them."""
+    similarity, t, a = attention_case(rng, "random")
+    plan = attention_plan(similarity)
+    cotangents = [rng.normal(size=t.shape) for _ in range(3)]
+
+    def forward(tape):
+        t_leaf, a_leaf = tape.leaf(t), tape.leaf(a)
+        out = ad.elu(ad.attention_aggregate(ad.elu(t_leaf), a_leaf, plan, 0.2))
+        return t_leaf, a_leaf, out
+
+    def sweep(tape, out, cotangent):
+        tape.backward(ad.mean_all(ad.hadamard(out, tape.leaf(cotangent, constant=True))))
+
+    shared = Tape()
+    t_leaf, a_leaf, out = forward(shared)
+    reused = []
+    for cotangent in cotangents:
+        sweep(shared, out, cotangent)
+        reused += [t_leaf.grad.copy(), a_leaf.grad.copy()]
+    fresh = []
+    for cotangent in cotangents:
+        tape = Tape()
+        t_leaf, a_leaf, out = forward(tape)
+        sweep(tape, out, cotangent)
+        fresh += [t_leaf.grad, a_leaf.grad]
+    assert all(r.tobytes() == f.tobytes() for r, f in zip(reused, fresh))
+
+
 def test_spmm_gradient(rng):
     mat = sp.random(5, 4, density=0.5, random_state=7, format="csr")
 

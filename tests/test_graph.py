@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginigraph import autodiff as ad
 from ginigraph import graph as graph_module
-from ginigraph.errors import ConfigError, ContractError, DataFormatError, DomainError
+from ginigraph.errors import (
+    ConfigError, ContractError, DataFormatError, DimensionError, DomainError,
+)
 from ginigraph.graph import (
     _SELECT_ROWS,
     Graph,
@@ -40,6 +43,7 @@ from ginigraph.graph import (
     write_scores_csv,
     write_similarity_csv,
 )
+from ginigraph.losses import utility_loss
 from ginigraph.models import load_checkpoint
 from ginigraph.sweep import SweepSpec
 from ginigraph.trainer import EpochRecord, TrainConfig, write_training_log
@@ -77,6 +81,67 @@ def test_graph_masks_must_be_disjoint():
             train_mask=[0, 1],
             val_mask=[1],
         )
+
+
+def _utility_loss_at(index):
+    tape = ad.Tape()
+    logits = tape.leaf(np.array([[0.5], [-1.0], [2.0], [0.0]]))
+    return utility_loss(logits, [0, 1, 1, 0], index, tape).values
+
+
+# Each public index argument over n = 4 nodes, as a call on the index.
+INDEX_ENTRY_POINTS = {
+    "gather_rows": lambda index: ad.gather_rows(
+        ad.Tape().leaf(np.arange(8.0).reshape(4, 2)), index
+    ).values,
+    "utility_loss": _utility_loss_at,
+    "graph_mask": lambda index: Graph(
+        edges=[[0, 1]], features=np.zeros((4, 2)), labels=[0, 1, 1, 0], sensitive=[0, 0, 1, 1],
+        train_mask=index,
+    ).train_mask,
+    "similarity_restrict": lambda index: SimilaritySet(
+        4, [0, 1, 2], [1, 2, 3], [0.5, 0.6, 0.7]
+    ).restrict(index).matrix.toarray(),
+    "partition_restrict": lambda index: GroupPartition([0, 1, 0, 1]).restrict(index).group_ids,
+}
+
+
+def _index_outcome(call, index):
+    """The bytes a call returns, or the class and message of the ContractError it raises."""
+    try:
+        return "value", call(index).tobytes()
+    except ContractError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (np.array([False, True, False, True]), "integer positions"),
+        ([0.9, 2.7], "integer positions"),
+        ([1.0, 3.0], "integer positions"),
+        ([-1, 0], "out of range"),
+        ([0, 4], "out of range"),
+        ([[0, 1]], "1-D"),
+        ([], None),
+        (np.array([3, 1], dtype=np.int32), None),
+    ],
+    ids=["bool-mask", "float", "integral-float", "minus-one", "n", "2-D", "empty", "int32"],
+)
+def test_every_index_argument_is_checked_alike(entry, index, message):
+    """An int64 array of positions in [0, n), or the site's ContractError class.
+
+    An accepted index (message None) acts as the same positions in int64.
+    """
+    call = INDEX_ENTRY_POINTS[entry]
+    if message is None:
+        as_int64 = np.asarray(index, dtype=np.int64)
+        assert _index_outcome(call, index) == _index_outcome(call, as_int64)
+        return
+    error = DimensionError if entry == "gather_rows" else ContractError
+    with pytest.raises(error, match=message):
+        call(index)
 
 
 def test_adjacency_and_homophily():
