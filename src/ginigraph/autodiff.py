@@ -10,8 +10,8 @@ A leaf made with constant=True (input features, labels, fixed similarities)
 never receives a gradient: the ops skip computing the gradient of a constant
 operand.
 
-Forward values never depend on whether tracing is on: a Tape built with
-tracing=False runs the identical numpy code and simply skips recording.
+A tape has one mode: it records every op. A forward pass that needs no
+sweep (an evaluation) runs on a plain Tape and releases it when done.
 Every operation checks its output for NaN/Inf and raises NumericalError on
 the first non-finite entry, which is how training detects divergence.
 """
@@ -27,6 +27,8 @@ from .errors import ContractError, DimensionError, DomainError, NumericalError, 
 from .graph import GroupPairs, SimilaritySet, laplacian_apply
 
 Array = np.ndarray
+
+LEAKY_SLOPE = 0.2  # attention_aggregate's negative slope, GAT's fixed value
 
 
 def _as_matrix(values) -> Array:
@@ -50,8 +52,8 @@ def _ensure_finite(arr: Array, op: str) -> Array:
 class Tape:
     """Operation record for one forward pass."""
 
-    def __init__(self, tracing: bool = True):
-        self.tracing = tracing
+    def __init__(self):
+        self.tracing = True
         self._nodes: list[Tensor] = []
 
     def leaf(self, values, name: str | None = None, constant: bool = False) -> "Tensor":
@@ -80,7 +82,7 @@ class Tape:
         repeated calls give independent sweeps over the same forward graph.
         """
         if not self.tracing:
-            raise ContractError("backward on a non-tracing tape")
+            raise ContractError("backward on a released tape")
         if root.tape is not self:
             raise ContractError("root tensor belongs to a different tape")
         if root.values.shape != (1, 1):
@@ -393,15 +395,15 @@ class AttentionPlan:
         return sp.csr_matrix((weights, edges.indices, edges.indptr), shape=edges.shape)
 
 
-def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan, slope: float) -> Tensor:
+def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan) -> Tensor:
     """A(alpha) t: the rows of t aggregated over the plan's pattern with attention weights.
 
     Entry (i, j) scores LeakyReLU((t a_c)_i + (t a_n)_j) * S_ij, with
-    a = [a_c; a_n] (GAT's decomposed form of a^T [t_i || t_j]) and the given
-    negative slope; alpha is the softmax of the scores over each row. The
-    forward and every gradient are bitwise those of the chain of separate
-    ops: gathers, add, LeakyReLU, the gate product, a segment softmax and
-    the weighted sparse product.
+    a = [a_c; a_n] (GAT's decomposed form of a^T [t_i || t_j]) and the
+    negative slope LEAKY_SLOPE; alpha is the softmax of the scores over each
+    row. The forward and every gradient are bitwise those of the chain of
+    separate ops: gathers, add, LeakyReLU, the gate product, a segment
+    softmax and the weighted sparse product.
     """
     _same_tape(t, a)
     h = t.shape[1]
@@ -412,8 +414,8 @@ def attention_aggregate(t: Tensor, a: Tensor, plan: AttentionPlan, slope: float)
     edges, centers, indices = plan.edges, plan.centers, plan.edges.indices
     a_c, a_n = a.values[:h].copy(), a.values[h:].copy()
     u = np.take((t.values @ a_c).ravel(), centers) + np.take((t.values @ a_n).ravel(), indices)
-    slope_factor = np.where(u > 0, 1.0, slope)
-    score = np.where(u > 0, u, slope * u) * plan.gates
+    slope_factor = np.where(u > 0, 1.0, LEAKY_SLOPE)
+    score = np.where(u > 0, u, LEAKY_SLOPE * u) * plan.gates
     shifted = np.exp(score - np.take(np.maximum.reduceat(score, edges.indptr[:-1]), centers))
     alpha = shifted / np.take(plan.center_sum @ shifted, centers)
     out = _ensure_finite(plan.weighted(alpha) @ t.values, "attention")

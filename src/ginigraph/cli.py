@@ -18,7 +18,6 @@ import numpy as np
 from .clustering import kmeans, kmeans_elbow
 from .errors import (
     ConfigError,
-    ContractError,
     DataFormatError,
     GiniGraphError,
     NumericalError,
@@ -162,8 +161,6 @@ def cmd_train(args) -> int:
         if args.partition
         else GroupPartition.from_values(graph.sensitive)
     )
-    if partition.group_ids.size != graph.n:
-        raise ContractError("partition size does not match the graph")
 
     result = train(graph, similarity, partition, config)
 
@@ -182,31 +179,16 @@ def cmd_train(args) -> int:
 def cmd_audit(args) -> int:
     z = read_embedding_csv(args.embeddings)
     similarity = read_similarity_csv(args.similarity, z.shape[0])
-    partition = None
+    partition = read_partition_csv(args.partition) if args.partition else None
     labels = scores = None
-    if args.partition:
-        partition = read_partition_csv(args.partition)
     if args.features:
         _, labels, sensitive = read_feature_table(args.features)
-        if labels.shape[0] != z.shape[0]:
-            raise ContractError("feature table does not match the embeddings")
         if partition is None:
             partition = GroupPartition.from_values(sensitive)
     if args.scores:
         scores = read_scores_csv(args.scores)
-        if scores.shape[0] != z.shape[0]:
-            raise ContractError("scores file does not match the embeddings")
-    if partition is not None and partition.group_ids.size != z.shape[0]:
-        raise ContractError("partition does not match the embeddings")
-    have_utility = scores is not None and labels is not None
     report = compute_report(
-        z,
-        similarity,
-        partition,
-        scores=scores if have_utility else None,
-        labels=labels if have_utility else None,
-        threshold=args.threshold,
-        delta=args.delta,
+        z, similarity, partition, scores, labels, threshold=args.threshold, delta=args.delta
     )
     if args.out:
         write_metrics_table([report], args.out, args.format, args.thousands)

@@ -102,6 +102,14 @@ def check_index(index, n: int, error: type[GiniGraphError] = ContractError,
     return arr
 
 
+def check_length(values, n: int, what: str) -> np.ndarray:
+    """values (labels, scores, group ids) as a 1-D array of n entries, or ContractError."""
+    arr = np.asarray(values)
+    if arr.shape != (n,):
+        raise ContractError(f"{what} must be 1-D with {n} entries, got shape {arr.shape}")
+    return arr
+
+
 def known_keys(raw, settings, what: str) -> dict:
     """A copy of the JSON object raw, whose keys must be fields of settings."""
     if not isinstance(raw, dict):

@@ -461,13 +461,14 @@ def _write_table(path, header: str, columns, sep: str = ",") -> None:
 
     The mirror of _read_table: integer columns are written as decimals and
     float columns at full precision ('.17g'), so reading back gives the same
-    values bit for bit.
+    values bit for bit. String columns (the report tables' formatted cells)
+    are written as they are.
     """
     cells = []
     for column in map(np.asarray, columns):
         values = column.tolist()
-        integer = column.dtype.kind in "iu"
-        cells.append(list(map(str, values)) if integer else [f"{v:.17g}" for v in values])
+        as_text = column.dtype.kind in "iuU"
+        cells.append(list(map(str, values)) if as_text else [f"{v:.17g}" for v in values])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([header, *map(sep.join, zip(*cells))]) + "\n")
 

@@ -18,26 +18,27 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
-from .errors import ContractError, DomainError, check_index
+from .autodiff import Tensor
+from .errors import ContractError, DomainError, check_index, check_length
 
 Array = np.ndarray
 
 TRACE_FLOOR = 1e-8
 
 
-def utility_loss(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Tensor:
+def utility_loss(logits: Tensor, labels: Array, index: Array) -> Tensor:
     """Mean BCE over index: softplus(s z) with the sign s = 1 - 2y.
 
     For binary y that is y softplus(-z) + (1 - y) softplus(z), term by term.
+    labels holds one entry per logit row.
     """
     index = check_index(index, logits.shape[0])
     if index.size == 0:
         raise ContractError("utility loss over an empty index set")
-    y = np.asarray(labels, dtype=np.float64)[index]
+    y = check_length(labels, logits.shape[0], "labels").astype(np.float64)[index]
     if np.any((y != 0.0) & (y != 1.0)):
         raise DomainError("utility loss needs binary labels on the index set")
-    sign = tape.leaf((1.0 - 2.0 * y)[:, None], "1-2y", constant=True)
+    sign = logits.tape.leaf((1.0 - 2.0 * y)[:, None], "1-2y", constant=True)
     return ad.mean_all(ad.softplus(ad.hadamard(sign, ad.gather_rows(logits, index))))
 
 

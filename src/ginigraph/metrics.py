@@ -23,7 +23,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import pair_trace_values
-from .errors import ContractError, DataFormatError, DomainError, NumericalError, check_field_types
+from .errors import (
+    ContractError, DataFormatError, DomainError, NumericalError, check_field_types, check_length,
+)
 from .graph import GroupPartition, SimilaritySet
 
 Array = np.ndarray
@@ -150,15 +152,16 @@ def _average_ranks(y: Array) -> Array:
 def rank_auc(scores: Array, labels: Array) -> float:
     """Area under the ROC curve via average ranks; ties count half.
 
-    Requires both classes present.
+    labels must be 0 or 1 (ContractError), and both classes present
+    (DomainError).
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    if scores.shape != labels.shape:
-        raise ContractError("scores and labels must align")
+    labels = check_length(np.ravel(labels), scores.size, "labels")
     pos = labels == 1
     neg = labels == 0
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos + n_neg != labels.size:
+        raise ContractError("AUC labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise DomainError("AUC needs both classes present")
     ranks = _average_ranks(scores)
@@ -170,7 +173,7 @@ def f1_score(scores: Array, labels: Array, threshold: float = 0.5) -> float:
     if not np.isfinite(threshold):
         raise DomainError("threshold must be finite")
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
+    labels = check_length(np.ravel(labels), scores.size, "labels")
     pred = scores >= threshold
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
@@ -190,8 +193,8 @@ def equal_opportunity_gap(
     if not np.isfinite(threshold):
         raise DomainError("threshold must be finite")
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    group_ids = np.asarray(group_ids).ravel()
+    labels = check_length(np.ravel(labels), scores.size, "labels")
+    group_ids = check_length(np.ravel(group_ids), scores.size, "group ids")
     rates = []
     for g in np.unique(group_ids):
         mask = (group_ids == g) & (labels == 1)
@@ -287,8 +290,18 @@ def compute_report(
     threshold: float = 0.5,
     delta: float = 1e-6,
 ) -> MetricsReport:
-    """Assemble the full audit for one embedding matrix."""
-    z = np.asarray(z, dtype=np.float64)
+    """Assemble the full audit for one embedding matrix.
+
+    scores, labels and the partition hold one entry per row of z; labels
+    are 0, 1 or -1 (unlabeled). Utility metrics need both scores and labels.
+    """
+    z = _embedding(similarity, z)
+    group_ids = None if partition is None else partition.group_ids
+    for what, values in (("scores", scores), ("labels", labels), ("partition", group_ids)):
+        if values is not None:
+            check_length(values, z.shape[0], what)
+    if labels is not None and not np.isin(labels, (-1, 0, 1)).all():
+        raise ContractError("labels must be -1 (unlabeled), 0 or 1")
     notes: list[str] = []
     auc = f1 = eo = None
     if scores is not None and labels is not None:

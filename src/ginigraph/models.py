@@ -40,7 +40,6 @@ from .graph import Graph, SimilaritySet, normalized_adjacency, read_json
 Array = np.ndarray
 
 BACKBONES = ("gcn", "gin", "jk")
-LEAKY_SLOPE = 0.2
 
 CHECKPOINT_FORMAT = "ginigraph-checkpoint v3"
 
@@ -203,24 +202,20 @@ def attention_edges(similarity: SimilaritySet) -> ad.AttentionPlan:
 
 
 def fair_head_embed(
-    z0: Tensor,
-    leaves: dict[str, Tensor],
-    edges: ad.AttentionPlan,
-    tape: Tape,
-    attention: bool = True,
+    z0: Tensor, leaves: dict[str, Tensor], edges: ad.AttentionPlan, attention: bool = True
 ) -> Tensor:
     """Similarity-gated attention round on top of base embeddings.
 
     edges is the attention_edges plan. With attention on, the message i <- j
-    of each pattern entry scores LeakyReLU(a^T [T_i || T_j]) * S_ij, and a
-    softmax over i's row turns the scores into alpha_ij
-    (autodiff.attention_aggregate). With attention off, every entry of row i
-    receives equal weight alpha_ij. The output is elu(sum_j alpha_ij T_j),
-    with T = z0 W.
+    of each pattern entry scores LeakyReLU(a^T [T_i || T_j]) * S_ij (slope
+    autodiff.LEAKY_SLOPE), and a softmax over i's row turns the scores into
+    alpha_ij (autodiff.attention_aggregate). With attention off, every entry
+    of row i receives equal weight alpha_ij. The output is
+    elu(sum_j alpha_ij T_j), with T = z0 W.
     """
     t = z0 @ leaves["W"]
     if attention:
-        return ad.elu(ad.attention_aggregate(t, leaves["a"], edges, LEAKY_SLOPE))
+        return ad.elu(ad.attention_aggregate(t, leaves["a"], edges))
     # constant weights: a plain sparse product, with no score gradient
     return ad.elu(ad.spmm(edges.uniform, t))
 

@@ -29,7 +29,7 @@ from .errors import (
     is_finite_number,
     known_keys,
 )
-from .graph import GroupPartition, build_similarity, read_json
+from .graph import GroupPartition, _write_table, build_similarity, read_json
 from .metrics import REPORT_FIELDS, MetricsReport
 from .perturb import check_rho, check_sigma, perturb_noise, rewire_homophily
 from .synthetic import SbmSpec, sbm_generate
@@ -265,11 +265,18 @@ def _in_thousands(metrics: dict, thousands: bool) -> dict:
     return {**metrics, "individual_unfairness": value / 1000.0}
 
 
-def _write_records(path, fmt: str, records: list[dict], columns: list[tuple]) -> None:
-    """Write records as one JSON list, or as one CSV line per record.
+def _cell(record: dict, keys: tuple, spec: str) -> str:
+    """The value at keys in record, formatted with spec; empty when it is None or absent."""
+    value = record
+    for key in keys:
+        value = value.get(key)
+    return "" if value is None else format(value, spec)
 
-    A CSV column is (header, keys, spec): its cell is the value at keys in
-    the record, formatted with spec, or empty when that is None or absent.
+
+def _write_records(path, fmt: str, records: list[dict], columns: list[tuple]) -> None:
+    """Write records as one JSON list, or as a CSV table with one line per record.
+
+    A CSV column is (header, keys, spec), and its cells are _cell's text.
     """
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
@@ -277,17 +284,8 @@ def _write_records(path, fmt: str, records: list[dict], columns: list[tuple]) ->
         return
     if fmt != "csv":
         raise ConfigError("format must be csv or json")
-    lines = [",".join(header for header, _, _ in columns)]
-    for record in records:
-        cells = []
-        for _, keys, spec in columns:
-            value = record
-            for key in keys:
-                value = value.get(key)
-            cells.append("" if value is None else format(value, spec))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cells = [[_cell(record, keys, spec) for record in records] for _, keys, spec in columns]
+    _write_table(path, ",".join(header for header, _, _ in columns), cells)
 
 
 def write_sweep_table(rows: list[SweepRow], path, fmt: str = "csv", thousands=False) -> None:

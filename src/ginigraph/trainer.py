@@ -185,22 +185,18 @@ def write_training_log(path, history: list[EpochRecord]) -> None:
 
 
 class AdamState:
-    """Adaptive-moment optimizer with decoupled weight decay, in-place."""
+    """Adaptive-moment optimizer with decoupled weight decay, stepping its weights in place."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, weights: dict[str, Array]):
+    def __init__(self, weights: dict[str, Array], lr: float, weight_decay: float):
+        self.weights, self.lr, self.weight_decay = weights, lr, weight_decay
         self.m = {k: np.zeros_like(v) for k, v in weights.items()}
         self.v = {k: np.zeros_like(v) for k, v in weights.items()}
         self.t = 0
 
-    def step(
-        self,
-        weights: dict[str, Array],
-        grads: dict[str, Array | None],
-        lr: float,
-        weight_decay: float,
-    ) -> None:
+    def step(self, grads: dict[str, Array | None]) -> None:
+        weights, lr, weight_decay = self.weights, self.lr, self.weight_decay
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -255,20 +251,14 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
     operators = graph_operators(graph)
     # the loss reads only the train rows, so the second round propagates into no other
     train_rows = train_row_operators(operators, graph.train_mask)
-    adam = AdamState(weights)
+    adam = AdamState(weights, config.learning_rate, config.weight_decay)
     for _ in range(config.pretrain_epochs):
         tape = Tape()
         leaves = as_leaves(tape, weights)
         z = backbone_embed(config.backbone, leaves, train_rows)
         logits = readout_logits(z, leaves)
-        loss = utility_loss(logits, graph.labels, graph.train_mask, tape)
-        tape.backward(loss)
-        adam.step(
-            weights,
-            {k: leaves[k].grad for k in weights},
-            config.learning_rate,
-            config.weight_decay,
-        )
+        tape.backward(utility_loss(logits, graph.labels, graph.train_mask))
+        adam.step({k: leaves[k].grad for k in weights})
         tape.release()
     encoder = ModelParams(config.backbone, weights)
     return weights, embed(encoder, graph, operators=operators)[0], operators
@@ -279,13 +269,11 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
 # ---------------------------------------------------------------------------
 
 
-def _probe_sweeps(
-    tape: Tape, terms: list, leaves: dict
-) -> tuple[list[dict[str, Array | None]], Array]:
+def _probe_sweeps(terms: list, leaves: dict) -> tuple[list[dict[str, Array | None]], Array]:
     """One backward sweep per loss term: each sweep's leaf gradients and norm."""
     grads, norms = [], []
     for term in terms:
-        tape.backward(term)
+        term.tape.backward(term)
         grads.append({name: leaf.grad for name, leaf in leaves.items()})
         g = leaves["W"].grad  # GradNorm's G_i: the norm on the shared transform W
         norms.append(0.0 if g is None else float(np.linalg.norm(g)))
@@ -339,6 +327,8 @@ def train(
     callers_graph, graph = graph, _ensure_masks(graph, config.seed)
     if similarity.n != graph.n:
         raise ContractError("similarity set does not match the graph")
+    if partition is not None and partition.group_ids.size != graph.n:
+        raise ContractError("partition size does not match the graph")
 
     pretrainings = {} if pretrainings is None else pretrainings
     key = (id(callers_graph), *_PRETRAIN_FIELDS(config))
@@ -364,7 +354,7 @@ def train(
         controller = GradNormController(betas[active], beta_lr=config.beta_lr)
         betas[active] = controller.betas
 
-    adam = AdamState(fair_weights)
+    adam = AdamState(fair_weights, config.learning_rate, config.weight_decay)
     history: list[EpochRecord] = []
     best_auc = -np.inf
     stale = 0
@@ -374,10 +364,10 @@ def train(
         tape = Tape()
         leaves = as_leaves(tape, fair_weights)
         z0 = tape.leaf(z0_values, "z0", constant=True)
-        h = fair_head_embed(z0, leaves, plan, tape, attention=config.attention)
+        h = fair_head_embed(z0, leaves, plan, attention=config.attention)
         logits = readout_logits(h, leaves)
 
-        terms = [utility_loss(logits, graph.labels, graph.train_mask, tape)]
+        terms = [utility_loss(logits, graph.labels, graph.train_mask)]
         # the smoothness trace and the group traces are on the tape every
         # epoch for the log, from one pass over the pairs; only the loss terms
         # that use them backpropagate
@@ -391,13 +381,13 @@ def train(
         losses[active] = [float(t.values[0, 0]) for t in terms]
         if controller is not None:
             # by linearity the probe sweeps already hold the total's gradient
-            term_grads, norms = _probe_sweeps(tape, terms, leaves)
+            term_grads, norms = _probe_sweeps(terms, leaves)
             betas[active] = controller.step(losses[active], norms)
             grads = _weighted_gradient(term_grads, betas[active])
         else:
             tape.backward(combine_losses(terms, betas[active]))
             grads = {k: leaves[k].grad for k in fair_weights}
-        adam.step(fair_weights, grads, config.learning_rate, config.weight_decay)
+        adam.step(grads)
 
         val_auc = _val_auc(ad.sigmoid_values(logits.values[:, 0]), graph.labels, graph.val_mask)
         # both traces are trace_form's, bit for bit (the group ones unfloored)
@@ -446,7 +436,7 @@ def embed(
     operators: dict | None = None,
     plan: ad.AttentionPlan | None = None,
 ) -> tuple[Array, Array]:
-    """Forward pass without tracing: returns (embeddings, sigmoid scores).
+    """Forward pass on a tape released at the end: returns (embeddings, sigmoid scores).
 
     The fairness head, when params has one, runs with params.attention.
     operators and plan are graph_operators(graph) and
@@ -454,13 +444,15 @@ def embed(
     """
     if params.fair and similarity is None:
         raise ContractError("fair head requires a similarity set")
-    tape = Tape(tracing=False)
+    tape = Tape()
     leaves = as_leaves(tape, params.backbone)
     h = backbone_embed(params.variant, leaves, operators or graph_operators(graph))
     if params.fair:
         leaves = as_leaves(tape, params.fair)
-        h = fair_head_embed(h, leaves, plan or attention_edges(similarity), tape, params.attention)
-    return h.values.copy(), ad.sigmoid_values(readout_logits(h, leaves).values[:, 0])
+        h = fair_head_embed(h, leaves, plan or attention_edges(similarity), params.attention)
+    logits = readout_logits(h, leaves)
+    tape.release()
+    return h.values.copy(), ad.sigmoid_values(logits.values[:, 0])
 
 
 def evaluate(

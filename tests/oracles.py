@@ -4,9 +4,8 @@ None of these runs in the program itself: the finite-difference gradient
 check, the binary cross-entropy as a two-softplus chain, the
 one-set-at-a-time trace tensors, the attention head as a chain of
 separate tape ops (with the multi-segment softmax it needs), pretraining that
-propagates into every row, the plain-number Nash-welfare penalty and the
-Markov tail statistics are oracles of the acceptance suite and of the unit
-tests.
+propagates into every row and the plain-number Nash-welfare penalty are
+oracles of the acceptance suite and of the unit tests.
 """
 
 from __future__ import annotations
@@ -111,8 +110,9 @@ def tape_evaluator(build: Callable[[Tensor], Tensor]) -> Callable[[Array], tuple
 # ---------------------------------------------------------------------------
 
 
-def bce_chain(logits: Tensor, labels: Array, index: Array, tape: Tape) -> Tensor:
+def bce_chain(logits: Tensor, labels: Array, index: Array) -> Tensor:
     """Mean BCE over index as y softplus(-z) + (1 - y) softplus(z), one tape op per step."""
+    tape = logits.tape
     y = np.asarray(labels, dtype=np.float64)[np.asarray(index, dtype=np.int64)]
     z = ad.gather_rows(logits, index)
     y_pos = tape.leaf(y[:, None], "y", constant=True)
@@ -257,18 +257,13 @@ def full_row_pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Arra
     rng = np.random.default_rng(config.seed)
     weights = init_backbone(config.backbone, graph.features.shape[1], config.hidden, rng)
     operators = graph_operators(graph)
-    adam = AdamState(weights)
+    adam = AdamState(weights, config.learning_rate, config.weight_decay)
     for _ in range(config.pretrain_epochs):
         tape = Tape()
         leaves = as_leaves(tape, weights)
         logits = readout_logits(backbone_embed(config.backbone, leaves, operators), leaves)
-        tape.backward(utility_loss(logits, graph.labels, graph.train_mask, tape))
-        adam.step(
-            weights,
-            {k: leaves[k].grad for k in weights},
-            config.learning_rate,
-            config.weight_decay,
-        )
+        tape.backward(utility_loss(logits, graph.labels, graph.train_mask))
+        adam.step({k: leaves[k].grad for k in weights})
         tape.release()
     encoder = ModelParams(config.backbone, weights)
     return weights, embed(encoder, graph, operators=operators)[0]
@@ -297,28 +292,3 @@ def nswp_value(values) -> float:
             if i != j:
                 total += (vals[i] / vals[j] - 1.0) * (vals[j] / vals[i] - 1.0)
     return -total / (m * (m - 1))
-
-
-# ---------------------------------------------------------------------------
-# Tail statistics of the pairwise L2 gaps
-# ---------------------------------------------------------------------------
-
-
-def _l2_gaps(similarity: SimilaritySet, z: Array, epsilon: float) -> Array:
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    diff = z[similarity.rows] - z[similarity.cols]
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
-def tail_fraction(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
-    """Fraction of stored pairs whose L2 gap is at least epsilon."""
-    gaps = _l2_gaps(similarity, z, epsilon)
-    return float(np.mean(gaps >= epsilon)) if gaps.size else 0.0
-
-
-def tail_bound(similarity: SimilaritySet, z: Array, epsilon: float) -> float:
-    """Markov bound mean(gap)/epsilon on the tail fraction."""
-    gaps = _l2_gaps(similarity, z, epsilon)
-    return float(np.mean(gaps) / epsilon) if gaps.size else 0.0

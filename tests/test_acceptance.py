@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import build_random_graph, build_random_similarity
-from oracles import group_trace_tensors, nswp_value, smoothness_loss, tail_bound, tail_fraction
+from oracles import group_trace_tensors, nswp_value, smoothness_loss
 from ginigraph.autodiff import Tape
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 from ginigraph.errors import DimensionError
@@ -199,11 +199,11 @@ def loss_value_and_grad(
     tape = Tape()
     leaves = as_leaves(tape, weights)
     z0 = backbone_embed(variant, leaves, operators)
-    h = fair_head_embed(z0, leaves, edges, tape, attention=True)
+    h = fair_head_embed(z0, leaves, edges, attention=True)
 
     def term_for(name: str):
         if name == "utility":
-            return utility_loss(readout_logits(h, leaves), graph.labels, np.arange(graph.n), tape)
+            return utility_loss(readout_logits(h, leaves), graph.labels, np.arange(graph.n))
         if name == "smoothness":
             return smoothness_loss(h, similarity)
         if name == "welfare":
@@ -327,26 +327,6 @@ def test_trace_form_jensen_inequality(rng):
         mixed = trace_form(similarity, lam * za + (1.0 - lam) * zb)
         bound = lam * trace_form(similarity, za) + (1.0 - lam) * trace_form(similarity, zb)
         assert mixed <= bound + 1e-10
-    assert time.monotonic() - started < 5.0
-
-
-# ---------------------------------------------------------------------------
-# 7. Markov bound on the large-gap fraction
-# ---------------------------------------------------------------------------
-
-
-def test_tail_fraction_obeys_markov_bound(rng):
-    started = time.monotonic()
-    for _ in range(200):
-        n = int(rng.integers(2, 25))
-        c = int(rng.integers(1, 6))
-        similarity = build_random_similarity(rng, n)
-        z = rng.normal(size=(n, c)) * float(rng.uniform(0.2, 4.0))
-        gaps = np.linalg.norm(z[similarity.rows] - z[similarity.cols], axis=1)
-        for epsilon in (0.1, 0.5, 1.0, 2.0):
-            fraction = tail_fraction(similarity, z, epsilon)
-            assert fraction <= float(np.mean(gaps)) / epsilon + 1e-12
-            assert fraction <= tail_bound(similarity, z, epsilon) + 1e-12
     assert time.monotonic() - started < 5.0
 
 

@@ -95,21 +95,10 @@ def test_sigmoid_values_is_overflow_safe():
     assert out[0] == 0.0 and out[-1] == 1.0
 
 
-def test_tracing_off_gives_identical_values(rng):
-    x = rng.normal(size=(4, 3))
-    w = rng.normal(size=(3, 2))
-
-    def run(tracing):
-        tape = Tape(tracing=tracing)
-        out = ad.elu(tape.leaf(x) @ tape.leaf(w))
-        return ad.mean_all(out).values
-
-    np.testing.assert_array_equal(run(True), run(False))
-
-
 def test_backward_requires_tracing_and_scalar_root(rng):
-    quiet = Tape(tracing=False)
+    quiet = Tape()
     out = ad.mean_all(quiet.leaf(rng.normal(size=(2, 2))))
+    quiet.release()
     with pytest.raises(ContractError):
         quiet.backward(out)
     tape = Tape()
@@ -267,8 +256,8 @@ def test_attention_aggregate_is_the_op_chain_bit_for_bit(rng, case):
     assert np.array_equal(plan.edges.indptr[1:] - plan.edges.indptr[:-1], plan.counts)
     cotangents = [rng.normal(size=t.shape) for _ in range(3)]
     ops = {
-        "fused": lambda tl, al: ad.attention_aggregate(tl, al, plan, 0.2),
-        "chain": lambda tl, al: attention_chain(tl, al, plan.edges, 0.2),
+        "fused": lambda tl, al: ad.attention_aggregate(tl, al, plan),
+        "chain": lambda tl, al: attention_chain(tl, al, plan.edges, ad.LEAKY_SLOPE),
     }
     results = {}
     for name, op in ops.items():
@@ -294,9 +283,9 @@ def test_attention_aggregate_gradients(rng):
     def weighted_sum(out):
         return ad.mean_all(ad.hadamard(out, out.tape.leaf(weights, constant=True)))
 
-    checked(lambda x: weighted_sum(ad.attention_aggregate(x, x.tape.leaf(a), plan, 0.2)),
+    checked(lambda x: weighted_sum(ad.attention_aggregate(x, x.tape.leaf(a), plan)),
             t, tol=1e-4)
-    checked(lambda x: weighted_sum(ad.attention_aggregate(x.tape.leaf(t), x, plan, 0.2)),
+    checked(lambda x: weighted_sum(ad.attention_aggregate(x.tape.leaf(t), x, plan)),
             a, tol=1e-4)
 
 
@@ -304,7 +293,7 @@ def test_attention_aggregate_rejects_rows_of_another_graph():
     tape = Tape()
     with pytest.raises(DimensionError):
         ad.attention_aggregate(
-            tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((6, 1))), attention_plan(TIES), 0.2
+            tape.leaf(np.ones((4, 3))), tape.leaf(np.ones((6, 1))), attention_plan(TIES)
         )
 
 
@@ -359,7 +348,7 @@ OP_BUILDERS = {
     "elu": lambda tape, rng: ad.elu(*_leaves(tape, rng, (3, 2))),
     "softplus": lambda tape, rng: ad.softplus(*_leaves(tape, rng, (3, 2))),
     "attention_aggregate": lambda tape, rng: ad.attention_aggregate(
-        *_leaves(tape, rng, (5, 3), (6, 1)), attention_plan(TIES), 0.2
+        *_leaves(tape, rng, (5, 3), (6, 1)), attention_plan(TIES)
     ),
     "quadratic_pair_forms": lambda tape, rng: ad.quadratic_pair_forms(
         *_leaves(tape, rng, (5, 2)), TIES, PARTITION.within_pairs(TIES)
@@ -432,7 +421,7 @@ def test_sweep_factors_reused_on_one_tape_equal_fresh_tapes(rng):
 
     def forward(tape):
         t_leaf, a_leaf = tape.leaf(t), tape.leaf(a)
-        out = ad.elu(ad.attention_aggregate(ad.elu(t_leaf), a_leaf, plan, 0.2))
+        out = ad.elu(ad.attention_aggregate(ad.elu(t_leaf), a_leaf, plan))
         return t_leaf, a_leaf, out
 
     def sweep(tape, out, cotangent):

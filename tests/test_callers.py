@@ -1,10 +1,13 @@
-"""Every function and class of the program has a caller.
+"""Every function and class of the program has a caller, and every parameter a reader.
 
 A helper nothing calls is dead code that still has to be read and kept
 working. This parses the package and the scripts and fails on any function
 or class (methods included) whose name is referenced nowhere outside its own
 body, unless a file's `if __name__ == "__main__":` block calls it (the block
-runs the file as a program, so it is no caller) or EXEMPT names it.
+runs the file as a program, so it is no caller) or EXEMPT names it. In the
+same way a parameter that its function's body never reads is an argument
+every caller must pass for nothing; UNREAD_EXEMPT would name any that must
+stay.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ SOURCES = sorted((ROOT / "src" / "ginigraph").glob("*.py")) + sorted((ROOT / "sc
 # called from outside the parsed files: the `ginigraph` console script, and
 # the documented reader of the checkpoint `ginigraph train` writes
 EXEMPT = {"cli.main", "models.load_checkpoint"}
+UNREAD_EXEMPT: set[str] = set()
 
 
 def _referenced_names(tree: ast.AST) -> Counter:
@@ -73,3 +77,36 @@ def test_every_function_and_class_has_a_caller():
 def test_every_exemption_names_a_definition_without_a_caller():
     counts, _ = callers(SOURCES)
     assert {name: counts.get(name) for name in EXEMPT} == dict.fromkeys(EXEMPT, 0)
+
+
+def unread_parameters(paths) -> list[str]:
+    """module.function.parameter of each parameter (self and cls aside) its body never reads.
+
+    A read is a load of the name anywhere in the body, nested functions
+    included; defaults and decorators are not the body.
+    """
+    unread = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id
+                for statement in body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            label = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.stem}.{label}.{arg.arg}"
+                for arg in named
+                if arg is not None and arg.arg not in read | {"self", "cls"}
+            ]
+    return sorted(set(unread) - UNREAD_EXEMPT)
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(SOURCES) == []

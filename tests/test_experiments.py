@@ -1196,6 +1196,32 @@ def test_cli_rejects_invalid_values_with_exit_2(case, sbm_dir, tmp_path, capsys)
     assert not list(tmp_path.glob("*/run_*.json"))
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("audit", "--scores"), ("audit", "--partition"), ("train", "--partition")]
+)
+def test_cli_exits_2_on_a_per_node_file_of_another_length(command, flag, sbm_dir, tmp_path, capsys):
+    """A 39-row scores or partition file beside 40 nodes meets the library's check: exit 2."""
+    short = tmp_path / "short.csv"
+    if flag == "--scores":
+        write_scores_csv(short, np.linspace(0.0, 1.0, 39))
+    else:
+        write_partition_csv(short, np.arange(39) % 2)
+    if command == "audit":
+        sim_path, emb_path = tmp_path / "sim.csv", tmp_path / "emb.csv"
+        run_cli(capsys, "similarity", *graph_args(sbm_dir), "--top-k", "5", "--out", str(sim_path))
+        write_embedding_csv(emb_path, np.random.default_rng(0).normal(size=(40, 2)))
+        argv = [
+            "audit", "--embeddings", str(emb_path), "--similarity", str(sim_path),
+            "--features", str(sbm_dir / "features.csv"),
+        ]
+    else:
+        argv = ["train", *graph_args(sbm_dir), "--out-dir", str(tmp_path / "run")]
+    code = cli.main([*argv, flag, str(short)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert re.search("with 40 entries|does not match the graph", captured.err)
+
+
 UNREADABLE_JSON = {
     "not-json": b"{bad",
     "not-utf8": b"\xff\xfe",

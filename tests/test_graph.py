@@ -44,9 +44,10 @@ from ginigraph.graph import (
     write_similarity_csv,
 )
 from ginigraph.losses import utility_loss
+from ginigraph.metrics import compute_report, equal_opportunity_gap, f1_score, rank_auc
 from ginigraph.models import load_checkpoint
 from ginigraph.sweep import SweepSpec
-from ginigraph.trainer import EpochRecord, TrainConfig, write_training_log
+from ginigraph.trainer import EpochRecord, TrainConfig, train, write_training_log
 
 from conftest import build_random_graph, build_random_similarity
 
@@ -86,7 +87,7 @@ def test_graph_masks_must_be_disjoint():
 def _utility_loss_at(index):
     tape = ad.Tape()
     logits = tape.leaf(np.array([[0.5], [-1.0], [2.0], [0.0]]))
-    return utility_loss(logits, [0, 1, 1, 0], index, tape).values
+    return utility_loss(logits, [0, 1, 1, 0], index).values
 
 
 # Each public index argument over n = 4 nodes, as a call on the index.
@@ -142,6 +143,57 @@ def test_every_index_argument_is_checked_alike(entry, index, message):
     error = DimensionError if entry == "gather_rows" else ContractError
     with pytest.raises(error, match=message):
         call(index)
+
+
+FOUR_ROWS = np.arange(8.0).reshape(4, 2)
+FOUR_PAIRS = SimilaritySet(4, [0, 1, 2], [1, 2, 3], [0.5, 0.6, 0.7])
+
+
+def _train_with_one_group_of(size):
+    rng = np.random.default_rng(0)
+    graph = Graph(edges=[[0, 1], [1, 2], [2, 3]], features=rng.normal(size=(4, 3)),
+                  labels=[0, 1, 1, 0], sensitive=[0, 0, 1, 1])
+    config = TrainConfig(hidden=2, pretrain_epochs=1, max_epochs=1, patience=1, top_k=2)
+    return train(graph, FOUR_PAIRS, GroupPartition(np.zeros(size, dtype=int)), config)
+
+
+# Each per-node vector of the wrong length, or a label outside the class set,
+# beside 4 logit or embedding rows.
+LENGTH_AND_LABEL_CASES = {
+    "utility_loss-3-labels": lambda: utility_loss(
+        ad.Tape().leaf(FOUR_ROWS[:, :1]), [0, 1, 1], [3]
+    ),
+    "utility_loss-5-labels": lambda: utility_loss(
+        ad.Tape().leaf(FOUR_ROWS[:, :1]), [0, 1, 1, 0, 1], [3]
+    ),
+    "f1_score-3-scores": lambda: f1_score([0.2, 0.6, 0.9], [0, 1, 1, 0]),
+    "equal_opportunity_gap-3-scores": lambda: equal_opportunity_gap(
+        [0.2, 0.6, 0.9], [0, 1, 1, 0], [0, 0, 1, 1]
+    ),
+    "compute_report-2-scores": lambda: compute_report(
+        FOUR_ROWS, FOUR_PAIRS, None, scores=[0.2, 0.8], labels=[0, 1, 1, 0]
+    ),
+    "compute_report-3-node-partition": lambda: compute_report(
+        FOUR_ROWS, FOUR_PAIRS, GroupPartition([0, 0, 0]),
+        scores=[0.1, 0.9, 0.5, 0.3], labels=[0, 1, 1, 0],
+    ),
+    "compute_report-label-2": lambda: compute_report(
+        FOUR_ROWS, FOUR_PAIRS, None, scores=[0.1, 0.9, 0.5, 0.3], labels=[0, 1, 2, 0]
+    ),
+    "rank_auc-label-2": lambda: rank_auc([0.1, 0.9, 0.5, 0.3], [0, 1, 2, 0]),
+    "train-5-node-partition": lambda: _train_with_one_group_of(5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENGTH_AND_LABEL_CASES))
+def test_every_label_and_length_argument_is_checked(case):
+    """Labels, scores and group ids hold one entry per row, and labels are 0 or 1.
+
+    (compute_report also takes -1 for an unlabeled node.) Before the checks,
+    these raised IndexError or ValueError, or returned an AUC of 1.5.
+    """
+    with pytest.raises(ContractError):
+        LENGTH_AND_LABEL_CASES[case]()
 
 
 def test_adjacency_and_homophily():

@@ -51,7 +51,7 @@ def test_utility_loss_matches_softplus_oracle(rng):
     labels = np.array([1, 0, 1, 1, 0, 0, 1, 0])
     index = np.array([0, 2, 3, 5])
     tape = Tape()
-    loss = utility_loss(tape.leaf(logits_values), labels, index, tape)
+    loss = utility_loss(tape.leaf(logits_values), labels, index)
     z = logits_values[index, 0]
     y = labels[index]
     expected = np.mean(y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z))
@@ -61,7 +61,7 @@ def test_utility_loss_matches_softplus_oracle(rng):
 def test_utility_loss_is_safe_for_huge_logits(rng):
     tape = Tape()
     logits = tape.leaf(np.array([[1e4], [-1e4]]))
-    loss = utility_loss(logits, np.array([0, 1]), np.array([0, 1]), tape)
+    loss = utility_loss(logits, np.array([0, 1]), np.array([0, 1]))
     np.testing.assert_allclose(loss.values[0, 0], 1e4, rtol=1e-12)
 
 
@@ -69,9 +69,9 @@ def test_utility_loss_guards(rng):
     tape = Tape()
     logits = tape.leaf(rng.normal(size=(4, 1)))
     with pytest.raises(ContractError):
-        utility_loss(logits, np.array([1, 0, 1, 0]), np.array([], dtype=int), tape)
+        utility_loss(logits, np.array([1, 0, 1, 0]), np.array([], dtype=int))
     with pytest.raises(DomainError):
-        utility_loss(logits, np.array([1, -1, 1, 0]), np.array([0, 1]), tape)
+        utility_loss(logits, np.array([1, -1, 1, 0]), np.array([0, 1]))
 
 
 def test_utility_loss_gradient(rng):
@@ -79,7 +79,7 @@ def test_utility_loss_gradient(rng):
     index = np.arange(5)
 
     def build(tape, z):
-        return utility_loss(z, labels, index, tape)
+        return utility_loss(z, labels, index)
 
     point = rng.normal(size=(5, 1))
     report = finite_diff_check(embedding_evaluator(build, (5, 1)), point, step=1e-6)
@@ -98,7 +98,7 @@ def test_utility_loss_matches_the_two_softplus_chain_bit_for_bit(rng, scale):
     for build in (utility_loss, bce_chain):
         tape = Tape()
         logits = tape.leaf(logits_values, "logits")
-        loss = build(logits, labels, index, tape)
+        loss = build(logits, labels, index)
         tape.backward(loss)
         results.append((loss.values.tobytes(), logits.grad.tobytes()))
     assert results[0] == results[1]

@@ -40,7 +40,6 @@ from ginigraph.metrics import (
 )
 
 from conftest import build_random_similarity
-from oracles import tail_bound, tail_fraction
 
 HUB_LEAF_Z1 = np.array(
     [
@@ -206,31 +205,6 @@ def test_group_statistics_match_manual_restriction(rng):
         sub = s.restrict(members)
         assert traces[g] == trace_form(sub, z[members])
         assert ginis[g] == embedding_gini(sub, z[members])
-
-
-# ---------------------------------------------------------------------------
-# Tail statistics
-# ---------------------------------------------------------------------------
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=50, deadline=None)
-def test_tail_fraction_obeys_markov_bound(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 15))
-    s = build_random_similarity(rng, n)
-    z = rng.normal(size=(n, 3)) * float(rng.uniform(0.1, 5.0))
-    for eps in (0.1, 0.5, 1.0, 2.0):
-        assert tail_fraction(s, z, eps) <= tail_bound(s, z, eps) + 1e-12
-
-
-def test_tail_guards():
-    s = uniform_similarity()
-    with pytest.raises(DomainError):
-        tail_fraction(s, HUB_LEAF_Z1, 0.0)
-    empty = SimilaritySet(3, [], [], [])
-    assert tail_fraction(empty, np.ones((3, 2)), 1.0) == 0.0
-    assert tail_bound(empty, np.ones((3, 2)), 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

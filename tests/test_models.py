@@ -14,7 +14,6 @@ from ginigraph.errors import ContractError, DataFormatError, DimensionError
 from ginigraph.graph import normalized_adjacency
 from ginigraph.models import (
     BACKBONES,
-    LEAKY_SLOPE,
     ModelParams,
     as_leaves,
     attention_edges,
@@ -38,7 +37,7 @@ def np_elu(x):
 
 
 def np_leaky(x):
-    return np.where(x >= 0, x, LEAKY_SLOPE * x)
+    return np.where(x >= 0, x, ad.LEAKY_SLOPE * x)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,7 @@ def _setup(rng, graph_factory, variant, hidden=4):
     graph = graph_factory(rng, 9, dim=5)
     weights = init_backbone(variant, graph.features.shape[1], hidden, rng)
     ops = graph_operators(graph)
-    tape = Tape(tracing=False)
+    tape = Tape()
     z = backbone_embed(variant, as_leaves(tape, weights), ops)
     return graph, weights, ops, z
 
@@ -108,7 +107,7 @@ def test_gin_forward_matches_oracle(rng, graph_factory):
     weights["eps1"][:] = 0.3
     weights["eps2"][:] = -0.2
     ops = graph_operators(graph)
-    tape = Tape(tracing=False)
+    tape = Tape()
     z = backbone_embed("gin", as_leaves(tape, weights), ops)
     adj = graph.adjacency().toarray()
     h = graph.features
@@ -132,14 +131,14 @@ def test_gin_zero_weights_give_zero_embeddings(rng, graph_factory):
     weights = init_backbone("gin", 3, 4, rng)
     for name in ("U1", "V1", "U2", "V2"):
         weights[name][:] = 0.0
-    tape = Tape(tracing=False)
+    tape = Tape()
     z = backbone_embed("gin", as_leaves(tape, weights), graph_operators(graph))
     np.testing.assert_array_equal(z.values, np.zeros((6, 4)))
 
 
 def test_readout_logits_match_affine_map(rng, graph_factory):
     graph, w, ops, z = _setup(rng, graph_factory, "gcn")
-    tape = Tape(tracing=False)
+    tape = Tape()
     leaves = as_leaves(tape, w)
     logits = readout_logits(tape.leaf(z.values), leaves)
     np.testing.assert_allclose(
@@ -181,7 +180,7 @@ def test_train_row_operators_embed_the_given_rows_bitwise(rng, graph_factory, va
     weights = init_backbone(variant, graph.features.shape[1], 4, rng)
     operators = graph_operators(graph)
     z = [
-        backbone_embed(variant, as_leaves(Tape(tracing=False), weights), ops).values
+        backbone_embed(variant, as_leaves(Tape(), weights), ops).values
         for ops in (operators, train_row_operators(operators, ROWS))
     ]
     assert np.array_equal(z[1][ROWS], z[0][ROWS])
@@ -234,9 +233,9 @@ def test_fair_head_matches_oracle(rng, attention):
     weights = init_fair_head(4, rng)
     z0 = rng.normal(size=(8, 4))
     plan = attention_edges(s)
-    tape = Tape(tracing=False)
+    tape = Tape()
     out = fair_head_embed(z0=tape.leaf(z0), leaves=as_leaves(tape, weights),
-                          edges=plan, tape=tape, attention=attention)
+                          edges=plan, attention=attention)
     np.testing.assert_allclose(
         out.values, manual_fair_head(z0, weights, plan.edges, attention), rtol=1e-10
     )
@@ -253,9 +252,9 @@ def test_fair_head_output_responds_to_similarity(rng):
     z0 = rng.normal(size=(3, 3))
     weak = attention_edges(single_pair_similarity(0.1))
     strong = attention_edges(single_pair_similarity(0.9))
-    tape = Tape(tracing=False)
-    out_weak = fair_head_embed(tape.leaf(z0), as_leaves(tape, weights), weak, tape)
-    out_strong = fair_head_embed(tape.leaf(z0), as_leaves(tape, weights), strong, tape)
+    tape = Tape()
+    out_weak = fair_head_embed(tape.leaf(z0), as_leaves(tape, weights), weak)
+    out_strong = fair_head_embed(tape.leaf(z0), as_leaves(tape, weights), strong)
     assert not np.allclose(out_weak.values, out_strong.values)
 
 
@@ -263,13 +262,12 @@ def test_fair_head_rejects_wrong_score_vector_shape(rng):
     s = build_random_similarity(rng, 4)
     weights = init_fair_head(3, rng)
     weights["a"] = weights["a"][:4]
-    tape = Tape(tracing=False)
+    tape = Tape()
     with pytest.raises(DimensionError):
         fair_head_embed(
             tape.leaf(rng.normal(size=(4, 3))),
             as_leaves(tape, weights),
             attention_edges(s),
-            tape,
         )
 
 
@@ -282,7 +280,7 @@ def test_fair_head_gradient_passes_finite_differences(rng):
     def evaluator(a_flat):
         tape = Tape()
         leaves = as_leaves(tape, {**weights, "a": a_flat.reshape(6, 1)})
-        out = fair_head_embed(tape.leaf(z0), leaves, edges, tape)
+        out = fair_head_embed(tape.leaf(z0), leaves, edges)
         scalar = ad.mean_all(ad.hadamard(out, out))
         tape.backward(scalar)
         return float(scalar.values[0, 0]), leaves["a"].grad.copy()

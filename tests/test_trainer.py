@@ -121,40 +121,40 @@ def test_the_benchmark_train_configs_build_and_validate():
 def test_adam_zero_gradient_zero_decay_is_identity(rng):
     weights = {"W": rng.normal(size=(3, 3))}
     before = weights["W"].copy()
-    state = AdamState(weights)
-    state.step(weights, {"W": np.zeros((3, 3))}, lr=0.1, weight_decay=0.0)
+    state = AdamState(weights, lr=0.1, weight_decay=0.0)
+    state.step({"W": np.zeros((3, 3))})
     np.testing.assert_array_equal(weights["W"], before)
 
 
 def test_adam_first_step_is_normalized_gradient(rng):
     g = rng.normal(size=(4, 2))
     weights = {"W": np.zeros((4, 2))}
-    state = AdamState(weights)
-    state.step(weights, {"W": g}, lr=0.01, weight_decay=0.0)
+    state = AdamState(weights, lr=0.01, weight_decay=0.0)
+    state.step({"W": g})
     # from zero moments the bias corrections cancel: step = -lr * g / (|g| + eps)
     np.testing.assert_allclose(weights["W"], -0.01 * g / (np.abs(g) + 1e-8), rtol=1e-6)
 
 
 def test_adam_descends_against_constant_gradient():
     weights = {"W": np.array([[1.0]])}
-    state = AdamState(weights)
+    state = AdamState(weights, lr=0.05, weight_decay=0.0)
     for _ in range(50):
-        state.step(weights, {"W": np.array([[2.0]])}, lr=0.05, weight_decay=0.0)
+        state.step({"W": np.array([[2.0]])})
     assert weights["W"][0, 0] < 1.0 - 0.05  # moved opposite to the gradient sign
 
 
 def test_adam_decoupled_decay_shrinks_without_gradient():
     weights = {"W": np.array([[4.0]])}
-    state = AdamState(weights)
-    state.step(weights, {"W": np.zeros((1, 1))}, lr=0.1, weight_decay=0.5)
+    state = AdamState(weights, lr=0.1, weight_decay=0.5)
+    state.step({"W": np.zeros((1, 1))})
     np.testing.assert_allclose(weights["W"], [[4.0 * (1 - 0.1 * 0.5)]])
 
 
 def test_adam_rejects_shape_mismatch(rng):
     weights = {"W": np.zeros((2, 2))}
-    state = AdamState(weights)
+    state = AdamState(weights, lr=0.1, weight_decay=0.0)
     with pytest.raises(ContractError):
-        state.step(weights, {"W": np.zeros((3, 2))}, lr=0.1, weight_decay=0.0)
+        state.step({"W": np.zeros((3, 2))})
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +428,14 @@ def test_probe_sweeps_give_the_weighted_total_gradient(fixture_data):
     weights = init_fair_head(config.hidden, np.random.default_rng(3), scale=0.5)
     tape = Tape()
     leaves = as_leaves(tape, weights)
-    h = fair_head_embed(tape.leaf(z0), leaves, attention_edges(similarity), tape)
+    h = fair_head_embed(tape.leaf(z0), leaves, attention_edges(similarity))
     terms = [
-        utility_loss(readout_logits(h, leaves), graph.labels, graph.train_mask, tape),
+        utility_loss(readout_logits(h, leaves), graph.labels, graph.train_mask),
         smoothness_loss(h, similarity),
         group_welfare_loss(group_trace_tensors(h, partition.within_pairs(similarity))),
     ]
     controller = GradNormController([1.0, 1.0, 1.0])
-    term_grads, norms = _probe_sweeps(tape, terms, leaves)
+    term_grads, norms = _probe_sweeps(terms, leaves)
     controller.step([float(t.values[0, 0]) for t in terms], norms)
     betas = controller.step([float(t.values[0, 0]) for t in terms], 2.0 * norms)
     combined = _weighted_gradient(term_grads, betas)
