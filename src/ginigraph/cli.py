@@ -34,9 +34,8 @@ from .graph import (
     read_partition_csv,
     read_scores_csv,
     read_similarity_csv,
-    write_edge_list,
     write_embedding_csv,
-    write_feature_table,
+    write_graph,
     write_partition_csv,
     write_scores_csv,
     write_similarity_csv,
@@ -77,10 +76,7 @@ def _emit(payload: dict) -> None:
 def cmd_ingest(args) -> int:
     graph, dropped = load_graph(args.edges, args.features)
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_edge_list(out / "edges.txt", graph.edges)
-        write_feature_table(out / "features.csv", graph.features, graph.labels, graph.sensitive)
+        write_graph(args.out_dir, graph)
     _emit(graph_summary(graph, dropped))
     return 0
 
@@ -112,10 +108,7 @@ def cmd_generate_sbm(args) -> int:
         sensitive_ratio=args.ratio,
     )
     graph = sbm_generate(spec, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_edge_list(out / "edges.txt", graph.edges)
-    write_feature_table(out / "features.csv", graph.features, graph.labels, graph.sensitive)
+    write_graph(args.out_dir, graph)
     summary = graph_summary(graph)
     summary["expected_edges"] = spec.expected_edges()
     summary["majority_share"] = float(np.mean(graph.sensitive == 0))
@@ -198,18 +191,10 @@ def cmd_audit(args) -> int:
 
 def cmd_perturb(args) -> int:
     graph, _ = load_graph(args.edges, args.features)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.homophily is not None:
         before = graph.homophily()
         result = rewire_homophily(graph, args.homophily, args.seed)
-        write_edge_list(out / "edges.txt", result.graph.edges)
-        write_feature_table(
-            out / "features.csv",
-            result.graph.features,
-            result.graph.labels,
-            result.graph.sensitive,
-        )
+        write_graph(args.out_dir, result.graph)
         _emit(
             {
                 "rho": args.homophily,
@@ -221,8 +206,7 @@ def cmd_perturb(args) -> int:
         )
     else:
         noised = perturb_noise(graph.features, args.noise, args.seed)
-        write_edge_list(out / "edges.txt", graph.edges)
-        write_feature_table(out / "features.csv", noised, graph.labels, graph.sensitive)
+        write_graph(args.out_dir, dataclasses.replace(graph, features=noised))
         delta = noised - graph.features
         _emit({"sigma": args.noise, "noise_std": float(delta.std())})
     return 0

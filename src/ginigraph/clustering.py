@@ -38,8 +38,8 @@ def kmeans(x: Array, k: int, seed: int = 0) -> tuple[Array, Array, float]:
     empty clusters keep their previous center.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ContractError("x must be a nonempty (n, d) matrix")
+    if x.ndim != 2 or x.shape[0] == 0 or not np.isfinite(x).all():
+        raise ContractError("x must be a nonempty (n, d) matrix of finite numbers")
     n = x.shape[0]
     if k < 1 or k > n:
         raise ContractError(f"k must lie in [1, {n}], got {k}")

@@ -103,10 +103,12 @@ def check_index(index, n: int, error: type[GiniGraphError] = ContractError,
 
 
 def check_length(values, n: int, what: str) -> np.ndarray:
-    """values (labels, scores, group ids) as a 1-D array of n entries, or ContractError."""
+    """values (labels, scores, group ids) as a 1-D array of n finite numbers, or ContractError."""
     arr = np.asarray(values)
     if arr.shape != (n,):
         raise ContractError(f"{what} must be 1-D with {n} entries, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        raise ContractError(f"{what} must be finite numbers (dtype {arr.dtype})")
     return arr
 
 

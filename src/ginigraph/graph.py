@@ -12,6 +12,7 @@ import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -19,6 +20,7 @@ import scipy.sparse as sp
 
 from .errors import (
     ConfigError, ContractError, DataFormatError, DimensionError, DomainError, check_index,
+    check_length,
 )
 
 Array = np.ndarray
@@ -189,8 +191,8 @@ class GroupPartition:
 
     @classmethod
     def from_values(cls, values: Array) -> "GroupPartition":
-        """Factorize arbitrary integer codes (e.g. a sensitive column) into groups."""
-        values = np.asarray(values)
+        """Factorize arbitrary finite codes (e.g. a sensitive column) into groups."""
+        values = check_length(values, np.size(values), "group values")
         _, ids = np.unique(values, return_inverse=True)
         return cls(ids)
 
@@ -601,6 +603,14 @@ def load_graph(edge_path, feature_path) -> tuple[Graph, int]:
     return Graph(edges=edges, features=features, labels=labels, sensitive=sensitive), dropped
 
 
+def write_graph(out_dir, graph: Graph) -> None:
+    """Write graph as out_dir/edges.txt and out_dir/features.csv, making out_dir if needed."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_edge_list(out / "edges.txt", graph.edges)
+    write_feature_table(out / "features.csv", graph.features, graph.labels, graph.sensitive)
+
+
 def write_similarity_csv(path, similarity: SimilaritySet) -> None:
     """Write pairs as 'i,j,weight' with i < j, full float64 precision."""
     _write_table(path, "i,j,weight", [similarity.rows, similarity.cols, similarity.weights])
@@ -610,7 +620,7 @@ def read_similarity_csv(path, n: int) -> SimilaritySet:
     pairs, weights, _ = _read_table(path, "i,j,weight", 2)
     try:
         return SimilaritySet(n, pairs[:, 0], pairs[:, 1], weights[:, 0])
-    except (ContractError, DomainError, DimensionError) as exc:
+    except ContractError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

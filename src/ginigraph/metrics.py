@@ -35,8 +35,8 @@ RATIO_FLOOR = 1e-12
 
 def _embedding(similarity: SimilaritySet, z: Array) -> Array:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != similarity.n:
-        raise ContractError("embeddings must be (n, c) matching the similarity set")
+    if z.ndim != 2 or z.shape[0] != similarity.n or not np.isfinite(z).all():
+        raise ContractError("embeddings must be finite and (n, c) matching the similarity set")
     return z
 
 
@@ -48,6 +48,11 @@ def trace_form(similarity: SimilaritySet, z: Array) -> float:
     return pair_trace_values(_embedding(similarity, z), similarity)[0]
 
 
+def _l1_gaps(z: Array, rows: Array, cols: Array) -> Array:
+    """||z[rows_p] - z[cols_p]||_1 for each pair p."""
+    return np.sum(np.abs(np.take(z, rows, axis=0) - np.take(z, cols, axis=0)), axis=1)
+
+
 def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> float:
     """sum_p w_p ||z[rows_p] - z[cols_p]||_1 / (n sum_i ||population_i||_1).
 
@@ -56,8 +61,7 @@ def _gini(z: Array, rows: Array, cols: Array, w: Array, population: Array) -> fl
     mass = float(np.sum(np.abs(population)))
     if mass == 0.0:
         raise DomainError("Gini undefined for an all-zero embedding")
-    gaps = np.sum(np.abs(np.take(z, rows, axis=0) - np.take(z, cols, axis=0)), axis=1)
-    return float(np.sum(w * gaps) / (population.shape[0] * mass))
+    return float(np.sum(w * _l1_gaps(z, rows, cols)) / (population.shape[0] * mass))
 
 
 def embedding_gini(similarity: SimilaritySet, z: Array) -> float:
@@ -80,9 +84,7 @@ def lipschitz_constant(
     """
     if not 0.0 <= delta < np.inf:
         raise DomainError("delta must be finite and nonnegative")
-    z = _embedding(similarity, z)
-    rows, cols = similarity.rows, similarity.cols
-    gaps = np.sum(np.abs(np.take(z, rows, axis=0) - np.take(z, cols, axis=0)), axis=1)
+    gaps = _l1_gaps(_embedding(similarity, z), similarity.rows, similarity.cols)
     if gaps.size == 0:
         return 0.0
     return float(np.max(gaps * (similarity.weights + delta)))
@@ -137,9 +139,7 @@ def group_ginis(similarity: SimilaritySet, z: Array, partition: GroupPartition) 
 
 
 def _average_ranks(y: Array) -> Array:
-    """Ranks from 1, ties sharing their mean (a whole or half, so exact); all NaN if y has a NaN."""
-    if np.isnan(y).any():
-        return np.full(y.size, np.nan)
+    """Ranks from 1, ties sharing their mean (a whole or half, so exact)."""
     order = np.argsort(y, kind="stable")
     y = y[order]
     starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
@@ -152,10 +152,10 @@ def _average_ranks(y: Array) -> Array:
 def rank_auc(scores: Array, labels: Array) -> float:
     """Area under the ROC curve via average ranks; ties count half.
 
-    labels must be 0 or 1 (ContractError), and both classes present
-    (DomainError).
+    scores must be finite and labels 0 or 1 (ContractError), and both
+    classes present (DomainError).
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    scores = check_length(np.ravel(scores), np.size(scores), "scores")
     labels = check_length(np.ravel(labels), scores.size, "labels")
     pos = labels == 1
     neg = labels == 0
@@ -172,7 +172,7 @@ def f1_score(scores: Array, labels: Array, threshold: float = 0.5) -> float:
     """F1 of thresholded scores against binary labels (0.0 when degenerate)."""
     if not np.isfinite(threshold):
         raise DomainError("threshold must be finite")
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    scores = check_length(np.ravel(scores), np.size(scores), "scores")
     labels = check_length(np.ravel(labels), scores.size, "labels")
     pred = scores >= threshold
     tp = int(np.sum(pred & (labels == 1)))
@@ -192,7 +192,7 @@ def equal_opportunity_gap(
     """
     if not np.isfinite(threshold):
         raise DomainError("threshold must be finite")
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    scores = check_length(np.ravel(scores), np.size(scores), "scores")
     labels = check_length(np.ravel(labels), scores.size, "labels")
     group_ids = check_length(np.ravel(group_ids), scores.size, "group ids")
     rates = []
@@ -292,8 +292,9 @@ def compute_report(
 ) -> MetricsReport:
     """Assemble the full audit for one embedding matrix.
 
-    scores, labels and the partition hold one entry per row of z; labels
-    are 0, 1 or -1 (unlabeled). Utility metrics need both scores and labels.
+    scores, labels and the partition hold one finite entry per row of z;
+    labels are 0, 1 or -1 (unlabeled). Utility metrics need both scores and
+    labels; given one alone, they are skipped with a note in warnings.
     """
     z = _embedding(similarity, z)
     group_ids = None if partition is None else partition.group_ids
@@ -304,7 +305,10 @@ def compute_report(
         raise ContractError("labels must be -1 (unlabeled), 0 or 1")
     notes: list[str] = []
     auc = f1 = eo = None
-    if scores is not None and labels is not None:
+    if (scores is None) != (labels is None):
+        given, missing = ("scores", "labels") if labels is None else ("labels", "scores")
+        notes.append(f"utility metrics skipped: {given} without {missing}")
+    elif scores is not None:
         labeled = np.asarray(labels) >= 0
         s, y = np.asarray(scores)[labeled], np.asarray(labels)[labeled]
         try:

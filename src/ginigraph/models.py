@@ -8,8 +8,9 @@ Three interchangeable two-round encoders produce node embeddings of width c:
 - jk:  two propagation rounds whose outputs are combined through per-round
   projections (equivalent to concatenation followed by one projection)
 
-The encoders' first propagation of constant features, A_hat X (A X for
-gin), is a per-run constant of graph_operators, computed once as SGC does.
+Each encoder propagates by one operator, prop: A_hat for gcn and jk, A for
+gin. The first propagation of the constant features, prop X, is a per-run
+constant of graph_operators, computed once as SGC does.
 
 On top of any encoder sits a fairness head: a linear transform T = Z W, an
 attention score LeakyReLU(a^T [T_i || T_j]) multiplied by the pairwise
@@ -105,52 +106,43 @@ def init_fair_head(
     }
 
 
-def graph_operators(graph: Graph) -> dict[str, Array | sp.csr_matrix]:
-    """The encoders' per-run constants, built once from one adjacency.
+def graph_operators(graph: Graph, variant: str) -> dict[str, Array | sp.csr_matrix]:
+    """The per-run constants of one encoder variant, built once from the adjacency.
 
-    features is the graph's X; adj and norm_adj are A and A_hat; adj_x and
-    norm_adj_x are X's first propagation by each, A X and A_hat X. They are
-    all that backbone_embed reads of the graph, so the first round never
-    multiplies on the tape. train_row_operators cuts adj and norm_adj, the
+    features is the graph's X; prop is the operator the variant propagates
+    by, A for gin and A_hat for gcn and jk; prop_x is X's first propagation,
+    prop X. They are all that backbone_embed reads of the graph, so the first
+    round never multiplies on the tape. train_row_operators cuts prop, the
     second round's, to the rows a loss reads.
     """
-    adj = graph.adjacency()
-    norm_adj = normalized_adjacency(adj)
-    return {
-        "features": graph.features,
-        "adj": adj,
-        "norm_adj": norm_adj,
-        "adj_x": adj @ graph.features,
-        "norm_adj_x": norm_adj @ graph.features,
-    }
+    prop = graph.adjacency()
+    if variant != "gin":
+        prop = normalized_adjacency(prop)
+    return {"features": graph.features, "prop": prop, "prop_x": prop @ graph.features}
 
 
 def train_row_operators(
     operators: dict[str, Array | sp.csr_matrix], rows: Array
 ) -> dict[str, Array | sp.csr_matrix]:
-    """operators with adj and norm_adj cut to the given rows, for a loss that reads only those.
+    """operators with prop cut to the given rows, for a loss that reads only those.
 
     Each kept row holds the source row's entries in their order, every other
-    row is empty, and the shapes stay n x n. backbone_embed on the result
+    row is empty, and the shape stays n x n. backbone_embed on the result
     gives the full operators' embeddings in the given rows; in the others
     the second propagation is 0 (gin's second round sees its self term
     alone). A loss on the given rows sends +-0 cotangents into those rows in
     every sweep, and the products they enter add +-0 to sums that start at
     +0, so every gradient is bitwise the full operators' one.
     """
-    keep = np.zeros(operators["adj"].shape[0], dtype=bool)
+    prop = operators["prop"]
+    keep = np.zeros(prop.shape[0], dtype=bool)
     keep[rows] = True
-    cut = dict(operators)
-    for name in ("adj", "norm_adj"):
-        mat = operators[name]
-        counts = np.diff(mat.indptr)
-        entries = np.repeat(keep, counts)
-        indptr = np.zeros_like(mat.indptr)
-        np.cumsum(counts * keep, out=indptr[1:])
-        cut[name] = sp.csr_matrix(
-            (mat.data[entries], mat.indices[entries], indptr), shape=mat.shape
-        )
-    return cut
+    counts = np.diff(prop.indptr)
+    entries = np.repeat(keep, counts)
+    indptr = np.zeros_like(prop.indptr)
+    np.cumsum(counts * keep, out=indptr[1:])
+    cut = sp.csr_matrix((prop.data[entries], prop.indices[entries], indptr), shape=prop.shape)
+    return {**operators, "prop": cut}
 
 
 def backbone_embed(
@@ -160,23 +152,23 @@ def backbone_embed(
 ) -> Tensor:
     """Run one encoder over a graph, returning (n, hidden) embeddings.
 
-    operators are the graph's graph_operators, or their train_row_operators
-    cut, the encoder's only input: the features (gin) and their first
-    propagation enter the leaves' tape as constant leaves, and adj or
-    norm_adj propagate the second round on the tape.
+    operators are the graph's graph_operators for this variant, or their
+    train_row_operators cut, the encoder's only input: the features (gin)
+    and their first propagation prop_x enter the leaves' tape as constant
+    leaves, and prop propagates the second round on the tape.
     """
     tape = leaves["w_out"].tape
+    prop, prop_x = operators["prop"], tape.leaf(operators["prop_x"], constant=True)
     if variant == "gin":
         h = tape.leaf(operators["features"], constant=True)
-        adj_x = tape.leaf(operators["adj_x"], constant=True)
         for r in (1, 2):
             own = ad.add(h, ad.broadcast_scale(h, leaves[f"eps{r}"]))
-            neighbours = adj_x if r == 1 else ad.spmm(operators["adj"], h)
+            neighbours = prop_x if r == 1 else ad.spmm(prop, h)
             h = ad.elu(ad.elu(ad.add(own, neighbours) @ leaves[f"U{r}"]) @ leaves[f"V{r}"])
         return h
     if variant in ("gcn", "jk"):
-        h1 = ad.elu(tape.leaf(operators["norm_adj_x"], constant=True) @ leaves["W1"])
-        h2 = ad.elu(ad.spmm(operators["norm_adj"], h1) @ leaves["W2"])
+        h1 = ad.elu(prop_x @ leaves["W1"])
+        h2 = ad.elu(ad.spmm(prop, h1) @ leaves["W2"])
         return h2 if variant == "gcn" else ad.elu(ad.add(h1 @ leaves["P1"], h2 @ leaves["P2"]))
     raise ContractError(f"unknown backbone '{variant}'")
 

@@ -86,6 +86,8 @@ def perturb_noise(features: Array, sigma: float, seed: int = 0) -> Array:
     """Additive elementwise Gaussian noise; sigma = 0 returns the input unchanged."""
     check_sigma(sigma)
     features = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise DomainError("features must be finite")
     if sigma == 0.0:
         return features.copy()
     rng = np.random.default_rng(seed)

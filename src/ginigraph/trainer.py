@@ -19,13 +19,12 @@ W, so under GradNorm an epoch runs one backward sweep per term and steps on
 sum_i beta_i g_i from those sweeps, which by linearity is the gradient of the
 total; with fixed betas one sweep of the total suffices.
 
-What does not change between epochs is built once per run: the graph
-operators with the features' first propagation (for the closing forward
-passes) and their train-row cut (stage 1's epochs: the utility loss reads
-only the train rows, so the second propagation fills no other), the
-attention plan and the within-group pairs with their selections among the
-stored pairs (stage 2). The IF and group traces come from one pass over the
-pairs per epoch.
+What does not change between epochs is built once per run: the backbone's
+graph operators and their train-row cut (stage 1: the utility loss reads
+only the train rows, so the second propagation fills no other), the frozen
+Z, the attention plan and the within-group pairs with their selections among
+the stored pairs (stage 2, which never runs the encoder). The IF and group
+traces come from one pass over the pairs per epoch.
 
 Every run is deterministic given (config, graph, similarity): randomness only
 enters through seeded weight initialization.
@@ -234,13 +233,13 @@ _PRETRAIN_FIELDS = attrgetter(
 )
 
 
-def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array, dict]:
-    """Train the encoder on utility loss only; returns (weights, embeddings, operators).
+def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array]:
+    """Train the encoder on utility loss only; returns (weights, embeddings).
 
-    operators are the full graph_operators, with the first propagation of
-    the features, built once: they serve the closing forward pass and the
-    caller's own forward passes on the same graph. The epochs run on their
-    train_row_operators cut to the train mask, with gradients bitwise equal.
+    The backbone's graph_operators, with the first propagation of the
+    features, are built once. The epochs run on their train_row_operators
+    cut to the train mask, with gradients bitwise equal; the closing pass
+    embeds every row on the full operators.
     """
     config.validate()
     graph = _ensure_masks(graph, config.seed)
@@ -248,7 +247,7 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
         raise ContractError("pretraining needs a nonempty train mask")
     rng = np.random.default_rng(config.seed)
     weights = init_backbone(config.backbone, graph.features.shape[1], config.hidden, rng)
-    operators = graph_operators(graph)
+    operators = graph_operators(graph, config.backbone)
     # the loss reads only the train rows, so the second round propagates into no other
     train_rows = train_row_operators(operators, graph.train_mask)
     adam = AdamState(weights, config.learning_rate, config.weight_decay)
@@ -260,8 +259,10 @@ def pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Array], Array
         tape.backward(utility_loss(logits, graph.labels, graph.train_mask))
         adam.step({k: leaves[k].grad for k in weights})
         tape.release()
-    encoder = ModelParams(config.backbone, weights)
-    return weights, embed(encoder, graph, operators=operators)[0], operators
+    tape = Tape()
+    z = backbone_embed(config.backbone, as_leaves(tape, weights), operators)
+    tape.release()
+    return weights, z.values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,15 @@ def _weighted_gradient(
     return total
 
 
+def _head_forward(
+    tape: Tape, weights: dict[str, Array], z0: Array, plan: ad.AttentionPlan, attention: bool
+) -> tuple[dict, ad.Tensor, ad.Tensor]:
+    """The head's weights as leaves on tape, its embeddings of z0 and their logits."""
+    leaves = as_leaves(tape, weights)
+    h = fair_head_embed(tape.leaf(z0, "z0", constant=True), leaves, plan, attention)
+    return leaves, h, readout_logits(h, leaves)
+
+
 def _val_auc(scores: Array, labels: Array, index: Array) -> float:
     labeled = index[labels[index] >= 0]
     try:  # rank_auc raises DomainError when a class is missing, also on no nodes
@@ -320,7 +330,7 @@ def train(
     graph object whose configs agree in each field pretrain reads share the
     stage-1 run the first of them fills in. wall_seconds, the time of this
     call, counts a pretraining the call ran, not one it reused. The closing
-    forward pass is embed's, on the pretraining's operators and the head's plan.
+    forward pass is the epochs' head forward, on the final head weights.
     """
     started = time.monotonic()
     config.validate()
@@ -335,7 +345,7 @@ def train(
     if key not in pretrainings:
         # the entry holds the caller's graph, so no other graph takes its id while the cache lives
         pretrainings[key] = callers_graph, pretrain(graph, config)
-    weights, z0_values, operators = pretrainings[key][1]
+    weights, z0 = pretrainings[key][1]
     backbone_weights = {name: w.copy() for name, w in weights.items()}
     rng = np.random.default_rng(config.seed + 1)
     fair_weights = init_fair_head(config.hidden, rng, scale=config.head_scale)
@@ -362,10 +372,7 @@ def train(
 
     for epoch in range(config.max_epochs):
         tape = Tape()
-        leaves = as_leaves(tape, fair_weights)
-        z0 = tape.leaf(z0_values, "z0", constant=True)
-        h = fair_head_embed(z0, leaves, plan, attention=config.attention)
-        logits = readout_logits(h, leaves)
+        leaves, h, logits = _head_forward(tape, fair_weights, z0, plan, config.attention)
 
         terms = [utility_loss(logits, graph.labels, graph.train_mask)]
         # the smoothness trace and the group traces are on the tape every
@@ -409,7 +416,10 @@ def train(
                 break
 
     params = ModelParams(config.backbone, backbone_weights, fair_weights, config.attention)
-    embeddings, scores = embed(params, graph, similarity, operators, plan)
+    tape = Tape()
+    _, h, logits = _head_forward(tape, fair_weights, z0, plan, config.attention)
+    tape.release()
+    embeddings, scores = h.values.copy(), ad.sigmoid_values(logits.values[:, 0])
     return RunResult(
         config=config,
         params=params,
@@ -430,26 +440,21 @@ def train(
 
 
 def embed(
-    params: ModelParams,
-    graph: Graph,
-    similarity: SimilaritySet | None = None,
-    operators: dict | None = None,
-    plan: ad.AttentionPlan | None = None,
+    params: ModelParams, graph: Graph, similarity: SimilaritySet | None = None
 ) -> tuple[Array, Array]:
     """Forward pass on a tape released at the end: returns (embeddings, sigmoid scores).
 
-    The fairness head, when params has one, runs with params.attention.
-    operators and plan are graph_operators(graph) and
-    attention_edges(similarity), built here unless the caller holds them.
+    The forward pass of a loaded checkpoint: the fairness head, when params
+    has one, runs with params.attention on attention_edges(similarity).
     """
     if params.fair and similarity is None:
         raise ContractError("fair head requires a similarity set")
     tape = Tape()
     leaves = as_leaves(tape, params.backbone)
-    h = backbone_embed(params.variant, leaves, operators or graph_operators(graph))
+    h = backbone_embed(params.variant, leaves, graph_operators(graph, params.variant))
     if params.fair:
         leaves = as_leaves(tape, params.fair)
-        h = fair_head_embed(h, leaves, plan or attention_edges(similarity), params.attention)
+        h = fair_head_embed(h, leaves, attention_edges(similarity), params.attention)
     logits = readout_logits(h, leaves)
     tape.release()
     return h.values.copy(), ad.sigmoid_values(logits.values[:, 0])

@@ -256,7 +256,7 @@ def full_row_pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Arra
     graph = _ensure_masks(graph, config.seed)
     rng = np.random.default_rng(config.seed)
     weights = init_backbone(config.backbone, graph.features.shape[1], config.hidden, rng)
-    operators = graph_operators(graph)
+    operators = graph_operators(graph, config.backbone)
     adam = AdamState(weights, config.learning_rate, config.weight_decay)
     for _ in range(config.pretrain_epochs):
         tape = Tape()
@@ -266,7 +266,7 @@ def full_row_pretrain(graph: Graph, config: TrainConfig) -> tuple[dict[str, Arra
         adam.step({k: leaves[k].grad for k in weights})
         tape.release()
     encoder = ModelParams(config.backbone, weights)
-    return weights, embed(encoder, graph, operators=operators)[0]
+    return weights, embed(encoder, graph)[0]
 
 
 # ---------------------------------------------------------------------------

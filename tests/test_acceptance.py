@@ -234,7 +234,7 @@ def test_gradients_match_finite_differences(variant):
     started = time.monotonic()
     graph, similarity, partition = build_grad_instance(11)
     ctx = partition.within_pairs(similarity)
-    operators = graph_operators(graph)
+    operators = graph_operators(graph, variant)
     edges = attention_edges(similarity)
     rng = np.random.default_rng(7)
     weights = init_backbone(variant, graph.features.shape[1], 8, rng)

@@ -1079,6 +1079,20 @@ def test_cli_audit_rejects_a_non_finite_embedding(sbm_dir, tmp_path, capsys):
     assert code == 4 and out == {}
 
 
+def test_cli_audit_of_scores_without_labels_says_why_utility_is_null(sbm_dir, tmp_path, capsys):
+    sim_path, emb_path, scores_path = tmp_path / "sim.csv", tmp_path / "emb.csv", tmp_path / "s.csv"
+    run_cli(capsys, "similarity", *graph_args(sbm_dir), "--top-k", "5", "--out", str(sim_path))
+    write_embedding_csv(emb_path, np.random.default_rng(0).normal(size=(40, 2)))
+    write_scores_csv(scores_path, np.linspace(0.0, 1.0, 40))
+    code, report = run_cli(
+        capsys, "audit", "--embeddings", str(emb_path), "--similarity", str(sim_path),
+        "--scores", str(scores_path),
+    )
+    assert code == 0
+    assert report["auc"] is None and report["f1"] is None and report["eo"] is None
+    assert report["warnings"] == ["utility metrics skipped: scores without labels"]
+
+
 # finite inputs whose metric overflows: embedding scale, audit flags, the metric
 OVERFLOWING_AUDITS = {
     "delta-1e308": (1.0, ["--delta", "1e308"], "lipschitz"),

@@ -39,6 +39,7 @@ from ginigraph.graph import (
     write_edge_list,
     write_embedding_csv,
     write_feature_table,
+    write_graph,
     write_partition_csv,
     write_scores_csv,
     write_similarity_csv,
@@ -697,6 +698,16 @@ def test_load_graph_checks_edge_bounds(tmp_path, rng):
     assert graph.n == 3 and graph.num_edges == 2 and dropped == 0
     summary = graph_summary(graph)
     assert summary["nodes"] == 3 and summary["labeled_nodes"] == 3
+
+
+def test_write_graph_round_trips_through_load_graph(tmp_path, rng, graph_factory):
+    graph = graph_factory(rng, 7)
+    write_graph(tmp_path / "new" / "dir", graph)
+    loaded, dropped = load_graph(tmp_path / "new" / "dir" / "edges.txt",
+                                 tmp_path / "new" / "dir" / "features.csv")
+    assert dropped == 0
+    for name in ("edges", "features", "labels", "sensitive"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(graph, name))
 
 
 def test_similarity_csv_round_trip_is_exact(tmp_path, rng):

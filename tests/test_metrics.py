@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ginigraph
-from ginigraph.errors import ContractError, DomainError
+from ginigraph.clustering import kmeans
+from ginigraph.errors import ContractError, DomainError, GiniGraphError
 from ginigraph.graph import GroupPartition, SimilaritySet
 from ginigraph.metrics import (
     MetricsReport,
@@ -38,6 +39,7 @@ from ginigraph.metrics import (
     rank_auc,
     trace_form,
 )
+from ginigraph.perturb import perturb_noise
 
 from conftest import build_random_similarity
 
@@ -254,23 +256,23 @@ def test_rank_auc_requires_both_classes():
 SPECIAL_SCORES = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -2.5, 1e-300])
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=200, deadline=None)
-def test_average_ranks_equal_scipy_rankdata_bit_for_bit(seed, with_nan):
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     scores = np.round(rng.normal(size=n), 1)  # ties
     special = rng.random(n) < 0.4
     scores[special] = SPECIAL_SCORES[rng.integers(0, SPECIAL_SCORES.size, size=int(special.sum()))]
-    if with_nan:
-        scores[rng.integers(0, n)] = np.nan
     ranks = _average_ranks(scores)
     assert ranks.dtype == np.float64
     assert ranks.tobytes() == rankdata(scores).tobytes()
 
 
-def test_rank_auc_of_a_nan_score_is_nan():
-    assert np.isnan(rank_auc([0.2, np.nan, 0.7], [0, 1, 1]))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_auc_refuses_a_non_finite_score(bad):
+    with pytest.raises(ContractError, match="scores must be finite numbers"):
+        rank_auc([bad, 0.5, 0.2, 0.1], [0, 1, 0, 1])
 
 
 def test_importing_the_cli_loads_no_scipy_stats():
@@ -351,6 +353,15 @@ def test_compute_report_without_scores_or_partition(rng):
     assert any("single-group" in w for w in single.warnings)
 
 
+@pytest.mark.parametrize("given_arg, missing", [("scores", "labels"), ("labels", "scores")])
+def test_compute_report_notes_utility_inputs_given_alone(rng, given_arg, missing):
+    s = build_random_similarity(rng, 4)
+    values = {"scores": np.array([0.9, 0.1, 0.8, 0.2]), "labels": np.array([1, 0, 1, 0])}
+    report = compute_report(rng.normal(size=(4, 2)), s, None, **{given_arg: values[given_arg]})
+    assert report.auc is None and report.f1 is None and report.eo is None
+    assert f"utility metrics skipped: {given_arg} without {missing}" in report.warnings
+
+
 def test_compute_report_excludes_unlabeled_nodes_from_utility(rng):
     s = build_random_similarity(rng, 6)
     z = rng.normal(size=(6, 2))
@@ -375,3 +386,81 @@ def test_report_serialization():
     blob = report.to_json_dict()
     assert blob["individual_unfairness"] == 2500.0
     assert blob["eo"] is None
+
+
+# ---------------------------------------------------------------------------
+# Malformed arrays at the public entry points
+# ---------------------------------------------------------------------------
+
+API_SIM = build_random_similarity(np.random.default_rng(5), 6)
+API_Z = np.random.default_rng(6).normal(size=(6, 3))
+API_SCORES = np.array([0.9, 0.2, 0.7, 0.4, 0.6, 0.1])
+API_LABELS = np.array([1, 0, 1, 0, 1, 0])
+API_GROUPS = np.array([0, 0, 0, 1, 1, 1])
+API_PARTITION = GroupPartition(API_GROUPS)
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+# name -> (the well-formed array, the call on a replacement for it, the
+# defects that make the replacement malformed: a non-finite entry, a length
+# off by one, an extra axis)
+ARRAY_ENTRY_POINTS = {
+    "rank_auc scores": (API_SCORES, lambda v: rank_auc(v, API_LABELS), "nla"),
+    "rank_auc labels": (API_LABELS, lambda v: rank_auc(API_SCORES, v), "nla"),
+    "f1_score scores": (API_SCORES, lambda v: f1_score(v, API_LABELS), "nla"),
+    "f1_score labels": (API_LABELS, lambda v: f1_score(API_SCORES, v), "nla"),
+    "equal_opportunity_gap scores": (
+        API_SCORES, lambda v: equal_opportunity_gap(v, API_LABELS, API_GROUPS), "nla"),
+    "equal_opportunity_gap labels": (
+        API_LABELS, lambda v: equal_opportunity_gap(API_SCORES, v, API_GROUPS), "nla"),
+    "equal_opportunity_gap group ids": (
+        API_GROUPS, lambda v: equal_opportunity_gap(API_SCORES, API_LABELS, v), "nla"),
+    "compute_report z": (
+        API_Z, lambda v: compute_report(v, API_SIM, API_PARTITION, API_SCORES, API_LABELS), "nla"),
+    "compute_report scores": (
+        API_SCORES, lambda v: compute_report(API_Z, API_SIM, API_PARTITION, v, API_LABELS), "nla"),
+    "compute_report labels": (
+        API_LABELS, lambda v: compute_report(API_Z, API_SIM, API_PARTITION, API_SCORES, v), "nla"),
+    "trace_form": (API_Z, lambda v: trace_form(API_SIM, v), "nla"),
+    "embedding_gini": (API_Z, lambda v: embedding_gini(API_SIM, v), "nla"),
+    "lipschitz_constant": (API_Z, lambda v: lipschitz_constant(API_SIM, v), "nla"),
+    "group_traces": (API_Z, lambda v: group_traces(API_SIM, v, API_PARTITION), "nla"),
+    "group_ginis": (API_Z, lambda v: group_ginis(API_SIM, v, API_PARTITION), "nla"),
+    # any number of points, codes or feature rows is well formed
+    "kmeans": (API_Z, lambda v: kmeans(v, 2), "na"),
+    "GroupPartition.from_values": (API_GROUPS, GroupPartition.from_values, "na"),
+    "perturb_noise": (API_Z, lambda v: perturb_noise(v, 0.1), "n"),
+}
+
+
+def malformed(base: np.ndarray, defect: str, data) -> np.ndarray:
+    """base with one defect: n(on-finite entry), l(ength off by one) or a(n extra axis)."""
+    if defect == "n":
+        bad = base.astype(np.float64)
+        bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(st.sampled_from(NON_FINITE))
+        return bad
+    if defect == "l":
+        return base[:-1] if data.draw(st.booleans()) else np.concatenate([base, base[:1]])
+    return np.stack([base, base], axis=-1) if base.ndim == 1 else base[None]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_entry_points_refuse_malformed_arrays(data):
+    name = data.draw(st.sampled_from(sorted(ARRAY_ENTRY_POINTS)))
+    base, call, defects = ARRAY_ENTRY_POINTS[name]
+    call(base)  # well formed: no error
+    bad = malformed(base, data.draw(st.sampled_from(defects)), data)
+    with pytest.raises(GiniGraphError):
+        call(bad)
+
+
+def test_group_values_and_kmeans_points_refuse_nan():
+    with pytest.raises(ContractError, match="group values must be finite numbers"):
+        GroupPartition.from_values([np.nan, np.nan, 1.0, 2.0])
+    with pytest.raises(ContractError, match="x must be .* of finite numbers"):
+        kmeans([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]], 2)
+
+
+def test_perturb_noise_blames_the_features_not_sigma():
+    with pytest.raises(DomainError, match="features must be finite"):
+        perturb_noise(np.array([[1.0, np.nan]]), 0.1)

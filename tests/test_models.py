@@ -87,7 +87,7 @@ def test_init_fair_head_scale_multiplies_the_draw():
 def _setup(rng, graph_factory, variant, hidden=4):
     graph = graph_factory(rng, 9, dim=5)
     weights = init_backbone(variant, graph.features.shape[1], hidden, rng)
-    ops = graph_operators(graph)
+    ops = graph_operators(graph, variant)
     tape = Tape()
     z = backbone_embed(variant, as_leaves(tape, weights), ops)
     return graph, weights, ops, z
@@ -106,7 +106,7 @@ def test_gin_forward_matches_oracle(rng, graph_factory):
     weights = init_backbone("gin", 4, 3, rng)
     weights["eps1"][:] = 0.3
     weights["eps2"][:] = -0.2
-    ops = graph_operators(graph)
+    ops = graph_operators(graph, "gin")
     tape = Tape()
     z = backbone_embed("gin", as_leaves(tape, weights), ops)
     adj = graph.adjacency().toarray()
@@ -132,7 +132,7 @@ def test_gin_zero_weights_give_zero_embeddings(rng, graph_factory):
     for name in ("U1", "V1", "U2", "V2"):
         weights[name][:] = 0.0
     tape = Tape()
-    z = backbone_embed("gin", as_leaves(tape, weights), graph_operators(graph))
+    z = backbone_embed("gin", as_leaves(tape, weights), graph_operators(graph, "gin"))
     np.testing.assert_array_equal(z.values, np.zeros((6, 4)))
 
 
@@ -150,27 +150,27 @@ def test_readout_logits_match_affine_map(rng, graph_factory):
 ROWS = np.array([9, 5, 2, 0])  # descending, as a caller's train mask may be
 
 
-def test_train_row_operators_keep_only_the_given_rows(rng, graph_factory):
+@pytest.mark.parametrize("variant", BACKBONES)
+def test_train_row_operators_keep_only_the_given_rows(rng, graph_factory, variant):
     graph = graph_factory(rng, 12, p=0.4)
-    operators = graph_operators(graph)
+    operators = graph_operators(graph, variant)
     parts = ("indptr", "indices", "data")
-    before = {name: [getattr(operators[name], part).copy() for part in parts]
-              for name in ("adj", "norm_adj")}
+    source = operators["prop"]
+    before = [getattr(source, part).copy() for part in parts]
     cut = train_row_operators(operators, ROWS)
-    for name in ("adj", "norm_adj"):
-        source, kept = operators[name], cut[name]
-        assert kept.shape == source.shape
-        for i in range(graph.n):
-            got = slice(kept.indptr[i], kept.indptr[i + 1])
-            if i in ROWS:
-                want = slice(source.indptr[i], source.indptr[i + 1])
-                assert np.array_equal(kept.indices[got], source.indices[want])
-                assert np.array_equal(kept.data[got], source.data[want])
-            else:
-                assert got.start == got.stop
-        for part, copy in zip(parts, before[name]):
-            assert np.array_equal(getattr(source, part), copy)
-    for name in ("features", "adj_x", "norm_adj_x"):
+    kept = cut["prop"]
+    assert kept.shape == source.shape
+    for i in range(graph.n):
+        got = slice(kept.indptr[i], kept.indptr[i + 1])
+        if i in ROWS:
+            want = slice(source.indptr[i], source.indptr[i + 1])
+            assert np.array_equal(kept.indices[got], source.indices[want])
+            assert np.array_equal(kept.data[got], source.data[want])
+        else:
+            assert got.start == got.stop
+    for part, copy in zip(parts, before):
+        assert np.array_equal(getattr(source, part), copy)
+    for name in ("features", "prop_x"):
         assert cut[name] is operators[name]
 
 
@@ -178,7 +178,7 @@ def test_train_row_operators_keep_only_the_given_rows(rng, graph_factory):
 def test_train_row_operators_embed_the_given_rows_bitwise(rng, graph_factory, variant):
     graph = graph_factory(rng, 12, p=0.4)
     weights = init_backbone(variant, graph.features.shape[1], 4, rng)
-    operators = graph_operators(graph)
+    operators = graph_operators(graph, variant)
     z = [
         backbone_embed(variant, as_leaves(Tape(), weights), ops).values
         for ops in (operators, train_row_operators(operators, ROWS))

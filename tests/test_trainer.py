@@ -22,7 +22,6 @@ from ginigraph.models import (
     as_leaves,
     attention_edges,
     fair_head_embed,
-    graph_operators,
     init_backbone,
     init_fair_head,
     readout_logits,
@@ -165,7 +164,7 @@ def test_adam_rejects_shape_mismatch(rng):
 def test_pretrain_zero_epochs_returns_initial_weights():
     graph = separable_graph(3, n=20)
     config = quick_config(pretrain_epochs=0)
-    weights, z0, _ = pretrain(graph, config)
+    weights, z0 = pretrain(graph, config)
     reference = init_backbone(
         config.backbone, graph.features.shape[1], config.hidden, np.random.default_rng(config.seed)
     )
@@ -177,7 +176,7 @@ def test_pretrain_zero_epochs_returns_initial_weights():
 def test_pretrain_learns_separable_labels(fixture_data):
     graph, _, _ = fixture_data
     config = quick_config(pretrain_epochs=150)
-    weights, _, _ = pretrain(graph, config)
+    weights, _ = pretrain(graph, config)
     params = ModelParams(variant=config.backbone, backbone=weights)
     masked = train_masked(graph, config)
     _, scores = embed(params, masked)
@@ -205,21 +204,12 @@ def isolated_train_node_graph() -> Graph:
 def test_pretrain_is_bitwise_the_full_row_loop(backbone, split):
     graph = separable_graph(11) if split == "auto" else isolated_train_node_graph()
     config = quick_config(backbone=backbone)
-    weights, embeddings, _ = pretrain(graph, config)
+    weights, embeddings = pretrain(graph, config)
     expected_weights, expected_embeddings = full_row_pretrain(graph, config)
     assert sorted(weights) == sorted(expected_weights)
     for name in weights:
         assert np.array_equal(weights[name], expected_weights[name]), name
     assert np.array_equal(embeddings, expected_embeddings)
-
-
-def test_pretrain_returns_the_full_operators():
-    graph = isolated_train_node_graph()
-    _, _, operators = pretrain(graph, quick_config(pretrain_epochs=2))
-    expected = graph_operators(graph)
-    for name in ("adj", "norm_adj"):
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(operators[name], part), getattr(expected[name], part))
 
 
 def train_masked(graph: Graph, config: TrainConfig) -> Graph:
@@ -287,7 +277,7 @@ def test_train_on_a_shared_pretraining_logs_bitwise_equal(tmp_path, fixture_data
         for beta2 in (0.5, 1.0)
     )
     # the masks train fills in do not hide the caller's graph from the cache
-    ((held, (weights, _, _)),) = pretrainings.values()
+    ((held, (weights, _)),) = pretrainings.values()
     assert len(calls) == 1 and held is graph
     write_training_log(tmp_path / "shared.csv", shared.history)
     write_training_log(tmp_path / "alone.csv", alone.history)
@@ -297,6 +287,27 @@ def test_train_on_a_shared_pretraining_logs_bitwise_equal(tmp_path, fixture_data
         # each result owns its backbone, so runs sharing a pretraining stay apart
         assert shared.params.backbone[name] is not weights[name]
         assert shared.params.backbone[name] is not first.params.backbone[name]
+
+
+def test_train_on_a_warm_cache_never_runs_the_encoder(fixture_data, monkeypatch):
+    graph, similarity, partition = fixture_data
+    config = quick_config(max_epochs=3)
+    pretrainings = {}
+    train(graph, similarity, partition, config, pretrainings)
+    encoder_runs = []
+    backbone_embed = trainer_module.backbone_embed
+
+    def counted(*args):
+        encoder_runs.append(args[0])
+        return backbone_embed(*args)
+
+    monkeypatch.setattr(trainer_module, "backbone_embed", counted)
+    result = train(graph, similarity, partition, config, pretrainings)
+    assert encoder_runs == []
+    # the closing head forward on the cached Z is the saved model's forward pass
+    h, scores = embed(result.params, graph, similarity)
+    assert h.tobytes() == result.embeddings.tobytes()
+    assert scores.tobytes() == result.scores.tobytes()
 
 
 def test_one_cache_gives_each_graph_its_own_pretraining(tmp_path, monkeypatch):
@@ -365,7 +376,7 @@ def test_vanilla_run_matches_pure_backbone_utility(fixture_data):
             pretrain_epochs=150, max_epochs=150, patience=150, beta2=0.0, beta3=0.0
         )
     )
-    weights, _, _ = pretrain(graph, config)
+    weights, _ = pretrain(graph, config)
     backbone_only = ModelParams(variant=config.backbone, backbone=weights)
     masked = train_masked(graph, config)
     pure = evaluate(*embed(backbone_only, masked), masked, similarity, partition)
@@ -424,7 +435,7 @@ def test_probe_sweeps_give_the_weighted_total_gradient(fixture_data):
     graph, similarity, partition = fixture_data
     config = quick_config(pretrain_epochs=10)
     graph = train_masked(graph, config)
-    _, z0, _ = pretrain(graph, config)
+    _, z0 = pretrain(graph, config)
     weights = init_fair_head(config.hidden, np.random.default_rng(3), scale=0.5)
     tape = Tape()
     leaves = as_leaves(tape, weights)
@@ -544,7 +555,7 @@ def test_evaluate_matches_independent_metric_calls(fixture_data):
     result = train(graph, similarity, partition, config)
     masked = train_masked(graph, config)
     h, scores = embed(result.params, masked, similarity)
-    # the run's closing forward pass, from its own per-run constants, is embed's
+    # the run's closing head forward on its cached Z is embed's forward pass
     assert h.tobytes() == result.embeddings.tobytes()
     assert scores.tobytes() == result.scores.tobytes()
     index = masked.test_mask
