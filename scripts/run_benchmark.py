@@ -2,15 +2,18 @@
 """Paired benchmark runs on the synthetic SBM graph.
 
 Trains the six standard configurations (vanilla, full, fixed weights,
-attention off, no group term, no individual term) over a set of seeds and
-prints the directional comparison table: IF and GD reductions of the full run
-against the vanilla run, the AUC cost, and the ablation directions.
+attention off, no group term, no individual term) over a range of seeds
+(--seeds of them from --first-seed) and prints the directional comparison
+table: IF and GD reductions of the full run against the vanilla run, the AUC
+cost, and the ablation directions.
 
 Each row carries two digests: history_sha256, over every logged value at
 full precision (the fields and format of perfbench's history digest), and
 outputs_sha256, over the final embeddings and scores. Comparing those fields
 of two --out files, written with the same options by two checkouts, checks
-that their runs are bitwise equal.
+that their runs are bitwise equal. The --out file also records the
+environment the runs saw: the Python, numpy, scipy and BLAS builds, the BLAS
+thread count and the threads that select top-k similarity blocks.
 
 A number that is not a plain integer of at least 1, or a run that raises a
 ginigraph error, ends in exit code 2. An --out path that cannot be written
@@ -20,14 +23,17 @@ is until the runs finish.
 
 Example:
     python3 scripts/run_benchmark.py --seeds 5 --out results/benchmark.json
+    python3 scripts/run_benchmark.py --first-seed 5 --seeds 10 --out results/held_out.json
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from operator import gt, le
@@ -36,10 +42,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
+import scipy
 
 from ginigraph.benchmark import BENCHMARK_VARIANTS, run_matrix
 from ginigraph.cli import plain_int
 from ginigraph.errors import GiniGraphError
+from ginigraph.graph import SELECT_WORKERS
 from ginigraph.trainer import LOG_COLUMNS
 
 
@@ -141,12 +149,41 @@ def summarize(rows):
     return out
 
 
-def positive_int(text: str) -> int:
-    """A plain_int of at least 1; argparse exits 2 on any other text."""
-    value = plain_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def blas_threads() -> int | None:
+    """The threads numpy's bundled OpenBLAS runs with, or None where it cannot be asked."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            try:
+                get = getattr(ctypes.CDLL(str(lib)), name)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+def environment() -> dict:
+    """The builds and thread counts that a run's last bits can depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": blas_threads(),
+        "select_workers": SELECT_WORKERS,
+    }
+
+
+def int_at_least(low: int):
+    """An argparse type: a plain_int of at least low; argparse exits 2 on any other text."""
+    def parse(text: str) -> int:
+        value = plain_int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def check_writable(path: Path) -> None:
@@ -162,14 +199,15 @@ def check_writable(path: Path) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=positive_int, default=5, help="number of seeds (0..n-1)")
+    parser.add_argument("--seeds", type=int_at_least(1), default=5, help="number of seeds")
+    parser.add_argument("--first-seed", type=int_at_least(0), default=0, help="the first seed")
     parser.add_argument("--out", help="write the raw per-run rows as JSON")
     parser.add_argument(
         "--variants", nargs="*", choices=list(BENCHMARK_VARIANTS),
         help="subset of variants to run (default: all)",
     )
     parser.add_argument(
-        "--max-epochs", type=positive_int, help="fair epochs (and patience) per run"
+        "--max-epochs", type=int_at_least(1), help="fair epochs (and patience) per run"
     )
     args = parser.parse_args(argv)
 
@@ -186,7 +224,8 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        rows = collect(range(args.seeds), overrides, args.variants)
+        rows = collect(range(args.first_seed, args.first_seed + args.seeds), overrides,
+                       args.variants)
     except GiniGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,7 +234,8 @@ def main(argv=None) -> int:
     print(f"total wall time: {time.monotonic() - started:.1f}s")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"rows": rows, "summary": summary}, fh, indent=2)
+            json.dump({"environment": environment(), "rows": rows, "summary": summary}, fh,
+                      indent=2)
     return 0
 
 

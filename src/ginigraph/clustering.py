@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_int
 
 Array = np.ndarray
 
@@ -41,9 +41,9 @@ def kmeans(x: Array, k: int, seed: int = 0) -> tuple[Array, Array, float]:
     if x.ndim != 2 or x.shape[0] == 0 or not np.isfinite(x).all():
         raise ContractError("x must be a nonempty (n, d) matrix of finite numbers")
     n = x.shape[0]
-    if k < 1 or k > n:
+    if check_int(k, "k", 1) > n:
         raise ContractError(f"k must lie in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     centers = _seed_centers(x, k, rng)
     assign = np.zeros(n, dtype=np.int64)
     for it in range(LLOYD_ITERATIONS):
@@ -67,9 +67,7 @@ def kmeans(x: Array, k: int, seed: int = 0) -> tuple[Array, Array, float]:
 def kmeans_elbow(x: Array, k_max: int, seed: int = 0) -> tuple[int, list[float]]:
     """Choose k by the 10% relative-drop rule; returns (k, WCSS for k=1..k_max)."""
     x = np.asarray(x, dtype=np.float64)
-    if k_max < 2:
-        raise ContractError("k_max must be at least 2")
-    if k_max > x.shape[0]:
+    if check_int(k_max, "k_max", 2) > x.shape[0]:
         raise ContractError("k_max cannot exceed the number of points")
     wcss = [kmeans(x, k, seed)[2] for k in range(1, k_max + 1)]
     for k in range(1, k_max):

@@ -83,23 +83,43 @@ def check_field_types(settings, error: type[GiniGraphError]) -> None:
             raise error(f"{f.name}: expected {f.type}, got {value!r}")
 
 
-def check_index(index, n: int, error: type[GiniGraphError] = ContractError,
-                what: str = "index") -> np.ndarray:
-    """index as a 1-D int64 array of positions in [0, n), or error.
+def check_int(value, what: str, low: int = 0) -> int:
+    """value (a seed, a count, a column) as an int of at least low, or ContractError.
+
+    A bool, a float (2.0 too) or a string is refused rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ContractError(f"{what} must be an integer of at least {low}, got {value!r}")
+    return int(value)
+
+
+def check_integers(values, low: int, high: int | None = None,
+                   error: type[GiniGraphError] = ContractError, what: str = "values",
+                   kind: str = "integers") -> np.ndarray:
+    """values as a 1-D int64 array of integers in [low, high) (no upper end for None), or error.
 
     It must hold integers (an empty list, which numpy reads as float64, is
-    allowed): a bool mask, a float or a negative position is refused rather
-    than selected by, truncated or wrapped.
+    allowed): a bool, a float or a NaN is refused rather than cast, truncated
+    or wrapped.
     """
-    arr = np.asarray(index)
+    arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise error(f"{what} must hold integer positions, got dtype {arr.dtype}")
+        raise error(f"{what} must hold {kind}, got dtype {arr.dtype}")
     if arr.ndim != 1:
         raise error(f"{what} must be 1-D, got shape {arr.shape}")
     arr = arr.astype(np.int64, copy=False)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise error(f"{what} out of range [0, {n})")
+    if arr.size and (arr.min() < low or (high is not None and arr.max() >= high)):
+        raise error(f"{what} out of range [{low}, {'inf' if high is None else high})")
     return arr
+
+
+def check_index(index, n: int, error: type[GiniGraphError] = ContractError,
+                what: str = "index") -> np.ndarray:
+    """index as a 1-D int64 array of positions in [0, n), or error (see check_integers).
+
+    A bool mask is refused rather than selected by.
+    """
+    return check_integers(index, 0, n, error, what, kind="integer positions")
 
 
 def check_length(values, n: int, what: str) -> np.ndarray:

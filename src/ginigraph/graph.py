@@ -9,7 +9,9 @@ matrix and degree vector cached for Laplacian work.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import (
     ConfigError, ContractError, DataFormatError, DimensionError, DomainError, check_index,
-    check_length,
+    check_int, check_integers, check_length,
 )
 
 Array = np.ndarray
@@ -35,9 +37,10 @@ Array = np.ndarray
 class Graph:
     """Node features, labels, sensitive attribute, and an undirected edge list.
 
-    labels use -1 for unlabeled nodes; sensitive is a small nonnegative integer
-    code per node. Masks are index arrays into the node range and must be
-    disjoint.
+    labels use -1 for unlabeled nodes, else 0 or 1; sensitive is a small
+    nonnegative integer code per node. Edge endpoints, labels and codes must
+    be integers: a float or a NaN is refused, not cast. Masks are index arrays
+    into the node range and must be disjoint.
     """
 
     edges: Array
@@ -49,20 +52,21 @@ class Graph:
     test_mask: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.sensitive = np.asarray(self.sensitive, dtype=np.int64)
+        if np.ndim(self.labels) != 1 or np.shape(self.sensitive) != np.shape(self.labels):
+            raise DimensionError("labels and sensitive must be length n")
+        self.labels = check_integers(self.labels, -1, 2, what="labels")
+        self.sensitive = check_integers(self.sensitive, 0, what="sensitive codes")
         n = self.n
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise DimensionError("features must be (n, d)")
         if not np.all(np.isfinite(self.features)):
             raise DomainError("features must be finite")
-        if self.labels.shape != (n,) or self.sensitive.shape != (n,):
-            raise DimensionError("labels and sensitive must be length n")
+        if np.size(self.edges) % 2:
+            raise DimensionError("edges must be (m, 2)")
+        ends = check_index(np.ravel(self.edges), n, what="edge endpoint")
+        self.edges = ends.reshape(-1, 2)
         if self.edges.size:
-            if self.edges.min() < 0 or self.edges.max() >= n:
-                raise ContractError("edge endpoint out of range")
             if np.any(self.edges[:, 0] >= self.edges[:, 1]):
                 raise ContractError("edges must be stored as i < j")
             if self.adjacency().nnz != 2 * self.num_edges:
@@ -121,8 +125,8 @@ def normalized_adjacency(adjacency: sp.csr_matrix) -> sp.csr_matrix:
 
 def split_nodes(graph: Graph, seed: int) -> tuple[Array, Array, Array]:
     """Shuffle the labeled nodes into 50/25/25 train/val/test index arrays."""
+    rng = np.random.default_rng(check_int(seed, "seed"))
     labeled = np.flatnonzero(graph.labels >= 0)
-    rng = np.random.default_rng(seed)
     order = rng.permutation(labeled)
     n_train, n_val = order.size // 2, order.size // 4
     return (
@@ -139,18 +143,19 @@ def split_nodes(graph: Graph, seed: int) -> tuple[Array, Array, Array]:
 
 @dataclass
 class GroupPartition:
-    """Assignment of every node to one of m groups (group ids 0..m-1)."""
+    """Assignment of every node to one of m groups (group ids 0..m-1).
+
+    The ids must be nonnegative integers; from_values factorizes other codes.
+    """
 
     group_ids: Array
 
     def __post_init__(self):
-        self.group_ids = np.asarray(self.group_ids, dtype=np.int64)
-        if self.group_ids.ndim != 1:
+        if np.ndim(self.group_ids) != 1:
             raise DimensionError("group ids must be 1-D")
-        if self.group_ids.size == 0:
+        if np.size(self.group_ids) == 0:
             raise ContractError("partition over zero nodes")
-        if self.group_ids.min() < 0:
-            raise ContractError("negative group id")
+        self.group_ids = check_integers(self.group_ids, 0, what="group ids")
         # Compact ids so that every group in 0..m-1 is nonempty.
         uniq, compact = np.unique(self.group_ids, return_inverse=True)
         self.group_ids = compact.astype(np.int64)
@@ -228,25 +233,21 @@ class SimilaritySet:
     """
 
     def __init__(self, n: int, rows: Array, cols: Array, weights: Array):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
-        if not (rows.shape == cols.shape == weights.shape) or rows.ndim != 1:
+        if not (np.shape(rows) == np.shape(cols) == weights.shape) or weights.ndim != 1:
             raise DimensionError("rows, cols, weights must be 1-D and equal length")
-        if n <= 0:
-            raise ContractError("n must be positive")
-        if rows.size:
-            if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
-                raise ContractError("similarity index out of range")
-            if np.any(rows == cols):
-                raise ContractError("diagonal similarities are not stored")
+        n = check_int(n, "n", 1)
+        rows = check_index(rows, n, what="similarity index")
+        cols = check_index(cols, n, what="similarity index")
+        if np.any(rows == cols):
+            raise ContractError("diagonal similarities are not stored")
         if not np.all((weights > 0.0) & (weights <= 1.0)):
             raise DomainError("similarity weights must lie in (0, 1]")
         self.matrix = _pair_matrix(n, rows, cols, weights)
         if self.matrix.nnz != 2 * rows.size:
             raise ContractError("duplicate similarity pairs")
         upper = sp.triu(self.matrix, 1)
-        self.n = int(n)
+        self.n = n
         self.rows = upper.row.astype(np.int64)
         self.cols = upper.col.astype(np.int64)
         self.weights = upper.data
@@ -281,42 +282,37 @@ DENSE_SIMILARITY_LIMIT = 5000
 # Rows per argpartition call in _cosine_topk. argpartition selects row by row,
 # so every block size picks what one call over all n rows picks. A block needs
 # one negated and clamped buffer and an index array, 2 * 256 * n * 8 bytes
-# (20 MB at the dense limit), allocated beside the n x n score matrix.
+# (20 MB at the dense limit) per worker, allocated beside the n x n scores.
 _SELECT_ROWS = 256
+
+# Threads that select _cosine_topk's row blocks: min(2, the CPUs this process
+# may run on). numpy releases the GIL in the selection's array calls.
+SELECT_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def _check_dense(n: int, top_k: int) -> None:
     """Refuse a top_k that is no positive integer, and n beyond the dense limit."""
-    if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)) or top_k <= 0:
-        raise ContractError(f"top_k must be a positive integer, got {top_k!r}")
+    check_int(top_k, "top_k", 1)
     if n > DENSE_SIMILARITY_LIMIT:
         raise ContractError(
             f"dense similarity path supports up to {DENSE_SIMILARITY_LIMIT} nodes"
         )
 
 
-def _cosine_topk(vectors: Array, top_k: int) -> SimilaritySet:
-    """Cosine similarity of the rows of vectors, kept to each node's top_k.
+def _select_blocks(scores: Array, k: int, starts) -> tuple[Array, Array, Array]:
+    """(rows, cols, weights) of the top-k picks of the row blocks at starts, in order.
 
-    vectors is normalised in place (all-zero rows stay zero: cosine undefined,
-    no pairs) and released once the n x n score matrix is formed. The scores
-    are never written to: each block of rows is negated into one buffer and
-    clamped there to -0.0 at nonpositive scores and on the diagonal, so
-    argpartition picks each row's top_k by score, and a pick of score 0 is
-    dropped. A pair survives if either end picks it, with the picked score as
-    its weight; the score matrix is bitwise symmetric, so both ends pick the
-    same bits, and the upper triangle of the picks' CSR, symmetrized by max,
-    is the union.
+    The scores are never written to: each block is negated into one buffer
+    and clamped there to -0.0 at nonpositive scores and on the diagonal, so
+    argpartition picks each row's top k by score, and a pick of score 0 is
+    dropped.
     """
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    vectors /= np.where(norms > 0, norms, 1.0)
-    scores = vectors @ vectors.T
-    del vectors
     n = scores.shape[0]
-    k = min(top_k, n - 1)  # n = 1 gives k = 0, kth = -1 (the only column) and no picks
     buf = np.empty((min(_SELECT_ROWS, n), n))
     rows, cols, weights = [], [], []
-    for start in range(0, n, _SELECT_ROWS):
+    for start in starts:
         neg = np.negative(scores[start : start + _SELECT_ROWS], out=buf[: n - start])
         np.minimum(neg, -0.0, out=neg)
         np.fill_diagonal(neg[:, start:], -0.0)
@@ -326,31 +322,70 @@ def _cosine_topk(vectors: Array, top_k: int) -> SimilaritySet:
         rows.append(np.nonzero(keep)[0] + start)
         cols.append(top[keep])
         weights.append(picked[keep])
-    chosen = sp.csr_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+
+
+def _cosine_topk(unit: Array, top_k: int) -> SimilaritySet:
+    """Cosine similarity of the unit rows of unit, kept to each node's top_k.
+
+    Each row of unit has norm 1 or is all zero (cosine undefined, no pairs).
+    The caller hands it over as a temporary: it is released once the n x n
+    score matrix is formed, which is then the memory peak. Up to
+    SELECT_WORKERS threads select the 256-row blocks, each its own
+    contiguous run of them: the calling thread the first run, and pool
+    threads the others, so one worker or one block starts no thread. A
+    block's picks depend only on its rows and the runs are joined in block
+    order, so the result does not depend on the worker count. A pair
+    survives if either end picks it, with the picked score as its weight;
+    the score matrix is bitwise symmetric, so both ends pick the same bits,
+    and the upper triangle of the picks' CSR, symmetrized by max, is the
+    union.
+    """
+    scores = unit @ unit.T
+    del unit
+    n = scores.shape[0]
+    k = min(top_k, n - 1)  # n = 1 gives k = 0, kth = -1 (the only column) and no picks
+    starts = np.arange(0, n, _SELECT_ROWS)
+    first, *rest = np.array_split(starts, min(SELECT_WORKERS, starts.size))
+    with ThreadPoolExecutor(max(1, len(rest))) as pool:
+        others = [pool.submit(_select_blocks, scores, k, run) for run in rest]
+        picks = [_select_blocks(scores, k, first), *(future.result() for future in others)]
+    rows, cols, weights = (np.concatenate(part) for part in zip(*picks))
+    chosen = sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
     upper = sp.triu(chosen.maximum(chosen.T), 1)
     return SimilaritySet(n, upper.row, upper.col, np.minimum(upper.data, 1.0))
+
+
+def _unit_adjacency_rows(graph: Graph) -> Array:
+    """The adjacency rows scaled to unit norm, dense; an isolated node's row stays zero.
+
+    A 0/1 row of degree d has norm sqrt(d) exactly, so its unit row holds
+    1/sqrt(d) at each neighbour, the bits that dividing it by its norm gives.
+    The sparse matrix is freed on return, before the caller's n x n product.
+    """
+    unit = graph.adjacency()
+    degree = np.diff(unit.indptr)
+    unit.data = np.repeat(1.0 / np.sqrt(np.maximum(degree, 1)), degree)
+    return unit.toarray()
 
 
 def topo_similarity(graph: Graph, top_k: int = 100) -> SimilaritySet:
     """Cosine similarity of adjacency rows, sparsified to each node's top_k."""
     _check_dense(graph.n, top_k)
-    return _cosine_topk(graph.adjacency().toarray(), top_k)
+    return _cosine_topk(_unit_adjacency_rows(graph), top_k)
 
 
 def attr_similarity(
     features: Array, top_k: int = 100, masked_columns: tuple[int, ...] = ()
 ) -> SimilaritySet:
     """Cosine similarity of feature rows with protected columns zeroed out."""
-    feats = np.array(features, dtype=np.float64)  # a copy: the kernel normalises it in place
+    feats = np.array(features, dtype=np.float64)  # a copy: normalised in place below
     _check_dense(feats.shape[0], top_k)
     if not np.all(np.isfinite(feats)):
         raise DomainError("features must be finite")
-    bad = [c for c in masked_columns if not 0 <= c < feats.shape[1]]
-    if bad:
-        raise ContractError(f"masked column out of range: {bad}")
-    feats[:, list(masked_columns)] = 0.0
+    feats[:, check_index(list(masked_columns), feats.shape[1], what="masked column")] = 0.0
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    feats /= np.where(norms > 0, norms, 1.0)
     return _cosine_topk(feats, top_k)
 
 

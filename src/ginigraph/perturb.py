@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, check_int
 from .graph import Graph
 
 Array = np.ndarray
@@ -46,6 +46,7 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
     unchanged and counted. The edge count never changes.
     """
     check_rho(rho)
+    check_int(seed, "seed")
     edges = graph.edges.copy()
     m = edges.shape[0]
     budget = math.floor(rho * m)
@@ -85,6 +86,7 @@ def rewire_homophily(graph: Graph, rho: float, seed: int = 0) -> RewireResult:
 def perturb_noise(features: Array, sigma: float, seed: int = 0) -> Array:
     """Additive elementwise Gaussian noise; sigma = 0 returns the input unchanged."""
     check_sigma(sigma)
+    check_int(seed, "seed")
     features = np.asarray(features, dtype=np.float64)
     if not np.isfinite(features).all():
         raise DomainError("features must be finite")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, check_field_types
+from .errors import ContractError, check_field_types, check_int
 from .graph import Graph, split_nodes
 
 Array = np.ndarray
@@ -145,7 +145,7 @@ def _draw_edges(blocks: Array, p_within: float, p_between: float, rng) -> Array:
 def sbm_generate(spec: SbmSpec, seed: int = 0) -> Graph:
     """Sample one benchmark graph, including a 50/25/25 labeled split."""
     spec.validate()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     n = spec.n
     blocks = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
     labels = blocks % 2

@@ -1489,7 +1489,9 @@ def test_benchmark_rows_digest_the_history_and_outputs_bitwise():
 
 
 @pytest.mark.parametrize(
-    "argv", [["--seeds", "-3"], ["--seeds", "0"], ["--seeds", "1_0"], ["--max-epochs", "0"]]
+    "argv",
+    [["--seeds", "-3"], ["--seeds", "0"], ["--seeds", "1_0"], ["--max-epochs", "0"],
+     ["--first-seed", "-1"]],
 )
 def test_benchmark_script_refuses_bad_numbers_with_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as stopped:
@@ -1497,6 +1499,18 @@ def test_benchmark_script_refuses_bad_numbers_with_exit_2(argv, capsys):
     assert stopped.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and argv[0] in captured.err
+
+
+def test_benchmark_script_runs_from_the_first_seed_and_records_its_environment(tmp_path):
+    out = tmp_path / "rows.json"
+    argv = ["--first-seed", "3", "--seeds", "1", "--variants", "vanilla", "--max-epochs", "1",
+            "--out", str(out)]
+    assert load_benchmark_script().main(argv) == 0
+    written = json.loads(out.read_text())
+    assert [row["seed"] for row in written["rows"]["vanilla"]] == [3]
+    env = written["environment"]
+    assert env["numpy"] == np.__version__ and env["select_workers"] in (1, 2)
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads", "select_workers"}
 
 
 def test_benchmark_script_turns_a_run_error_into_exit_2(capsys, monkeypatch):

@@ -73,6 +73,41 @@ def test_graph_validation_rejects_bad_edges():
     assert empty.shape == (3, 3) and empty.nnz == 0 and empty.dtype == np.float64
 
 
+def test_constructors_refuse_what_they_used_to_cast():
+    """Node positions, labels, codes and group ids must be integers; nothing is cast."""
+    feats = np.zeros((3, 2))
+
+    def graph(edges=((0, 1),), labels=(0, 1, 1), sensitive=(0, 0, 1)):
+        return Graph(edges=edges, features=feats, labels=labels, sensitive=sensitive)
+
+    cases = [
+        (lambda: graph(edges=[[0.4, 1.9]]), "edge endpoint must hold integer positions"),
+        (lambda: graph(edges=[[0.0, 1.0]]), "edge endpoint must hold integer positions"),
+        (lambda: graph(edges=[[0, 1, 2]]), "edges must be"),
+        (lambda: graph(labels=[0, np.nan, 1]), "labels must hold integers"),
+        (lambda: graph(labels=[0.0, 1.0, 1.0]), "labels must hold integers"),
+        (lambda: graph(labels=[0, 2, 1]), "labels out of range"),
+        (lambda: graph(labels=[0, -2, 1]), "labels out of range"),
+        (lambda: graph(sensitive=[0, -1, 1]), "sensitive codes out of range"),
+        (lambda: graph(sensitive=[0.0, 0.5, 1.0]), "sensitive codes must hold integers"),
+        (lambda: SimilaritySet(3, [0.6], [1.9], [0.5]), "similarity index must hold integer"),
+        (lambda: SimilaritySet(3.0, [0], [1], [0.5]), "n must be an integer"),
+        (lambda: SimilaritySet(True, [0], [1], [0.5]), "n must be an integer"),
+        (lambda: SimilaritySet(0, [], [], []), "n must be an integer of at least 1"),
+        (lambda: GroupPartition([0.5, 1.7, 1.2]), "group ids must hold integers"),
+        (lambda: GroupPartition([0.0, np.nan, 1.0]), "group ids must hold integers"),
+        (lambda: GroupPartition([0, -1, 1]), "group ids out of range"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ContractError, match=message):
+            build()
+    small = graph(edges=np.array([[0, 2]], dtype=np.int32), labels=np.array([-1, 0, 1], np.int8))
+    assert small.edges.dtype == small.labels.dtype == small.sensitive.dtype == np.int64
+    assert small.edges.tolist() == [[0, 2]] and small.labels.tolist() == [-1, 0, 1]
+    assert SimilaritySet(np.int64(3), np.array([0], np.int32), [2], [0.5]).rows.tolist() == [0]
+    assert GroupPartition(np.array([5, 0, 5], np.uint8)).group_ids.tolist() == [1, 0, 1]
+
+
 def test_graph_masks_must_be_disjoint():
     with pytest.raises(ContractError):
         Graph(
@@ -537,6 +572,45 @@ def test_row_blocked_topk_matches_one_shot_selection(k):
     for s, vectors in cases:
         for got, want in zip((s.rows, s.cols, s.weights), one_shot_topk_union(vectors, top_k)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _graph_with_isolated_nodes(n, seed):
+    """A random graph whose degrees run from 0 (every node 7i + 3) to about n/2."""
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=1)
+    keep = (rng.random(i.size) < (i + 1) / n) & (i % 7 != 3) & (j % 7 != 3)
+    return Graph(edges=np.column_stack([i[keep], j[keep]]), features=rng.normal(size=(n, 8)),
+                 labels=np.zeros(n, dtype=np.int64), sensitive=np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 1000])
+def test_topk_picks_do_not_depend_on_the_worker_count(n, monkeypatch):
+    """One block (n = 1, 255) runs on the calling thread alone; 257 and 1000 are split."""
+    graph = _graph_with_isolated_nodes(n, seed=n)
+    feats = graph.features.copy()
+    feats[3::7] = 0.0  # zero rows, no pairs
+    results = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(graph_module, "SELECT_WORKERS", workers)
+        results[workers] = [
+            (s.rows.tobytes(), s.cols.tobytes(), s.weights.tobytes())
+            for top_k in (1, 10, 100)
+            for s in (topo_similarity(graph, top_k), attr_similarity(feats, top_k))
+        ]
+    assert results[1] == results[2]
+    if n > 1:
+        assert any(rows for rows, _, _ in results[2])
+
+
+def test_topo_unit_rows_equal_the_norm_division_bit_for_bit():
+    graph = _graph_with_isolated_nodes(600, seed=3)
+    dense = graph.adjacency().toarray()
+    degree = dense.sum(axis=1)
+    assert degree.min() == 0 and degree.max() > 200
+    norms = np.linalg.norm(dense, axis=1, keepdims=True)
+    want = dense / np.where(norms > 0, norms, 1.0)
+    got = graph_module._unit_adjacency_rows(graph)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_topo_similarity_holds_no_more_than_two_n_by_n_arrays():

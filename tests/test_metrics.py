@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import ginigraph
 from ginigraph.clustering import kmeans
 from ginigraph.errors import ContractError, DomainError, GiniGraphError
-from ginigraph.graph import GroupPartition, SimilaritySet
+from ginigraph.graph import GroupPartition, SimilaritySet, attr_similarity, split_nodes
 from ginigraph.metrics import (
     MetricsReport,
     _average_ranks,
@@ -39,7 +39,8 @@ from ginigraph.metrics import (
     rank_auc,
     trace_form,
 )
-from ginigraph.perturb import perturb_noise
+from ginigraph.perturb import perturb_noise, rewire_homophily
+from ginigraph.synthetic import SbmSpec, sbm_generate
 
 from conftest import build_random_similarity
 
@@ -451,6 +452,30 @@ def test_array_entry_points_refuse_malformed_arrays(data):
     call(base)  # well formed: no error
     bad = malformed(base, data.draw(st.sampled_from(defects)), data)
     with pytest.raises(GiniGraphError):
+        call(bad)
+
+
+API_GRAPH = sbm_generate(SbmSpec(block_sizes=(6, 6), p_within=0.5, p_between=0.1), 0)
+
+# Each public seed, count and column argument, as (call on the value, a good value).
+INTEGER_ENTRY_POINTS = {
+    "sbm_generate seed": (lambda v: sbm_generate(SbmSpec(block_sizes=(6, 6)), v), 3),
+    "split_nodes seed": (lambda v: split_nodes(API_GRAPH, v), 3),
+    "rewire_homophily seed": (lambda v: rewire_homophily(API_GRAPH, 0.5, v), 3),
+    "perturb_noise seed": (lambda v: perturb_noise(API_Z, 0.1, v), 3),
+    "kmeans seed": (lambda v: kmeans(API_Z, 2, v), 3),
+    "kmeans k": (lambda v: kmeans(API_Z, v), 2),
+    "attr_similarity masked column": (lambda v: attr_similarity(API_Z, 2, (v,)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [-1, 1.5, 2.0, np.float64(1.0), True, "1", None])
+def test_integer_arguments_refuse_what_numpy_would_cast_or_raise(name, bad):
+    call, good = INTEGER_ENTRY_POINTS[name]
+    call(good)
+    call(np.int64(good))
+    with pytest.raises(ContractError):
         call(bad)
 
 
